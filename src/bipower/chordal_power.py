@@ -16,6 +16,7 @@ from .core import (
     CycleCertificate,
     VertexId,
     _bfs_global,
+    _check_vertex_cap,
     _iter_bits,
     bipartite_power,
     find_chordless_cycle,
@@ -30,11 +31,83 @@ class ChordalityVerdict(NamedTuple):
     certificate: CycleCertificate | None
 
 
+def _lex_keys(bits: list[list[int]], order: list[int]) -> list[int]:
+    """Each set of bit positions read as an integer under a display order of
+    the positions: the position shown first becomes the most significant."""
+    width = len(order)
+    weight = [0] * width
+    for p, orig in enumerate(order):
+        weight[orig] = 1 << (width - 1 - p)
+    return [sum(map(weight.__getitem__, row)) for row in bits]
+
+
+def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], list[int]]:
+    """Row and column display orders (display position -> X / Y index) under
+    which the biadjacency matrix is doubly lexical, plus the rows as shown.
+
+    Doubly lexical here means rows and columns both in decreasing
+    lexicographic order, first column / first row most significant; each
+    shown row is a bitset whose high bit is the first shown column.  Rows
+    and columns are stably sorted in turn until the column sort moves
+    nothing.  Each sort can only increase the row-major reading of the
+    matrix, and strictly does so whenever it moves something, so the loop
+    ends, and its fixpoint is doubly lexical.
+    """
+    x_bits = [list(_iter_bits(row)) for row in g.x_adj]
+    y_bits: list[list[int]] = [[] for _ in range(g.y_count)]
+    for i, row in enumerate(x_bits):
+        for j in row:
+            y_bits[j].append(i)
+    rows, cols = list(range(g.x_count)), list(range(g.y_count))
+    while True:
+        row_key = _lex_keys(x_bits, cols)
+        rows.sort(key=row_key.__getitem__, reverse=True)
+        col_key = _lex_keys(y_bits, rows)
+        new_cols = sorted(cols, key=col_key.__getitem__, reverse=True)
+        if new_cols == cols:
+            # The rows were just sorted under these very columns.
+            return rows, cols, [row_key[i] for i in rows]
+        cols = new_cols
+
+
+def _gamma_free(g: BipartiteGraph) -> bool:
+    """True iff the doubly lexical ordering of the biadjacency matrix has no
+    Γ, here [[0,1],[1,1]] at rows i < i' and columns j < j' (Lubiw's
+    [[1,1],[1,0]] with both orders reversed).
+
+    With columns shown first held in the high bits, a row pair has a Γ iff
+    some column where only the lower row has a one lies left of (in a higher
+    bit than) some column where both do.
+    """
+    shown = doubly_lexical_ordering(g)[2]
+    for lower, below in enumerate(shown):
+        for above in shown[:lower]:
+            only_below = below & ~above
+            both = below & above
+            if only_below and both and (both & -both).bit_length() < only_below.bit_length():
+                return False
+    return True
+
+
 def is_chordal_bipartite(g: BipartiteGraph) -> ChordalityVerdict:
     """True iff every cycle longer than 4 has a chord; otherwise the verdict
-    carries a chordless cycle of length >= 6 as the witness."""
+    carries a chordless cycle of length >= 6 as the witness.
+
+    A bigraph is chordal bipartite iff its biadjacency matrix is totally
+    balanced, which holds iff a doubly lexical ordering of the matrix is
+    Γ-free (Lubiw, "Doubly lexical orderings of matrices", SIAM J. Comput.
+    16, 1987).  The decision is made that way, in polynomial time; only a
+    "no" runs ``find_chordless_cycle`` for the witness, which a search finds
+    quickly when one exists.  Graphs above the cycle-search vertex cap are
+    refused with CapacityError either way.
+    """
+    _check_vertex_cap(g)
+    if _gamma_free(g):
+        return ChordalityVerdict(True, None)
     cert = find_chordless_cycle(g, 6)
-    return ChordalityVerdict(cert is None, cert)
+    if cert is None:
+        raise AssertionError("doubly lexical ordering has a Γ but no chordless cycle of length >= 6 exists")
+    return ChordalityVerdict(False, cert)
 
 
 def is_k_chordal(g: BipartiteGraph, k: int) -> bool:
@@ -42,12 +115,15 @@ def is_k_chordal(g: BipartiteGraph, k: int) -> bool:
 
     Accepts k >= 4.  Odd k is normalized down to k - 1: bipartite cycles are
     even, so the two thresholds coincide.  k = 4 is exactly the
-    chordal-bipartite test.
+    chordal-bipartite test and is decided by ``is_chordal_bipartite``;
+    larger k search for a cycle directly.
     """
     if k < 4:
         raise InputError(f"k-chordality needs k >= 4, got {k}")
     if k % 2:
         k -= 1
+    if k == 4:
+        return is_chordal_bipartite(g).chordal
     return find_chordless_cycle(g, k + 2) is None
 
 
@@ -112,7 +188,8 @@ def classify_cycle_edges(g: BipartiteGraph, k: int, cert: CycleCertificate) -> C
     for p in range(length):
         u, v = verts[p], verts[(p + 1) % length]
         d = _bfs_global(adj, g.global_id(u))[g.global_id(v)]
-        assert d is not None and d % 2 == 1 and d <= k + 2
+        if d is None or d % 2 == 0 or d > k + 2:
+            raise AssertionError(f"edge {p} of a chordless (k+2)-power cycle has base distance {d}")
         if d == k + 2:
             cls = EdgeClass.HIGH
         elif d == k:
@@ -176,13 +253,15 @@ def lift_chordless_cycle(g: BipartiteGraph, k: int, cert: CycleCertificate) -> L
             walk.append(u)
             if edge.cls is EdgeClass.HIGH:
                 witness = classification.witnesses[p]
-                assert witness is not None and len(witness) == k + 3
+                if witness is None or len(witness) != k + 3:
+                    raise AssertionError(f"high edge {p} has no shortest-path witness of {k + 3} vertices")
                 walk.append(witness[-3])
                 walk.append(witness[-2])
         lifted = CycleCertificate(tuple(walk), k)
         n = n2 // 2
         predicted = 2 * (3 * n - classification.k2)
-        assert len(walk) == predicted
+        if len(walk) != predicted:
+            raise AssertionError(f"lifted walk has {len(walk)} vertices, predicted 2(3n - m) = {predicted}")
         if verify_chordless(power_k, lifted):
             method = LiftMethod.CASE1 if pure_high else LiftMethod.CASE2
             return LiftResult(lifted, method, predicted)
@@ -249,10 +328,11 @@ def strongly_closed_check(g: BipartiteGraph, k: int) -> StrongClosureReport:
             except TheoremCounterexample:
                 # The k-power has no chordless cycle at all; consistent only
                 # with the refutation case already recorded above.
-                assert base_chordal and counterexample
+                if not counterexample:
+                    raise AssertionError("lift found no cycle in a k-power already judged not chordal")
                 lift = None
-            if lift is not None:
-                assert not base_chordal, "lift produced a cycle in a chordal power"
+            if lift is not None and base_chordal:
+                raise AssertionError("lift produced a cycle in a chordal power")
     return StrongClosureReport(
         k,
         base_chordal,
@@ -280,8 +360,14 @@ def cycle_from_json(g: BipartiteGraph, text: str) -> CycleCertificate:
         raise InputError(f"cycle JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict) or "k" not in obj or "cycle" not in obj:
         raise InputError('cycle JSON must be an object with keys "k" and "cycle"')
+    if not isinstance(obj["cycle"], list):
+        raise InputError('cycle JSON "cycle" must be an array of vertex labels')
+    try:
+        k = int(obj["k"])
+    except (TypeError, ValueError):
+        raise InputError(f'cycle JSON "k" must be an integer, got {obj["k"]!r}') from None
     verts = tuple(g.vertex_by_label(label) for label in obj["cycle"])
-    return CycleCertificate(verts, int(obj["k"]))
+    return CycleCertificate(verts, k)
 
 
 def lift_json(g: BipartiteGraph, result: LiftResult) -> str:

@@ -40,7 +40,10 @@ class _Out:
         if self.output is None:
             sys.stdout.write(payload)
         else:
-            Path(self.output).write_text(payload, encoding="utf-8")
+            try:
+                Path(self.output).write_text(payload, encoding="utf-8")
+            except OSError as exc:
+                raise InputError(f"cannot write {self.output}: {exc}") from exc
 
 
 def _load_graph(path: str) -> core.BipartiteGraph:
@@ -166,7 +169,10 @@ def _cmd_power(args, out: _Out) -> int:
 def _cmd_check_chordal(args, out: _Out) -> int:
     fmt = args.format or "json"
     g = _load_graph(args.graph)
-    cert = core.find_chordless_cycle(g, args.min_length)
+    if args.min_length == 6:
+        cert = chordal_power.is_chordal_bipartite(g).certificate
+    else:
+        cert = core.find_chordless_cycle(g, args.min_length)
     if cert is None:
         out.emit(_verdict_payload({"chordal_bipartite": True}, fmt))
         return EXIT_OK

@@ -248,6 +248,12 @@ class CycleCertificate:
         return CycleCertificate(self.vertices, k)
 
 
+def _check_vertex_cap(g: BipartiteGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> None:
+    n = g.vertex_count
+    if n > vertex_cap:
+        raise CapacityError(f"graph has {n} vertices, above the cycle-search cap {vertex_cap}")
+
+
 def find_chordless_cycle(
     g: BipartiteGraph, min_length: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> CycleCertificate | None:
@@ -259,12 +265,19 @@ def find_chordless_cycle(
     second vertices, and extensions are all taken in ascending global index
     and only indices above the start are used, which makes the result a
     deterministic function of the graph.
+
+    The search is exponential in the worst case, and the worst case is the
+    one where no cycle exists: proving the negative visits every induced
+    path.  Deciding chordal bipartiteness (``min_length`` 6) is therefore
+    done polynomially by ``chordal_power.is_chordal_bipartite``, which calls
+    this search only to extract the witness once the answer is known to be
+    "no".  Longer thresholds (k-chordality for k >= 6) and the lift fallback
+    still rely on it alone.
     """
     if min_length < 6 or min_length % 2:
         raise InputError(f"min_length must be even and >= 6, got {min_length}")
+    _check_vertex_cap(g, vertex_cap)
     n = g.vertex_count
-    if n > vertex_cap:
-        raise CapacityError(f"graph has {n} vertices, above the cycle-search cap {vertex_cap}")
     adj = g.global_adj
 
     def extend(head: int, path: list[int], path_mask: int, interior_adj: int) -> list[int] | None:

@@ -266,6 +266,9 @@ def find_mca(
     row, original index) is the only candidate display up to identical
     columns.  The first arrangement that verifies is returned, so the result
     is the lexicographically least acceptable one under this candidate order.
+    Identical rows are placed in ascending index only: swapping two of them
+    gives the same subtree, so the skipped orders could add nothing and the
+    first arrangement found is unchanged.
     """
     entries = mat.entries
     n = len(entries)
@@ -280,6 +283,12 @@ def find_mca(
     last = [-1] * m
     placed: list[int] = []
     used = [False] * n
+    # twin[r]: the nearest lower index holding a row identical to row r, or -1.
+    seen: dict[tuple[int, ...], int] = {}
+    twin = [-1] * n
+    for r, row in enumerate(entries):
+        twin[r] = seen.get(row, -1)
+        seen[row] = r
 
     def place(orig_row: int) -> bool:
         pos = len(placed)
@@ -322,7 +331,7 @@ def find_mca(
                 return candidate, cert
             return None
         for r in range(n):
-            if used[r]:
+            if used[r] or (twin[r] >= 0 and not used[twin[r]]):
                 continue
             if not place(r):
                 continue
@@ -438,7 +447,10 @@ def parse_matrix(text: str) -> ArrangedMatrix:
     col_perm = tuple(range(m))
     for extra in lines[1 + n :]:
         key, _, rest = extra.partition(":")
-        values = tuple(int(p) for p in rest.split())
+        try:
+            values = tuple(int(p) for p in rest.split())
+        except ValueError:
+            raise InputError(f"matrix text: trailer {extra!r} must list integer indices") from None
         if key == "rows":
             row_perm = values
         elif key == "cols":

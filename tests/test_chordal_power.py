@@ -1,14 +1,43 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bipower as bp
-from bipower.chordal_power import EdgeClass, LiftMethod, cycle_from_json, cycle_json, lift_json
-from bipower.errors import InputError
+from bipower import chordal_power
+from bipower.chordal_power import (
+    EdgeClass,
+    LiftMethod,
+    cycle_from_json,
+    cycle_json,
+    doubly_lexical_ordering,
+    lift_json,
+)
+from bipower.errors import CapacityError, InputError
+from bipower.intervals import intervals_to_graph, random_interval_representation
+from bipower.mca import matrix_to_graph
 from conftest import cycle_graph, cycle_vertex, random_tree
-from oracles import induced_cycle_lengths
+from oracles import has_induced_cycle, induced_cycle_lengths
+
+
+def plant_cycle(g: bp.BipartiteGraph, length: int, rng: random.Random) -> bp.BipartiteGraph:
+    """``g`` with a chordless ``length``-cycle on new vertices placed first on
+    each side, joined to the old vertices by a single bridge edge."""
+    half = length // 2
+    edges = [(i + half, j + half) for i, j in g.edges()]
+    for t in range(half):
+        edges.append((t, t))
+        edges.append(((t + 1) % half, t))
+    if g.x_count:
+        edges.append((half + rng.randrange(g.x_count), rng.randrange(half)))
+    return bp.build_graph(g.x_count + half, g.y_count + half, edges)
 
 
 class TestIsChordalBipartite:
@@ -31,6 +60,97 @@ class TestIsChordalBipartite:
             g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 6), rng.randint(1, 6), rng.random())
             want = not any(length >= 6 for length in induced_cycle_lengths(g))
             assert bp.is_chordal_bipartite(g).chordal == want
+
+
+class TestDoublyLexicalDecision:
+    def test_matches_brute_force_on_every_4_plus_4_graph(self):
+        start = time.perf_counter()
+        non_chordal = 0
+        for g in bp.enumerate_bipartite(4, 4):
+            verdict = bp.is_chordal_bipartite(g)
+            # A chordless cycle of length >= 6 needs 6 edges; sparser graphs
+            # are chordal without asking the oracle.
+            want = g.edge_count() >= 6 and has_induced_cycle(g, 6)
+            assert verdict.chordal is not want
+            if want:
+                non_chordal += 1
+                assert len(verdict.certificate) >= 6 and bp.verify_chordless(g, verdict.certificate)
+        assert non_chordal > 0
+        elapsed = time.perf_counter() - start
+        assert elapsed < 60, f"took {elapsed:.1f}s"
+
+    def test_matches_cycle_search_on_chordal_families(self):
+        # Odd powers of interval and staircase bigraphs up to 32+32 are
+        # chordal bipartite; each verdict is checked against the search.
+        rng = random.Random(2024)
+        for t in range(12):
+            n = (8, 16, 24, 32)[t // 3]
+            if t % 2:
+                g = matrix_to_graph(bp.gen_staircase_matrix(rng.getrandbits(32), n, n))
+            else:
+                g = intervals_to_graph(random_interval_representation(rng.getrandbits(32), n, n, 4 * n))
+            for k in (1, 3, 5):
+                power = bp.bipartite_power(g, k)
+                verdict = bp.is_chordal_bipartite(power)
+                assert verdict.chordal
+                assert bp.find_chordless_cycle(power, 6) is None
+
+    def test_planted_cycles_are_found(self):
+        rng = random.Random(99)
+        for t in range(16):
+            n = (8, 16, 22, 27)[t % 4]  # at most 32+32 with the cycle
+            base = intervals_to_graph(random_interval_representation(rng.getrandbits(32), n, n, 3 * n))
+            g = plant_cycle(bp.bipartite_power(base, rng.choice((1, 3))), rng.choice((6, 8, 10)), rng)
+            verdict = bp.is_chordal_bipartite(g)
+            assert not verdict.chordal
+            assert verdict.certificate == bp.find_chordless_cycle(g, 6)
+            assert bp.verify_chordless(g, verdict.certificate)
+
+    def test_matches_cycle_search_on_random_powers(self):
+        rng = random.Random(7007)
+        for _ in range(300):
+            g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 7), rng.randint(1, 7), rng.random())
+            for k in (1, 3, 5):
+                power = bp.bipartite_power(g, k)
+                cert = bp.find_chordless_cycle(power, 6)
+                assert bp.is_chordal_bipartite(power) == (cert is None, cert)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**64 - 1))
+    def test_ordering_is_doubly_lexical(self, nx, ny, bits):
+        edges = [(t // ny, t % ny) for t in range(nx * ny) if bits >> t & 1] if ny else []
+        g = bp.build_graph(nx, ny, edges)
+        rows, cols, shown_bits = doubly_lexical_ordering(g)
+        assert sorted(rows) == list(range(nx)) and sorted(cols) == list(range(ny))
+        shown = [tuple(int(g.has_edge(i, j)) for j in cols) for i in rows]
+        assert shown == sorted(shown, reverse=True)
+        columns = list(zip(*shown))
+        assert columns == sorted(columns, reverse=True)
+        assert shown_bits == [int("".join(map(str, row)) or "0", 2) for row in shown]
+
+    def test_vertex_cap_still_applies(self):
+        with pytest.raises(CapacityError):
+            bp.is_chordal_bipartite(bp.build_graph(33, 32, []))
+
+    def test_decision_without_witness_is_a_defect(self, monkeypatch):
+        monkeypatch.setattr(chordal_power, "find_chordless_cycle", lambda g, min_length: None)
+        with pytest.raises(AssertionError, match="no chordless cycle"):
+            bp.is_chordal_bipartite(cycle_graph(6))
+
+    def test_defect_guard_survives_optimized_mode(self):
+        script = (
+            "import bipower as bp\n"
+            "from bipower import chordal_power\n"
+            "chordal_power.find_chordless_cycle = lambda g, min_length: None\n"
+            "g, _ = bp.gen_subdivided_cycle([1] * 6)\n"
+            "try:\n"
+            "    bp.is_chordal_bipartite(g)\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(7)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bp.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 7, proc.stderr
 
 
 class TestIsKChordal:

@@ -74,6 +74,30 @@ class TestExitCodes:
         code, out, err = run(capsys, "power", "-k", "4", str(files["graph"]))
         assert code == 2 and out == "" and err
 
+    def test_non_integer_matrix_trailer_is_exit_2(self, files, capsys):
+        bad = files["tmp"] / "bad-trailer.mat"
+        bad.write_text("2 2\n11\n11\nrows: x y\n")
+        code, out, err = run(capsys, "mca-verify", str(bad))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "trailer" in err
+
+    def test_output_into_missing_directory_is_exit_2(self, files, capsys):
+        target = files["tmp"] / "missing" / "out.json"
+        code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]), "--output", str(target))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "cannot write" in err
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("key, value", [("k", "a"), ("k", None), ("cycle", 5)])
+    def test_malformed_cycle_json_is_exit_2(self, files, capsys, key, value):
+        obj = json.loads(files["corners"].read_text())
+        obj[key] = value
+        bad = files["tmp"] / "bad-cycle.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "lift-cycle", "-k", "1", str(files["c18"]), str(bad))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and f'"{key}"' in err
+
 
 class TestVerbs:
     def test_mca_verify_certificate(self, files, capsys):

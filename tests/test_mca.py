@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -130,6 +131,22 @@ class TestFindMca:
         first = bp.find_mca(identity_arrangement(entries))
         second = bp.find_mca(identity_arrangement(entries))
         assert first == second
+
+    def test_repeated_rows_do_not_blow_up(self):
+        # A shuffled 12x12 staircase whose middle run fills 8 rows: trying
+        # every order of the identical rows once took seconds here.
+        runs = [(0, 3), (1, 5), (3, 8), (6, 10), (9, 11)] + [(3, 8)] * 7
+        rng = random.Random(0)
+        rows = [tuple(1 if a <= j <= b else 0 for j in range(12)) for a, b in runs]
+        rng.shuffle(rows)
+        cols = list(range(12))
+        rng.shuffle(cols)
+        entries = tuple(tuple(row[j] for j in cols) for row in rows)
+        start = time.perf_counter()
+        found = bp.find_mca(identity_arrangement(entries))
+        elapsed = time.perf_counter() - start
+        assert found is not None and bp.verify_mca(found[0]) == found[1]
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
     def test_size_cap(self):
         big = identity_arrangement(tuple(tuple(1 for _ in range(13)) for _ in range(13)))
