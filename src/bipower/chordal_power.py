@@ -15,7 +15,6 @@ from .core import (
     BipartiteGraph,
     CycleCertificate,
     VertexId,
-    _bfs_global,
     _check_vertex_cap,
     _iter_bits,
     bipartite_power,
@@ -158,7 +157,7 @@ def _canonical_shortest_path(g: BipartiteGraph, u: VertexId, v: VertexId) -> tup
     to u."""
     adj = g.global_adj
     su, sv = g.global_id(u), g.global_id(v)
-    dist = _bfs_global(adj, su)
+    dist = g.distances[su]
     if dist[sv] is None:
         raise InputError("no path between the requested vertices")
     path = [sv]
@@ -179,7 +178,6 @@ def classify_cycle_edges(g: BipartiteGraph, k: int, cert: CycleCertificate) -> C
     power = bipartite_power(g, k + 2)
     if not verify_chordless(power, cert):
         raise InputError("certificate is not a chordless cycle of the (k+2)-power")
-    adj = g.global_adj
     verts = cert.vertices
     length = len(verts)
     edges = []
@@ -187,7 +185,7 @@ def classify_cycle_edges(g: BipartiteGraph, k: int, cert: CycleCertificate) -> C
     counts = {EdgeClass.LOW: 0, EdgeClass.MID: 0, EdgeClass.HIGH: 0}
     for p in range(length):
         u, v = verts[p], verts[(p + 1) % length]
-        d = _bfs_global(adj, g.global_id(u))[g.global_id(v)]
+        d = g.distances[g.global_id(u)][g.global_id(v)]
         if d is None or d % 2 == 0 or d > k + 2:
             raise AssertionError(f"edge {p} of a chordless (k+2)-power cycle has base distance {d}")
         if d == k + 2:
@@ -362,10 +360,9 @@ def cycle_from_json(g: BipartiteGraph, text: str) -> CycleCertificate:
         raise InputError('cycle JSON must be an object with keys "k" and "cycle"')
     if not isinstance(obj["cycle"], list):
         raise InputError('cycle JSON "cycle" must be an array of vertex labels')
-    try:
-        k = int(obj["k"])
-    except (TypeError, ValueError):
-        raise InputError(f'cycle JSON "k" must be an integer, got {obj["k"]!r}') from None
+    k = obj["k"]
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise InputError(f'cycle JSON "k" must be an integer, got {k!r}')
     verts = tuple(g.vertex_by_label(label) for label in obj["cycle"])
     return CycleCertificate(verts, k)
 

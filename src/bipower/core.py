@@ -82,6 +82,34 @@ class BipartiteGraph:
                 out[nx + j] |= 1 << i
         return tuple(out)
 
+    @cached_property
+    def distances(self) -> tuple[tuple[int | None, ...], ...]:
+        """All-pairs distances over global ids: ``distances[u][v]`` is the
+        length of a shortest u-v path, None when v is unreachable from u.
+
+        Filled on first use by one breadth-first search per vertex; every
+        power, reach set and edge class of this graph reads it.
+        """
+        adj = self.global_adj
+        # Rows share one int object per distance, so the table costs a
+        # pointer per entry even where distances exceed the small-int cache.
+        depth = list(range(len(adj)))
+        table = []
+        for start in depth:
+            dist: list[int | None] = [None] * len(adj)
+            frontier = seen = 1 << start
+            for d in depth:
+                if not frontier:
+                    break
+                reach = 0
+                for v in _iter_bits(frontier):
+                    dist[v] = d
+                    reach |= adj[v]
+                frontier = reach & ~seen
+                seen |= frontier
+            table.append(tuple(dist))
+        return tuple(table)
+
     @property
     def vertex_count(self) -> int:
         return self.x_count + self.y_count
@@ -174,31 +202,11 @@ class DistanceTable:
         return (self.x_dist if v.side is Side.X else self.y_dist)[v.index]
 
 
-def _bfs_global(adj: tuple[int, ...], start: int) -> list[int | None]:
-    dist: list[int | None] = [None] * len(adj)
-    dist[start] = 0
-    frontier = [start]
-    seen = 1 << start
-    d = 0
-    while frontier:
-        d += 1
-        nxt: list[int] = []
-        for v in frontier:
-            fresh = adj[v] & ~seen
-            seen |= fresh
-            for w in _iter_bits(fresh):
-                dist[w] = d
-                nxt.append(w)
-        frontier = nxt
-    return dist
-
-
 def bfs_distance(g: BipartiteGraph, source: VertexId) -> DistanceTable:
-    """Breadth-first distances from ``source`` to every vertex."""
-    start = g.global_id(source)
-    dist = _bfs_global(g.global_adj, start)
+    """Distances from ``source`` to every vertex: its row of ``g.distances``."""
+    row = g.distances[g.global_id(source)]
     nx = g.x_count
-    return DistanceTable(source, tuple(dist[:nx]), tuple(dist[nx:]))
+    return DistanceTable(source, row[:nx], row[nx:])
 
 
 def bipartite_power(g: BipartiteGraph, k: int) -> BipartiteGraph:
@@ -212,16 +220,13 @@ def bipartite_power(g: BipartiteGraph, k: int) -> BipartiteGraph:
     """
     _require_odd_k(k)
     nx = g.x_count
-    rows = [0] * nx
-    adj = g.global_adj
-    for i in range(nx):
-        dist = _bfs_global(adj, i)
+    rows = []
+    for dist in g.distances[:nx]:
         row = 0
-        for j in range(g.y_count):
-            d = dist[nx + j]
+        for j, d in enumerate(dist[nx:]):
             if d is not None and d <= k:
                 row |= 1 << j
-        rows[i] = row
+        rows.append(row)
     return BipartiteGraph(nx, g.y_count, tuple(rows), g.x_labels, g.y_labels)
 
 
@@ -335,25 +340,16 @@ def verify_chordless(g: BipartiteGraph, cert: CycleCertificate) -> bool:
 
 def is_connected(g: BipartiteGraph) -> bool:
     """True iff every vertex is reachable from every other (or <= 1 vertex)."""
-    n = g.vertex_count
-    if n <= 1:
-        return True
-    dist = _bfs_global(g.global_adj, 0)
-    return all(d is not None for d in dist)
+    return g.vertex_count <= 1 or None not in g.distances[0]
 
 
 def diameter(g: BipartiteGraph) -> int:
     """Largest pairwise distance; input error on empty or disconnected graphs."""
     if g.vertex_count == 0:
         raise InputError("diameter of an empty graph is undefined")
-    best = 0
-    for start in range(g.vertex_count):
-        dist = _bfs_global(g.global_adj, start)
-        for d in dist:
-            if d is None:
-                raise InputError("diameter requires a connected graph")
-            best = max(best, d)
-    return best
+    if None in g.distances[0]:
+        raise InputError("diameter requires a connected graph")
+    return max(map(max, g.distances))
 
 
 # --- graph JSON format -------------------------------------------------------
@@ -380,6 +376,8 @@ def graph_from_json(text: str) -> BipartiteGraph:
         raise InputError('graph JSON must be an object with keys "x", "y", "edges"')
     x_labels = obj["x"]
     y_labels = obj["y"]
+    if not all(isinstance(obj[key], list) for key in ("x", "y", "edges")):
+        raise InputError('graph JSON "x", "y" and "edges" must be arrays')
     if not all(isinstance(s, str) for s in x_labels + y_labels):
         raise InputError("vertex labels must be strings")
     x_index = {s: i for i, s in enumerate(x_labels)}

@@ -156,6 +156,10 @@ class Campaign:
             raise InputError("campaigns need trials >= 1")
         if any(k < 1 or k % 2 == 0 for k in self.bounds.k_set):
             raise InputError("k_set may contain only odd naturals")
+        for name in ("max_x", "max_y", "span"):
+            value = getattr(self.bounds, name)
+            if not isinstance(value, int) or value < 1:
+                raise InputError(f"campaign bound {name} must be an integer >= 1, got {value!r}")
 
     def k_set(self) -> tuple[int, ...]:
         return self.bounds.k_set or _DEFAULT_K_SETS[self.theorem]
@@ -332,11 +336,15 @@ def campaign_from_json(text: str) -> Campaign:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"campaign JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise InputError("campaign JSON must be an object")
     try:
         theorem = Theorem(obj["theorem"])
     except (KeyError, ValueError):
         raise InputError("campaign JSON needs a theorem in {t3, t4, t5, kchordal}") from None
     raw_bounds = obj.get("bounds", {})
+    if not isinstance(raw_bounds, dict):
+        raise InputError('campaign JSON "bounds" must be an object')
     bounds = Bounds(
         max_x=raw_bounds.get("max_x", 6),
         max_y=raw_bounds.get("max_y", 6),

@@ -18,7 +18,6 @@ from .core import (
     BipartiteGraph,
     Side,
     VertexId,
-    bfs_distance,
     bipartite_power,
     build_graph,
     graph_to_json,
@@ -115,6 +114,19 @@ def _neighbor_indices(g: BipartiteGraph, x_index: int) -> list[int]:
     return [j for j in range(g.y_count) if g.has_edge(x_index, j)]
 
 
+def _right_endpoint(g: BipartiteGraph, rep: IntervalRepresentation, v: VertexId, k: int) -> int:
+    """Largest left endpoint among opposite-side vertices within distance k of v."""
+    row = g.distances[g.global_id(v)]
+    if v.side is Side.X:
+        opposite, dists = rep.y_intervals, row[g.x_count:]
+    else:
+        opposite, dists = rep.x_intervals, row[:g.x_count]
+    lefts = [opposite[w].left for w, d in enumerate(dists) if d is not None and d <= k]
+    if not lefts:
+        raise InputError(f"no opposite-side vertex within distance {k} of {v.side.value}{v.index}")
+    return max(lefts)
+
+
 def raw_right_endpoint(g: BipartiteGraph, rep: IntervalRepresentation, v: VertexId, k: int) -> RawEndpoint:
     """Largest left endpoint among opposite-side vertices within distance k of v.
 
@@ -124,13 +136,7 @@ def raw_right_endpoint(g: BipartiteGraph, rep: IntervalRepresentation, v: Vertex
     _check_sizes(g, rep)
     if k < 1 or k % 2 == 0:
         raise InputError(f"k must be odd and >= 1, got {k}")
-    table = bfs_distance(g, v)
-    opposite = rep.y_intervals if v.side is Side.X else rep.x_intervals
-    dists = table.y_dist if v.side is Side.X else table.x_dist
-    lefts = [opposite[w].left for w, d in enumerate(dists) if d is not None and d <= k]
-    if not lefts:
-        raise InputError(f"no opposite-side vertex within distance {k} of {v.side.value}{v.index}")
-    value = max(lefts)
+    value = _right_endpoint(g, rep, v, k)
     return RawEndpoint(value, value >= rep.of(v).left)
 
 
@@ -150,25 +156,13 @@ def power_representation(g: BipartiteGraph, rep: IntervalRepresentation, k: int)
     if k < 1 or k % 2 == 0:
         raise InputError(f"k must be odd and >= 1, got {k}")
 
-    # One BFS per X vertex covers both sides: d(x, y) is symmetric.
-    tables = [bfs_distance(g, VertexId(Side.X, i)) for i in range(g.x_count)]
+    def clamped(side: Side, intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:
+        return tuple(
+            Interval(iv.left, max(iv.left, _right_endpoint(g, rep, VertexId(side, i), k)))
+            for i, iv in enumerate(intervals)
+        )
 
-    def reach_x(i: int) -> list[int]:
-        yd = tables[i].y_dist
-        return [j for j in range(g.y_count) if yd[j] is not None and yd[j] <= k]
-
-    def reach_y(j: int) -> list[int]:
-        return [i for i in range(g.x_count) if tables[i].y_dist[j] is not None and tables[i].y_dist[j] <= k]
-
-    new_x = []
-    for i, iv in enumerate(rep.x_intervals):
-        r = max(rep.y_intervals[j].left for j in reach_x(i))
-        new_x.append(Interval(iv.left, max(iv.left, r)))
-    new_y = []
-    for j, iv in enumerate(rep.y_intervals):
-        r = max(rep.x_intervals[i].left for i in reach_y(j))
-        new_y.append(Interval(iv.left, max(iv.left, r)))
-    result = IntervalRepresentation(tuple(new_x), tuple(new_y))
+    result = IntervalRepresentation(clamped(Side.X, rep.x_intervals), clamped(Side.Y, rep.y_intervals))
 
     power = bipartite_power(g, k)
     for i, ix in enumerate(result.x_intervals):

@@ -137,8 +137,9 @@ def label_zeros(
 ) -> tuple[tuple[int, int, str], ...]:
     """Label each displayed zero R (right of its row's ones) or C (left of them).
 
-    Asserts the closure conditions on the result: everything above-and-right
-    of an R is an R, everything below-and-left of a C is a C.
+    Checks the closure conditions on the result and raises AssertionError
+    if one fails: everything above-and-right of an R is an R, everything
+    below-and-left of a C is a C.
     """
     grid = mat.displayed
     labels = []
@@ -153,17 +154,18 @@ def label_zeros(
     for i, row in enumerate(grid):
         for j, v in enumerate(row):
             if label_at.get((i, j)) == "R":
-                assert all(
+                if not all(
                     label_at.get((i2, j2)) == "R"
                     for i2 in range(i + 1)
                     for j2 in range(j, len(row))
                     if not grid[i2][j2]
-                ), "R region is not closed up-and-right"
-                assert not any(grid[i2][j2] for i2 in range(i + 1) for j2 in range(j, len(row))), \
-                    "one inside the R region"
+                ):
+                    raise AssertionError("R region is not closed up-and-right")
+                if any(grid[i2][j2] for i2 in range(i + 1) for j2 in range(j, len(row))):
+                    raise AssertionError("one inside the R region")
             elif label_at.get((i, j)) == "C":
-                assert not any(grid[i2][j2] for i2 in range(i, len(grid)) for j2 in range(j + 1)), \
-                    "one inside the C region"
+                if any(grid[i2][j2] for i2 in range(i, len(grid)) for j2 in range(j + 1)):
+                    raise AssertionError("one inside the C region")
     return tuple(labels)
 
 
@@ -221,9 +223,8 @@ def verify_mca(mat: ArrangedMatrix) -> McaCertificate | None:
     col_runs = _runs(_transpose(grid))
     col_ok = col_runs is not None and _monotone(col_runs[0]) and _monotone(col_runs[1])
     label_ok = _labeling_exists(grid)
-    assert row_ok == col_ok == label_ok, (
-        f"arrangement formulations disagree: rows={row_ok} columns={col_ok} labels={label_ok}"
-    )
+    if not row_ok == col_ok == label_ok:
+        raise AssertionError(f"arrangement formulations disagree: rows={row_ok} columns={col_ok} labels={label_ok}")
     if not row_ok:
         return None
     a, b = row_runs
@@ -247,8 +248,8 @@ def boundary_maps(cert: McaCertificate) -> BoundaryMaps:
     n, m = len(cert.a), len(cert.c)
     # Totality of the composites: every image must be a valid index on the
     # other side, so alpha(gamma(j)) etc. are defined everywhere.
-    assert all(1 <= v <= m for v in maps.alpha + maps.beta)
-    assert all(1 <= v <= n for v in maps.gamma + maps.delta)
+    if not (all(1 <= v <= m for v in maps.alpha + maps.beta) and all(1 <= v <= n for v in maps.gamma + maps.delta)):
+        raise AssertionError("a boundary map leaves the index range of the other side")
     return maps
 
 

@@ -88,7 +88,7 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and "cannot write" in err
         assert not target.parent.exists()
 
-    @pytest.mark.parametrize("key, value", [("k", "a"), ("k", None), ("cycle", 5)])
+    @pytest.mark.parametrize("key, value", [("k", "a"), ("k", None), ("cycle", 5), ("k", 3.9), ("k", True)])
     def test_malformed_cycle_json_is_exit_2(self, files, capsys, key, value):
         obj = json.loads(files["corners"].read_text())
         obj[key] = value
@@ -97,6 +97,35 @@ class TestExitCodes:
         code, out, err = run(capsys, "lift-cycle", "-k", "1", str(files["c18"]), str(bad))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and f'"{key}"' in err
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_one_sided_power_intervals_is_exit_2(self, files, capsys, side):
+        graph = files["tmp"] / "one-sided.json"
+        graph.write_text(json.dumps({"x": [], "y": [], "edges": [], side: [f"{side}1"]}))
+        tsv = files["tmp"] / "one-sided.tsv"
+        tsv.write_text(f"{side.upper()}\t{side}1\t0\t3\n")
+        code, out, err = run(capsys, "power-intervals", "-k", "1", str(graph), str(tsv))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "no opposite-side vertex" in err
+
+    @pytest.mark.parametrize("y", ["cd", ["c", "d"]])
+    def test_graph_sides_must_be_arrays(self, files, capsys, y):
+        graph = files["tmp"] / "string-side.json"
+        graph.write_text(json.dumps({"x": "ab", "y": y, "edges": []}))
+        code, out, err = run(capsys, "power", "-k", "1", str(graph))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "arrays" in err
+
+    @pytest.mark.parametrize(
+        "text, word",
+        [("[1, 2]", "object"), ('{"theorem": "t3", "trials": 5, "bounds": {"max_x": 0}}', "max_x")],
+    )
+    def test_malformed_campaign_json_is_exit_2(self, files, capsys, text, word):
+        campaign = files["tmp"] / "bad-campaign.json"
+        campaign.write_text(text)
+        code, out, err = run(capsys, "fuzz", str(campaign))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and word in err
 
 
 class TestVerbs:

@@ -55,12 +55,31 @@ class TestBfsDistance:
         table = bp.bfs_distance(g, cycle_vertex(0))
         assert table.of(cycle_vertex(9)) == 9
 
-    def test_agrees_with_path_enumeration(self, sample_graph):
-        for u in range(sample_graph.vertex_count):
-            table = bp.bfs_distance(sample_graph, sample_graph.vertex_of_global(u))
-            for v in range(sample_graph.vertex_count):
-                got = table.of(sample_graph.vertex_of_global(v))
-                assert got == path_distance(sample_graph, u, v)
+    def test_agrees_with_path_enumeration(self):
+        # Every graph up to 3+3, including one-sided, empty and disconnected
+        # ones: distances, powers, connectivity and diameter all read the one
+        # distance table, and all agree with simple-path enumeration.
+        for nx in range(4):
+            for ny in range(4):
+                for g in bp.enumerate_bipartite(nx, ny):
+                    n = g.vertex_count
+                    want = [[path_distance(g, u, v) for v in range(n)] for u in range(n)]
+                    for u in range(n):
+                        table = bp.bfs_distance(g, g.vertex_of_global(u))
+                        assert [table.of(g.vertex_of_global(v)) for v in range(n)] == want[u]
+                    for k in (1, 3, 5):
+                        power = bp.bipartite_power(g, k)
+                        for i in range(nx):
+                            for j in range(ny):
+                                d = want[i][nx + j]
+                                assert power.has_edge(i, j) == (d is not None and d <= k)
+                    connected = all(d is not None for row in want for d in row)
+                    assert bp.is_connected(g) == connected
+                    if n and connected:
+                        assert bp.diameter(g) == max(map(max, want))
+                    else:
+                        with pytest.raises(InputError):
+                            bp.diameter(g)
 
     def test_unreachable_is_none(self):
         g = bp.build_graph(2, 2, [(0, 0)])

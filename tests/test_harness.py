@@ -121,6 +121,11 @@ class TestCampaigns:
         with pytest.raises(InputError):
             Campaign(Theorem.T5, trials=1, seed=0, bounds=Bounds(k_set=(2,)))
 
+    @pytest.mark.parametrize("bound", ["max_x", "max_y", "span"])
+    def test_side_and_span_bounds_validated(self, bound):
+        with pytest.raises(InputError, match=bound):
+            Campaign(Theorem.T3, trials=1, seed=0, bounds=Bounds(**{bound: 0}))
+
     def test_campaign_json_round_trip(self):
         text = json.dumps(
             {

@@ -147,6 +147,14 @@ class TestPowerRepresentation:
         with pytest.raises(InputError, match="connected"):
             bp.power_representation(g, rep, 1)
 
+    @pytest.mark.parametrize("nx, ny", [(0, 1), (1, 0)])
+    def test_one_sided_graph_rejected(self, nx, ny):
+        # A lone vertex is connected but has nothing opposite to reach.
+        g = bp.build_graph(nx, ny, [])
+        rep = IntervalRepresentation((Interval(0, 3),) * nx, (Interval(0, 3),) * ny)
+        with pytest.raises(InputError, match="no opposite-side vertex"):
+            bp.power_representation(g, rep, 1)
+
     def test_invalid_rep_rejected(self, sample_graph):
         bad = IntervalRepresentation(
             tuple(Interval(0, 0) for _ in range(6)), tuple(Interval(5, 6) for _ in range(5))

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,19 @@ class TestVerifyMca:
     def test_displayed_view_drives_verdict(self, staircase_matrix):
         shuffled = staircase_matrix.rearranged((3, 0, 1, 2, 4, 5), tuple(range(7)))
         assert bp.verify_mca(shuffled) is None
+
+    def test_formulation_guard_survives_optimized_mode(self):
+        script = (
+            "from bipower import mca\n"
+            "mca._labeling_exists = lambda grid: False\n"
+            "try:\n"
+            "    mca.verify_mca(mca.identity_arrangement(((1, 1), (0, 1))))\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(7)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bp.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 7, proc.stderr
 
 
 class TestLabelZeros:
