@@ -109,21 +109,24 @@ def is_chordal_bipartite(g: BipartiteGraph) -> ChordalityVerdict:
     return ChordalityVerdict(False, cert)
 
 
-def is_k_chordal(g: BipartiteGraph, k: int) -> bool:
-    """True iff the graph has no chordless cycle with more than k vertices.
+def is_k_chordal(g: BipartiteGraph, k: int) -> ChordalityVerdict:
+    """True iff the graph has no chordless cycle with more than k vertices;
+    otherwise the verdict carries such a cycle as the witness.
 
     Accepts k >= 4.  Odd k is normalized down to k - 1: bipartite cycles are
     even, so the two thresholds coincide.  k = 4 is exactly the
-    chordal-bipartite test and is decided by ``is_chordal_bipartite``;
-    larger k search for a cycle directly.
+    chordal-bipartite test and returns the verdict of
+    ``is_chordal_bipartite``; larger k search for a cycle directly, and the
+    cycle found is the witness.
     """
     if k < 4:
         raise InputError(f"k-chordality needs k >= 4, got {k}")
     if k % 2:
         k -= 1
     if k == 4:
-        return is_chordal_bipartite(g).chordal
-    return find_chordless_cycle(g, k + 2) is None
+        return is_chordal_bipartite(g)
+    cert = find_chordless_cycle(g, k + 2)
+    return ChordalityVerdict(cert is None, cert)
 
 
 class EdgeClass(str, Enum):

@@ -184,11 +184,11 @@ def _cmd_check_kchordal(args, out: _Out) -> int:
     fmt = args.format or "json"
     g = _load_graph(args.graph)
     k = args.kchordal_k
-    if chordal_power.is_k_chordal(g, k):
+    verdict = chordal_power.is_k_chordal(g, k)
+    if verdict.chordal:
         out.emit(_verdict_payload({"k_chordal": True, "k": k}, fmt))
         return EXIT_OK
-    cert = core.find_chordless_cycle(g, (k - k % 2) + 2)
-    out.emit(chordal_power.cycle_json(g, cert))
+    out.emit(chordal_power.cycle_json(g, verdict.certificate))
     return EXIT_PROPERTY_FAILS
 
 

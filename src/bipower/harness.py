@@ -34,6 +34,7 @@ from .intervals import intervals_to_graph, power_representation, random_interval
 from .mca import ArrangedMatrix, identity_arrangement, matrix_power, matrix_to_graph
 
 ENUMERATION_CAP = 16  # max nx * ny for exhaustive edge-subset streaming
+MAX_PARALLELISM = 256  # most worker processes one campaign may ask for
 
 
 def gen_random_bipartite(seed: int, nx: int, ny: int, edge_probability: float) -> BipartiteGraph:
@@ -143,6 +144,11 @@ class Bounds:
     k_chordal_k: int = 4
 
 
+def _is_int(value: object) -> bool:
+    """True for a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Campaign:
     theorem: Theorem
@@ -152,14 +158,22 @@ class Campaign:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise InputError("campaigns need trials >= 1")
-        if any(k < 1 or k % 2 == 0 for k in self.bounds.k_set):
-            raise InputError("k_set may contain only odd naturals")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise InputError(f"campaign trials must be an integer >= 1, got {self.trials!r}")
+        if not _is_int(self.seed):
+            raise InputError(f"campaign seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.parallelism) or not 1 <= self.parallelism <= MAX_PARALLELISM:
+            raise InputError(
+                f"campaign parallelism must be an integer from 1 to {MAX_PARALLELISM}, got {self.parallelism!r}"
+            )
+        if any(not _is_int(k) or k < 1 or k % 2 == 0 for k in self.bounds.k_set):
+            raise InputError(f"k_set may contain only odd naturals, got {list(self.bounds.k_set)!r}")
         for name in ("max_x", "max_y", "span"):
             value = getattr(self.bounds, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise InputError(f"campaign bound {name} must be an integer >= 1, got {value!r}")
+        if not _is_int(self.bounds.k_chordal_k) or self.bounds.k_chordal_k < 4:
+            raise InputError(f"campaign bound k_chordal_k must be an integer >= 4, got {self.bounds.k_chordal_k!r}")
 
     def k_set(self) -> tuple[int, ...]:
         return self.bounds.k_set or _DEFAULT_K_SETS[self.theorem]
@@ -247,7 +261,8 @@ def _trial_kchordal(campaign: Campaign, index: int) -> TrialOutcome:
     kc = campaign.bounds.k_chordal_k
     records = []
     for k in campaign.k_set():
-        if is_k_chordal(bipartite_power(g, k), kc) and not is_k_chordal(bipartite_power(g, k + 2), kc):
+        holds = is_k_chordal(bipartite_power(g, k), kc).chordal
+        if holds and not is_k_chordal(bipartite_power(g, k + 2), kc).chordal:
             records.append(
                 {
                     "trial": index,
@@ -345,17 +360,20 @@ def campaign_from_json(text: str) -> Campaign:
     raw_bounds = obj.get("bounds", {})
     if not isinstance(raw_bounds, dict):
         raise InputError('campaign JSON "bounds" must be an object')
+    k_set = raw_bounds.get("k_set", [])
+    if not isinstance(k_set, list):
+        raise InputError('campaign JSON "k_set" must be an array')
     bounds = Bounds(
         max_x=raw_bounds.get("max_x", 6),
         max_y=raw_bounds.get("max_y", 6),
         span=raw_bounds.get("span", 12),
-        k_set=tuple(raw_bounds.get("k_set", ())),
+        k_set=tuple(k_set),
         k_chordal_k=raw_bounds.get("k_chordal_k", 4),
     )
     return Campaign(
         theorem=theorem,
-        trials=int(obj.get("trials", 1)),
-        seed=int(obj.get("seed", 0)),
+        trials=obj.get("trials", 1),
+        seed=obj.get("seed", 0),
         bounds=bounds,
-        parallelism=int(obj.get("parallelism", 1)),
+        parallelism=obj.get("parallelism", 1),
     )

@@ -3,12 +3,13 @@
 A 0/1 matrix with no zero row or column has a monotone consecutive
 arrangement (MCA) when independent row and column permutations make the
 ones of each row consecutive, with both the initial columns a_i and the
-final columns b_i non-decreasing down the rows.  Three equivalent
-formulations exist for one fixed display: the row condition above, the
-transposed column condition on c_j / d_j, and an R/C labelling of zeros in
-which everything above-and-right of an R is an R and everything
-below-and-left of a C is a C.  ``verify_mca`` computes all three and treats
-disagreement as an internal defect.
+final columns b_i non-decreasing down the rows.  For one fixed display this
+row condition is equivalent to the transposed column condition on c_j / d_j
+and to an R/C labelling of zeros in which everything above-and-right of an
+R is an R and everything below-and-left of a C is a C.  ``verify_mca``
+evaluates the row condition only and derives the columns and the labels
+from the row runs; the other two formulations are kept as independent
+oracles in the test suite.
 
 Display coordinates in certificates are 1-based; storage is 0-based.
 """
@@ -16,6 +17,7 @@ Display coordinates in certificates are 1-based; storage is 0-based.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,10 +112,6 @@ def _runs(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int
     return tuple(first), tuple(last)
 
 
-def _transpose(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(zip(*grid))
-
-
 def _monotone(values: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(values, values[1:]))
 
@@ -122,7 +120,7 @@ def row_intervals(mat: ArrangedMatrix) -> tuple[tuple[int, ...], tuple[int, ...]
     """Per-row first/last one columns of the displayed matrix, if every row's
     ones are consecutive; None otherwise.  A zero row is an input error, not
     a "not consecutive" verdict (zero columns are policed by verify_mca,
-    where the column condition enters)."""
+    whose column runs need every column to hold a one)."""
     grid = mat.displayed
     if not grid or not grid[0]:
         raise InputError("matrix must have at least one row and one column")
@@ -137,36 +135,18 @@ def label_zeros(
 ) -> tuple[tuple[int, int, str], ...]:
     """Label each displayed zero R (right of its row's ones) or C (left of them).
 
-    Checks the closure conditions on the result and raises AssertionError
-    if one fails: everything above-and-right of an R is an R, everything
-    below-and-left of a C is a C.
+    ``a`` and ``b`` are the first/last one columns of the displayed rows, as
+    in a certificate, so the zeros of row i are the columns before a_i and
+    after b_i.  Labels come out row-major.  On a monotone consecutive display
+    everything above-and-right of an R is an R and everything below-and-left
+    of a C is a C.
     """
-    grid = mat.displayed
-    labels = []
-    label_at = {}
-    for i, row in enumerate(grid):
-        for j, v in enumerate(row):
-            if v:
-                continue
-            mark = "R" if j + 1 > b[i] else "C"
-            labels.append((i + 1, j + 1, mark))
-            label_at[(i, j)] = mark
-    for i, row in enumerate(grid):
-        for j, v in enumerate(row):
-            if label_at.get((i, j)) == "R":
-                if not all(
-                    label_at.get((i2, j2)) == "R"
-                    for i2 in range(i + 1)
-                    for j2 in range(j, len(row))
-                    if not grid[i2][j2]
-                ):
-                    raise AssertionError("R region is not closed up-and-right")
-                if any(grid[i2][j2] for i2 in range(i + 1) for j2 in range(j, len(row))):
-                    raise AssertionError("one inside the R region")
-            elif label_at.get((i, j)) == "C":
-                if any(grid[i2][j2] for i2 in range(i, len(grid)) for j2 in range(j + 1)):
-                    raise AssertionError("one inside the C region")
-    return tuple(labels)
+    m = mat.m
+    return tuple(
+        (i, j, "C" if j < first else "R")
+        for i, (first, last) in enumerate(zip(a, b), start=1)
+        for j in (*range(1, first), *range(last + 1, m + 1))
+    )
 
 
 @dataclass(frozen=True)
@@ -180,55 +160,25 @@ class McaCertificate:
     zero_labels: tuple[tuple[int, int, str], ...]
 
 
-def _labeling_exists(grid: tuple[tuple[int, ...], ...]) -> bool:
-    """Third formulation, computed independently of row/column runs: every zero
-    must see no one up-and-right (R-eligible) or no one down-and-left."""
-    n = len(grid)
-    m = len(grid[0])
-    # ones_ur[i][j]: any one in rows <= i, cols >= j
-    ones_ur = [[False] * (m + 1) for _ in range(n)]
-    for i in range(n):
-        for j in range(m - 1, -1, -1):
-            above = ones_ur[i - 1][j] if i else False
-            ones_ur[i][j] = bool(grid[i][j]) or above or ones_ur[i][j + 1]
-    ones_dl = [[False] * (m + 1) for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        for j in range(m):
-            below = ones_dl[i + 1][j] if i + 1 < n else False
-            ones_dl[i][j] = bool(grid[i][j]) or below or (ones_dl[i][j - 1] if j else False)
-    for i in range(n):
-        for j in range(m):
-            if grid[i][j]:
-                continue
-            r_ok = not (ones_ur[i][j + 1] or (ones_ur[i - 1][j] if i else False))
-            c_ok = not ((ones_dl[i][j - 1] if j else False) or (ones_dl[i + 1][j] if i + 1 < n else False))
-            if not (r_ok or c_ok):
-                return False
-    return True
-
-
 def verify_mca(mat: ArrangedMatrix) -> McaCertificate | None:
     """Certificate if the displayed arrangement is monotone consecutive, else None.
 
-    The row condition, the column condition, and the existence of a closed
-    R/C zero labelling are each evaluated; they are equivalent for any one
-    display, so a mismatch between them is a defect in this module, raised
-    as AssertionError rather than reported to the caller.
+    Only the row condition is evaluated on the grid.  When it holds, the
+    ones of column j are the rows with a_i <= j (a prefix, as a is
+    non-decreasing) that also have b_i >= j (a suffix, as b is): c_j is the
+    first row with b_i >= j and d_j the last row with a_i <= j.  No column
+    is empty, so both exist.  The R/C labels follow from the runs too.
     """
     grid = mat.displayed
     _check_nonzero(grid)
-
-    row_runs = _runs(grid)
-    row_ok = row_runs is not None and _monotone(row_runs[0]) and _monotone(row_runs[1])
-    col_runs = _runs(_transpose(grid))
-    col_ok = col_runs is not None and _monotone(col_runs[0]) and _monotone(col_runs[1])
-    label_ok = _labeling_exists(grid)
-    if not row_ok == col_ok == label_ok:
-        raise AssertionError(f"arrangement formulations disagree: rows={row_ok} columns={col_ok} labels={label_ok}")
-    if not row_ok:
+    runs = _runs(grid)
+    if runs is None or not (_monotone(runs[0]) and _monotone(runs[1])):
         return None
-    a, b = row_runs
-    c, d = col_runs
+    a, b = runs
+    columns = range(1, mat.m + 1)
+    # a and b are sorted: count the rows with b_i < j and those with a_i <= j.
+    c = tuple(bisect_left(b, j) + 1 for j in columns)
+    d = tuple(bisect_right(a, j) for j in columns)
     return McaCertificate(a, b, c, d, label_zeros(mat, a, b))
 
 

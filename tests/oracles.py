@@ -136,3 +136,78 @@ def mca_exists_literal(entries: tuple[tuple[int, ...], ...]) -> bool:
             if ok:
                 return True
     return False
+
+
+# --- the arrangement formulations verify_mca does not evaluate -------------
+#
+# verify_mca reads only the row runs of a display and derives the column
+# runs and zero labels from them.  The functions below read the displayed
+# grid directly (0/1 rows, display order), so each certificate field is
+# checked against a separate formulation.
+
+
+def column_runs(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Column condition: first/last one rows (1-based) of every column, when
+    each column's ones are consecutive and both sequences are non-decreasing;
+    None otherwise.  Every column must hold a one."""
+    first, last = [], []
+    for j in range(len(grid[0])):
+        rows = [i + 1 for i, row in enumerate(grid) if row[j]]
+        if rows[-1] - rows[0] + 1 != len(rows):
+            return None
+        first.append(rows[0])
+        last.append(rows[-1])
+    if any(x > y for x, y in zip(first, first[1:])) or any(x > y for x, y in zip(last, last[1:])):
+        return None
+    return tuple(first), tuple(last)
+
+
+def _quadrant_has_one(grid: tuple[tuple[int, ...], ...], i: int, j: int, up_right: bool) -> bool:
+    """Any one in rows <= i and columns >= j (up_right), or in rows >= i and
+    columns <= j; 0-based, the cell itself included."""
+    rows = range(i + 1) if up_right else range(i, len(grid))
+    cols = range(j, len(grid[0])) if up_right else range(j + 1)
+    return any(grid[r][c] for r in rows for c in cols)
+
+
+def labeling_exists(grid: tuple[tuple[int, ...], ...]) -> bool:
+    """Labelling formulation: every zero sees no one up-and-right of it (it
+    may be an R) or no one down-and-left of it (it may be a C)."""
+    return all(
+        not _quadrant_has_one(grid, i, j, True) or not _quadrant_has_one(grid, i, j, False)
+        for i, row in enumerate(grid)
+        for j, v in enumerate(row)
+        if not v
+    )
+
+
+def quadrant_labels(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int, str], ...]:
+    """Row-major (row, column, mark) of every zero, 1-based: R when no one
+    lies up-and-right of it, C otherwise."""
+    return tuple(
+        (i + 1, j + 1, "C" if _quadrant_has_one(grid, i, j, True) else "R")
+        for i, row in enumerate(grid)
+        for j, v in enumerate(row)
+        if not v
+    )
+
+
+def labels_closed(grid: tuple[tuple[int, ...], ...], labels: tuple[tuple[int, int, str], ...]) -> bool:
+    """Closure check on a zero labelling (1-based positions): every zero is
+    labelled once, every cell up-and-right of an R is a zero labelled R, and
+    every cell down-and-left of a C is a zero labelled C."""
+    mark = {(i - 1, j - 1): m for i, j, m in labels}
+    zeros = {(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if not v}
+    if len(mark) != len(labels) or set(mark) != zeros:
+        return False
+    n, m = len(grid), len(grid[0])
+    for (i, j), label in mark.items():
+        if label == "R":
+            region = ((r, c) for r in range(i + 1) for c in range(j, m))
+        elif label == "C":
+            region = ((r, c) for r in range(i, n) for c in range(j + 1))
+        else:
+            return False
+        if any(mark.get(cell) != label for cell in region):
+            return False
+    return True

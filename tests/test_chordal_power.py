@@ -156,19 +156,21 @@ class TestDoublyLexicalDecision:
 class TestIsKChordal:
     def test_eight_cycle(self):
         g = cycle_graph(8)
-        assert bp.is_k_chordal(g, 8)
-        assert not bp.is_k_chordal(g, 6)
+        assert bp.is_k_chordal(g, 8) == (True, None)
+        verdict = bp.is_k_chordal(g, 6)
+        assert not verdict.chordal
+        assert len(verdict.certificate) == 8 and bp.verify_chordless(g, verdict.certificate)
 
     def test_chorded_six_cycle_is_4_chordal(self):
         g = cycle_graph(6)
         chorded = bp.build_graph(3, 3, list(g.edges()) + [(0, 1)])
-        assert bp.is_k_chordal(chorded, 4)
+        assert bp.is_k_chordal(chorded, 4).chordal
 
     def test_4_chordal_matches_chordal_bipartite(self):
         rng = random.Random(4444)
         for _ in range(60):
             g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 5), rng.randint(1, 5), rng.random())
-            assert bp.is_k_chordal(g, 4) == bp.is_chordal_bipartite(g).chordal
+            assert bp.is_k_chordal(g, 4) == bp.is_chordal_bipartite(g)
 
     def test_odd_k_normalizes_down(self):
         g = cycle_graph(8)
@@ -181,7 +183,7 @@ class TestIsKChordal:
             g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 6), rng.randint(1, 6), rng.random())
             held = False
             for k in (4, 6, 8, 10):
-                now = bp.is_k_chordal(g, k)
+                now = bp.is_k_chordal(g, k).chordal
                 assert not (held and not now)
                 held = held or now
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import bipower as bp
+from bipower import chordal_power, core
 from bipower.chordal_power import cycle_json
 from bipower.cli import dispatch
 from bipower.intervals import intervals_tsv
@@ -118,7 +119,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text, word",
-        [("[1, 2]", "object"), ('{"theorem": "t3", "trials": 5, "bounds": {"max_x": 0}}', "max_x")],
+        [
+            ("[1, 2]", "object"),
+            ('{"theorem": "t3", "trials": 5, "bounds": {"max_x": 0}}', "max_x"),
+            ('{"theorem": "t4", "bounds": {"k_set": 5}}', "k_set"),
+            ('{"theorem": "t4", "bounds": {"k_set": ["a"]}}', "k_set"),
+            ('{"theorem": "t4", "trials": "a"}', "trials"),
+            ('{"theorem": "t4", "bounds": {"k_chordal_k": "x"}}', "k_chordal_k"),
+            ('{"theorem": "t4", "seed": 1.7}', "seed"),
+        ],
     )
     def test_malformed_campaign_json_is_exit_2(self, files, capsys, text, word):
         campaign = files["tmp"] / "bad-campaign.json"
@@ -192,6 +201,23 @@ class TestVerbs:
         assert code == 0 and json.loads(out)["k_chordal"] is True
         code, out, _ = run(capsys, "check-kchordal", "--kchordal-k", "6", str(c8))
         assert code == 1 and len(json.loads(out)["cycle"]) == 8
+
+    @pytest.mark.parametrize("length, k", [(6, "4"), (8, "6")])
+    def test_check_kchordal_searches_once(self, capsys, monkeypatch, tmp_path, length, k):
+        searches = []
+        search = core.find_chordless_cycle
+
+        def counted(g, min_length, **kwargs):
+            searches.append(min_length)
+            return search(g, min_length, **kwargs)
+
+        monkeypatch.setattr(core, "find_chordless_cycle", counted)
+        monkeypatch.setattr(chordal_power, "find_chordless_cycle", counted)
+        graph = tmp_path / "cycle.json"
+        graph.write_text(bp.graph_to_json(cycle_graph(length)))
+        code, out, _ = run(capsys, "check-kchordal", "--kchordal-k", k, str(graph))
+        assert code == 1 and len(json.loads(out)["cycle"]) == length
+        assert searches == [int(k) + 2]
 
     def test_classify_cycle(self, files, capsys):
         code, out, _ = run(capsys, "classify-cycle", "-k", "1", str(files["c18"]), str(files["corners"]))

@@ -6,7 +6,15 @@ import pytest
 
 import bipower as bp
 from bipower.errors import CapacityError, InputError
-from bipower.harness import Bounds, Campaign, Theorem, campaign_from_json, report_json, trial_seed
+from bipower.harness import (
+    MAX_PARALLELISM,
+    Bounds,
+    Campaign,
+    Theorem,
+    campaign_from_json,
+    report_json,
+    trial_seed,
+)
 
 
 class TestGenRandomBipartite:
@@ -125,6 +133,30 @@ class TestCampaigns:
     def test_side_and_span_bounds_validated(self, bound):
         with pytest.raises(InputError, match=bound):
             Campaign(Theorem.T3, trials=1, seed=0, bounds=Bounds(**{bound: 0}))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", "a"), ("trials", True), ("seed", 1.7), ("seed", "1"),
+         ("parallelism", -3), ("parallelism", 0), ("parallelism", MAX_PARALLELISM + 1), ("parallelism", 2.0)],
+    )
+    def test_campaign_fields_validated(self, field, value):
+        # Construction only: a bad parallelism must be refused before any
+        # process pool could start.
+        with pytest.raises(InputError, match=field):
+            Campaign(Theorem.T4, **{"trials": 1, "seed": 0, field: value})
+
+    def test_parallelism_bound_admits_worker_counts(self):
+        for workers in (1, 4, MAX_PARALLELISM):
+            assert Campaign(Theorem.T5, trials=1, seed=0, parallelism=workers).parallelism == workers
+
+    @pytest.mark.parametrize(
+        "bounds, word",
+        [(Bounds(k_set=("a",)), "k_set"), (Bounds(k_set=(True,)), "k_set"),
+         (Bounds(k_chordal_k="x"), "k_chordal_k"), (Bounds(k_chordal_k=3), "k_chordal_k")],
+    )
+    def test_bound_types_validated(self, bounds, word):
+        with pytest.raises(InputError, match=word):
+            Campaign(Theorem.T4, trials=1, seed=0, bounds=bounds)
 
     def test_campaign_json_round_trip(self):
         text = json.dumps(
