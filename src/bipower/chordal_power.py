@@ -16,8 +16,10 @@ from .core import (
     CycleCertificate,
     VertexId,
     _check_vertex_cap,
+    _gamma_free,
     _iter_bits,
     bipartite_power,
+    doubly_lexical_ordering,  # re-exported
     find_chordless_cycle,
     graph_to_json,
     verify_chordless,
@@ -30,64 +32,6 @@ class ChordalityVerdict(NamedTuple):
     certificate: CycleCertificate | None
 
 
-def _lex_keys(bits: list[list[int]], order: list[int]) -> list[int]:
-    """Each set of bit positions read as an integer under a display order of
-    the positions: the position shown first becomes the most significant."""
-    width = len(order)
-    weight = [0] * width
-    for p, orig in enumerate(order):
-        weight[orig] = 1 << (width - 1 - p)
-    return [sum(map(weight.__getitem__, row)) for row in bits]
-
-
-def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], list[int]]:
-    """Row and column display orders (display position -> X / Y index) under
-    which the biadjacency matrix is doubly lexical, plus the rows as shown.
-
-    Doubly lexical here means rows and columns both in decreasing
-    lexicographic order, first column / first row most significant; each
-    shown row is a bitset whose high bit is the first shown column.  Rows
-    and columns are stably sorted in turn until the column sort moves
-    nothing.  Each sort can only increase the row-major reading of the
-    matrix, and strictly does so whenever it moves something, so the loop
-    ends, and its fixpoint is doubly lexical.
-    """
-    x_bits = [list(_iter_bits(row)) for row in g.x_adj]
-    y_bits: list[list[int]] = [[] for _ in range(g.y_count)]
-    for i, row in enumerate(x_bits):
-        for j in row:
-            y_bits[j].append(i)
-    rows, cols = list(range(g.x_count)), list(range(g.y_count))
-    while True:
-        row_key = _lex_keys(x_bits, cols)
-        rows.sort(key=row_key.__getitem__, reverse=True)
-        col_key = _lex_keys(y_bits, rows)
-        new_cols = sorted(cols, key=col_key.__getitem__, reverse=True)
-        if new_cols == cols:
-            # The rows were just sorted under these very columns.
-            return rows, cols, [row_key[i] for i in rows]
-        cols = new_cols
-
-
-def _gamma_free(g: BipartiteGraph) -> bool:
-    """True iff the doubly lexical ordering of the biadjacency matrix has no
-    Γ, here [[0,1],[1,1]] at rows i < i' and columns j < j' (Lubiw's
-    [[1,1],[1,0]] with both orders reversed).
-
-    With columns shown first held in the high bits, a row pair has a Γ iff
-    some column where only the lower row has a one lies left of (in a higher
-    bit than) some column where both do.
-    """
-    shown = doubly_lexical_ordering(g)[2]
-    for lower, below in enumerate(shown):
-        for above in shown[:lower]:
-            only_below = below & ~above
-            both = below & above
-            if only_below and both and (both & -both).bit_length() < only_below.bit_length():
-                return False
-    return True
-
-
 def is_chordal_bipartite(g: BipartiteGraph) -> ChordalityVerdict:
     """True iff every cycle longer than 4 has a chord; otherwise the verdict
     carries a chordless cycle of length >= 6 as the witness.
@@ -96,12 +40,14 @@ def is_chordal_bipartite(g: BipartiteGraph) -> ChordalityVerdict:
     balanced, which holds iff a doubly lexical ordering of the matrix is
     Γ-free (Lubiw, "Doubly lexical orderings of matrices", SIAM J. Comput.
     16, 1987).  The decision is made that way, in polynomial time; only a
-    "no" runs ``find_chordless_cycle`` for the witness, which a search finds
-    quickly when one exists.  Graphs above the cycle-search vertex cap are
-    refused with CapacityError either way.
+    "no" runs ``find_chordless_cycle`` for the witness.  That search starts
+    only in the biconnected blocks that fail the same test, each of which
+    holds a chordless cycle of length >= 6, so it never proves a negative.
+    Graphs above the cycle-search vertex cap are refused with CapacityError
+    either way.
     """
     _check_vertex_cap(g)
-    if _gamma_free(g):
+    if _gamma_free(g.x_adj, g.y_count):
         return ChordalityVerdict(True, None)
     cert = find_chordless_cycle(g, 6)
     if cert is None:
@@ -240,12 +186,23 @@ def lift_chordless_cycle(g: BipartiteGraph, k: int, cert: CycleCertificate) -> L
     n2 = len(cert.vertices)
     if n2 < 6:
         raise InputError(f"lift needs a cycle of length >= 6, got {n2}")
-    classification = classify_cycle_edges(g, k, cert)
+    return _lift_classified(g, k, cert, classify_cycle_edges(g, k, cert), bipartite_power(g, k))
+
+
+def _lift_classified(
+    g: BipartiteGraph,
+    k: int,
+    cert: CycleCertificate,
+    classification: CycleClassification,
+    power_k: BipartiteGraph,
+) -> LiftResult:
+    """``lift_chordless_cycle`` given the cycle's classification and the
+    k-power, for callers that hold both already."""
     pure_high = classification.k2 == 0 and classification.k3 == 0
     if k == 1 and not pure_high:
         raise InputError("k = 1 lifts are supported only when every cycle edge has distance k + 2")
 
-    power_k = bipartite_power(g, k)
+    n2 = len(cert.vertices)
     anomaly = False
     if classification.k3 == 0:
         walk: list[VertexId] = []
@@ -312,7 +269,8 @@ def strongly_closed_check(g: BipartiteGraph, k: int) -> StrongClosureReport:
     """
     if k < 1 or k % 2 == 0:
         raise InputError(f"k must be odd and >= 1, got {k}")
-    base_chordal, base_raw = is_chordal_bipartite(bipartite_power(g, k))
+    power_k = bipartite_power(g, k)
+    base_chordal, base_raw = is_chordal_bipartite(power_k)
     base_cycle = base_raw.with_host_power(k) if base_raw is not None else None
     next_chordal, next_raw = is_chordal_bipartite(bipartite_power(g, k + 2))
     counterexample = base_chordal and not next_chordal
@@ -325,7 +283,7 @@ def strongly_closed_check(g: BipartiteGraph, k: int) -> StrongClosureReport:
         lift_applicable = k >= 3 or (classification.k2 == 0 and classification.k3 == 0)
         if lift_applicable:
             try:
-                lift = lift_chordless_cycle(g, k, next_cycle)
+                lift = _lift_classified(g, k, next_cycle, classification, power_k)
             except TheoremCounterexample:
                 # The k-power has no chordless cycle at all; consistent only
                 # with the refutation case already recorded above.

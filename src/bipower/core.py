@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, InputError
 
@@ -187,6 +187,11 @@ def build_graph(
         raise InputError("label count does not match side size")
     if len(set(x_labels)) != x_count or len(set(y_labels)) != y_count:
         raise InputError("labels must be unique per side")
+    # A label names one vertex, so that printed cycles parse back unchanged.
+    shared = set(y_labels).intersection(x_labels)
+    if shared:
+        label = next(s for s in x_labels if s in shared)
+        raise InputError(f"label {label!r} is used on both sides")
     return BipartiteGraph(x_count, y_count, tuple(rows), tuple(x_labels), tuple(y_labels))
 
 
@@ -259,6 +264,138 @@ def _check_vertex_cap(g: BipartiteGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -
         raise CapacityError(f"graph has {n} vertices, above the cycle-search cap {vertex_cap}")
 
 
+def _lex_keys(bits: list[list[int]], order: list[int]) -> list[int]:
+    """Each set of bit positions read as an integer under a display order of
+    the positions: the position shown first becomes the most significant."""
+    width = len(order)
+    weight = [0] * width
+    for p, orig in enumerate(order):
+        weight[orig] = 1 << (width - 1 - p)
+    return [sum(map(weight.__getitem__, row)) for row in bits]
+
+
+def _doubly_lexical(x_rows: Sequence[int], y_count: int) -> tuple[list[int], list[int], list[int]]:
+    """``doubly_lexical_ordering`` of the matrix whose rows are the bitsets
+    ``x_rows`` over ``y_count`` columns."""
+    x_bits = [list(_iter_bits(row)) for row in x_rows]
+    y_bits: list[list[int]] = [[] for _ in range(y_count)]
+    for i, row in enumerate(x_bits):
+        for j in row:
+            y_bits[j].append(i)
+    rows, cols = list(range(len(x_rows))), list(range(y_count))
+    while True:
+        row_key = _lex_keys(x_bits, cols)
+        rows.sort(key=row_key.__getitem__, reverse=True)
+        col_key = _lex_keys(y_bits, rows)
+        new_cols = sorted(cols, key=col_key.__getitem__, reverse=True)
+        if new_cols == cols:
+            # The rows were just sorted under these very columns.
+            return rows, cols, [row_key[i] for i in rows]
+        cols = new_cols
+
+
+def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], list[int]]:
+    """Row and column display orders (display position -> X / Y index) under
+    which the biadjacency matrix is doubly lexical, plus the rows as shown.
+
+    Doubly lexical here means rows and columns both in decreasing
+    lexicographic order, first column / first row most significant; each
+    shown row is a bitset whose high bit is the first shown column.  Rows
+    and columns are stably sorted in turn until the column sort moves
+    nothing.  Each sort can only increase the row-major reading of the
+    matrix, and strictly does so whenever it moves something, so the loop
+    ends, and its fixpoint is doubly lexical.
+    """
+    return _doubly_lexical(g.x_adj, g.y_count)
+
+
+def _gamma_free(x_rows: Sequence[int], y_count: int) -> bool:
+    """True iff the doubly lexical ordering of the matrix with rows
+    ``x_rows`` has no Γ, here [[0,1],[1,1]] at rows i < i' and columns
+    j < j' (Lubiw's [[1,1],[1,0]] with both orders reversed).
+
+    With columns shown first held in the high bits, a row pair has a Γ iff
+    some column where only the lower row has a one lies left of (in a higher
+    bit than) some column where both do.
+    """
+    shown = _doubly_lexical(x_rows, y_count)[2]
+    for lower, below in enumerate(shown):
+        for above in shown[:lower]:
+            only_below = below & ~above
+            both = below & above
+            if only_below and both and (both & -both).bit_length() < only_below.bit_length():
+                return False
+    return True
+
+
+def _biconnected_blocks(adj: Sequence[int]) -> Iterator[int]:
+    """Vertex sets, as bitsets over global ids, of the biconnected blocks
+    that hold an edge: one iterative depth-first search keeping discovery
+    times and low points (Hopcroft & Tarjan, CACM 16, 1973).  A block is
+    closed when a child's subtree reaches no higher than its parent."""
+    disc = [0] * len(adj)  # 0: not yet discovered
+    low = [0] * len(adj)
+    clock = 0
+    for root, root_adj in enumerate(adj):
+        if disc[root] or not root_adj:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        path, todo, stack = [root], [root_adj], [root]
+        while path:
+            v = path[-1]
+            rest = todo[-1]
+            if rest:
+                bit = rest & -rest
+                todo[-1] = rest ^ bit
+                w = bit.bit_length() - 1
+                if disc[w]:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    path.append(w)
+                    todo.append(adj[w])
+                    stack.append(w)
+                continue
+            path.pop()
+            todo.pop()
+            if path:
+                u = path[-1]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    block = 1 << u
+                    while True:
+                        w = stack.pop()
+                        block |= 1 << w
+                        if w == v:
+                            break
+                    yield block
+
+
+def _cycle_bearing_vertices(g: BipartiteGraph, min_length: int) -> int:
+    """Union, as a bitset over global ids, of the biconnected blocks that
+    have at least ``min_length`` vertices and are not chordal bipartite.
+
+    Every chordless cycle lies inside one block, and a block whose
+    biadjacency matrix has a Γ-free doubly lexical ordering has no chordless
+    cycle of length 6 or more; every other vertex is on no chordless cycle
+    of length ``min_length`` or more.  A block is tested by masking the rows
+    of its X vertices with its Y bits.
+    """
+    nx = g.x_count
+    x_part = (1 << nx) - 1
+    kept = 0
+    for block in _biconnected_blocks(g.global_adj):
+        if block.bit_count() < min_length:
+            continue
+        y_bits = block >> nx
+        rows = [g.x_adj[i] & y_bits for i in _iter_bits(block & x_part)]
+        if not _gamma_free(rows, g.y_count):
+            kept |= block
+    return kept
+
+
 def find_chordless_cycle(
     g: BipartiteGraph, min_length: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> CycleCertificate | None:
@@ -271,18 +408,21 @@ def find_chordless_cycle(
     and only indices above the start are used, which makes the result a
     deterministic function of the graph.
 
-    The search is exponential in the worst case, and the worst case is the
-    one where no cycle exists: proving the negative visits every induced
-    path.  Deciding chordal bipartiteness (``min_length`` 6) is therefore
-    done polynomially by ``chordal_power.is_chordal_bipartite``, which calls
-    this search only to extract the witness once the answer is known to be
-    "no".  Longer thresholds (k-chordality for k >= 6) and the lift fallback
-    still rely on it alone.
+    The search runs only inside the biconnected blocks that could hold such
+    a cycle: those with at least ``min_length`` vertices that are not
+    chordal bipartite (``_cycle_bearing_vertices``, polynomial).  When there
+    are none the answer is None without any search.  Otherwise start
+    vertices and extensions are masked to the union of those blocks.  A
+    branch that leaves the union can never close back to its start, so the
+    mask removes only dead branches and the cycle found is the one the
+    unmasked search finds.  Inside the union the search is still
+    exponential in the worst case, where a block has a Γ but no cycle of
+    ``min_length`` or more (k-chordality for k >= 6, and the lift fallback).
     """
     if min_length < 6 or min_length % 2:
         raise InputError(f"min_length must be even and >= 6, got {min_length}")
     _check_vertex_cap(g, vertex_cap)
-    n = g.vertex_count
+    live = _cycle_bearing_vertices(g, min_length)
     adj = g.global_adj
 
     def extend(head: int, path: list[int], path_mask: int, interior_adj: int) -> list[int] | None:
@@ -300,8 +440,8 @@ def find_chordless_cycle(
                 return found
         return None
 
-    for v0 in range(n):
-        high_mask = -1 << (v0 + 1)
+    for v0 in _iter_bits(live):
+        high_mask = live & (-1 << (v0 + 1))
         for v1 in _iter_bits(adj[v0] & high_mask):
             found = extend(v1, [v0, v1], (1 << v0) | (1 << v1), 0)
             if found is not None:

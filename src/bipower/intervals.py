@@ -259,7 +259,7 @@ class IntervalDocument:
 
 def parse_intervals_tsv(text: str) -> IntervalDocument:
     lines: list[tuple[str, ...]] = []
-    seen: dict[str, set[str]] = {"X": set(), "Y": set()}
+    side_of: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("#"):
             lines.append(("#", raw))
@@ -272,9 +272,11 @@ def parse_intervals_tsv(text: str) -> IntervalDocument:
         side, label, left, right = parts
         if side not in ("X", "Y"):
             raise InputError(f"interval TSV line {lineno}: side must be X or Y, got {side!r}")
-        if label in seen[side]:
+        if side_of.get(label) == side:
             raise InputError(f"interval TSV line {lineno}: duplicate {side} label {label!r}")
-        seen[side].add(label)
+        if label in side_of:
+            raise InputError(f"interval TSV line {lineno}: label {label!r} is used on both sides")
+        side_of[label] = side
         try:
             lv, rv = int(left), int(right)
         except ValueError:

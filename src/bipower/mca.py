@@ -69,12 +69,15 @@ def identity_arrangement(entries: tuple[tuple[int, ...], ...]) -> ArrangedMatrix
     return ArrangedMatrix(entries, tuple(range(n)), tuple(range(m)))
 
 
+def _biadjacency(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
+    """0/1 entries read off the X row bitsets: rows X, columns Y, index order."""
+    columns = range(g.y_count)
+    return tuple(tuple(row >> j & 1 for j in columns) for row in g.x_adj)
+
+
 def graph_to_matrix(g: BipartiteGraph) -> ArrangedMatrix:
     """Biadjacency matrix: rows are X in index order, columns Y, identity perms."""
-    entries = tuple(
-        tuple(1 if g.has_edge(i, j) else 0 for j in range(g.y_count)) for i in range(g.x_count)
-    )
-    return identity_arrangement(entries)
+    return identity_arrangement(_biadjacency(g))
 
 
 def matrix_to_graph(
@@ -342,12 +345,11 @@ def matrix_power(
     permutations; if it does not, the instance is raised as a
     TheoremCounterexample rather than returned.
     """
-    row_perm, col_perm = arrangement
-    base = ArrangedMatrix(graph_to_matrix(g).entries, tuple(row_perm), tuple(col_perm))
+    row_perm, col_perm = map(tuple, arrangement)
+    base = ArrangedMatrix(_biadjacency(g), row_perm, col_perm)
     if verify_mca(base) is None:
         raise InputError("matrix_power requires an arrangement that verifies on the input graph")
-    power = bipartite_power(g, k)
-    out = ArrangedMatrix(graph_to_matrix(power).entries, tuple(row_perm), tuple(col_perm))
+    out = ArrangedMatrix(_biadjacency(bipartite_power(g, k)), row_perm, col_perm)
     if verify_mca(out) is None:
         raise TheoremCounterexample(
             f"power at k={k} broke a monotone consecutive arrangement",

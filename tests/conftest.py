@@ -81,6 +81,38 @@ def random_tree(rng: random.Random, vertices: int) -> bp.BipartiteGraph:
     return bp.build_graph(max(counts[0], 1), max(counts[1], 1), edges)
 
 
+def plant_cycle(g: bp.BipartiteGraph, length: int, rng: random.Random, at: int = 0) -> bp.BipartiteGraph:
+    """``g`` with a chordless ``length``-cycle on new vertices at index ``at``
+    of each side (old vertices from ``at`` on move up), joined to the old
+    vertices by a single bridge edge."""
+    half = length // 2
+
+    def shift(index: int) -> int:
+        return index if index < at else index + half
+
+    edges = [(shift(i), shift(j)) for i, j in g.edges()]
+    for t in range(half):
+        edges.append((at + t, at + t))
+        edges.append((at + (t + 1) % half, at + t))
+    if g.x_count:
+        edges.append((shift(rng.randrange(g.x_count)), at + rng.randrange(half)))
+    return bp.build_graph(g.x_count + half, g.y_count + half, edges)
+
+
+def band_graph(rng: random.Random, n: int, width: int) -> bp.BipartiteGraph:
+    """n+n staircase bigraph: row i meets columns a_i..b_i, both ends
+    non-decreasing, a_i advancing by 0..2 and runs up to ``width`` wide."""
+    runs = []
+    a, b = 0, min(rng.randint(0, width), n - 1)
+    for i in range(n):
+        if i:
+            a = min(a + rng.randint(0, 2), b + 1, n - 1)
+            b = max(b, min(a + rng.randint(0, width), n - 1))
+        runs.append((a, b))
+    runs[-1] = (runs[-1][0], n - 1)
+    return bp.build_graph(n, n, [(i, j) for i, (a, b) in enumerate(runs) for j in range(a, b + 1)])
+
+
 def random_nonzero_matrix(rng: random.Random, max_n: int, max_m: int) -> tuple[tuple[int, ...], ...]:
     """Uniform 0/1 entries, redrawn until no row or column is all zero."""
     while True:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from bipower import BipartiteGraph
+from bipower import BipartiteGraph, CycleCertificate
 
 
 def plain_adjacency(g: BipartiteGraph) -> list[set[int]]:
@@ -86,6 +86,45 @@ def induced_cycle_lengths(g: BipartiteGraph) -> set[int]:
 
 def has_induced_cycle(g: BipartiteGraph, min_length: int) -> bool:
     return any(length >= min_length for length in induced_cycle_lengths(g))
+
+
+def unconfined_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate | None:
+    """Reference for ``find_chordless_cycle``, which searches only the
+    biconnected blocks that are not chordal bipartite: the same depth-first
+    search over every vertex of the graph.  Both must return the same
+    certificate, None included.
+
+    Induced paths grow from each start vertex in ascending global index,
+    through vertices above the start only, by neighbours of the head that
+    see no interior vertex; the first closure back to the start at length
+    ``min_length`` or more is the cycle.
+    """
+    adj = g.global_adj
+
+    def extend(head: int, path: list[int], path_mask: int, interior_adj: int, high_mask: int) -> list[int] | None:
+        start_bit = 1 << path[0]
+        cand = adj[head] & ~path_mask & ~interior_adj & high_mask
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            if adj[w] & start_bit:
+                if len(path) + 1 >= min_length:
+                    return path + [w]
+                continue
+            found = extend(w, path + [w], path_mask | low, interior_adj | adj[head], high_mask)
+            if found is not None:
+                return found
+        return None
+
+    for v0 in range(len(adj)):
+        high_mask = -1 << (v0 + 1)
+        for v1 in range(v0 + 1, len(adj)):
+            if adj[v0] >> v1 & 1:
+                found = extend(v1, [v0, v1], (1 << v0) | (1 << v1), 0, high_mask)
+                if found is not None:
+                    return CycleCertificate(tuple(g.vertex_of_global(w) for w in found), 1)
+    return None
 
 
 def mca_exists(entries: tuple[tuple[int, ...], ...]) -> bool:

@@ -23,21 +23,8 @@ from bipower.chordal_power import (
 from bipower.errors import CapacityError, InputError
 from bipower.intervals import intervals_to_graph, random_interval_representation
 from bipower.mca import matrix_to_graph
-from conftest import cycle_graph, cycle_vertex, random_tree
-from oracles import has_induced_cycle, induced_cycle_lengths
-
-
-def plant_cycle(g: bp.BipartiteGraph, length: int, rng: random.Random) -> bp.BipartiteGraph:
-    """``g`` with a chordless ``length``-cycle on new vertices placed first on
-    each side, joined to the old vertices by a single bridge edge."""
-    half = length // 2
-    edges = [(i + half, j + half) for i, j in g.edges()]
-    for t in range(half):
-        edges.append((t, t))
-        edges.append(((t + 1) % half, t))
-    if g.x_count:
-        edges.append((half + rng.randrange(g.x_count), rng.randrange(half)))
-    return bp.build_graph(g.x_count + half, g.y_count + half, edges)
+from conftest import cycle_graph, cycle_vertex, plant_cycle, random_tree
+from oracles import has_induced_cycle, induced_cycle_lengths, unconfined_chordless_cycle
 
 
 class TestIsChordalBipartite:
@@ -103,7 +90,7 @@ class TestDoublyLexicalDecision:
             g = plant_cycle(bp.bipartite_power(base, rng.choice((1, 3))), rng.choice((6, 8, 10)), rng)
             verdict = bp.is_chordal_bipartite(g)
             assert not verdict.chordal
-            assert verdict.certificate == bp.find_chordless_cycle(g, 6)
+            assert verdict.certificate == bp.find_chordless_cycle(g, 6) == unconfined_chordless_cycle(g, 6)
             assert bp.verify_chordless(g, verdict.certificate)
 
     def test_matches_cycle_search_on_random_powers(self):
@@ -113,6 +100,7 @@ class TestDoublyLexicalDecision:
             for k in (1, 3, 5):
                 power = bp.bipartite_power(g, k)
                 cert = bp.find_chordless_cycle(power, 6)
+                assert cert == unconfined_chordless_cycle(power, 6)
                 assert bp.is_chordal_bipartite(power) == (cert is None, cert)
 
     @settings(max_examples=200, deadline=None)
@@ -347,6 +335,23 @@ class TestStronglyClosedCheck:
     def test_even_k_rejected(self):
         with pytest.raises(InputError):
             bp.strongly_closed_check(cycle_graph(4), 2)
+
+    def test_lift_classified_once(self, monkeypatch):
+        calls = []
+        for name in ("classify_cycle_edges", "bipartite_power"):
+            original = getattr(chordal_power, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(chordal_power, name, counted)
+        g = cycle_graph(24)
+        report = bp.strongly_closed_check(g, 3)
+        assert report.lift is not None
+        # The k- and (k+2)-powers, and the (k+2)-power the classification verifies.
+        assert sorted(calls) == ["bipartite_power"] * 3 + ["classify_cycle_edges"]
+        assert report.lift == bp.lift_chordless_cycle(g, 3, report.next_cycle)
 
 
 class TestCycleJson:

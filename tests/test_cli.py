@@ -117,6 +117,23 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "arrays" in err
 
+    def test_graph_label_on_both_sides_is_exit_2(self, files, capsys):
+        # check-chordal would print a cycle whose labels parse back as X vertices.
+        graph = files["tmp"] / "shared-labels.json"
+        labels = ["a", "b", "c", "d"]
+        edges = [[labels[t % 4], labels[(t + t // 4) % 4]] for t in range(8)]
+        graph.write_text(json.dumps({"x": labels, "y": labels, "edges": edges}))
+        code, out, err = run(capsys, "check-chordal", str(graph))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "both sides" in err
+
+    def test_interval_label_on_both_sides_is_exit_2(self, files, capsys):
+        tsv = files["tmp"] / "shared-labels.tsv"
+        tsv.write_text("X\ta\t0\t2\nY\tb\t1\t3\nY\ta\t2\t4\n")
+        code, out, err = run(capsys, "verify-intervals", str(files["graph"]), str(tsv))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "both sides" in err
+
     @pytest.mark.parametrize(
         "text, word",
         [

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bipower as bp
 from bipower.errors import CapacityError, InputError
-from conftest import SAMPLE_EDGES, cycle_graph, cycle_vertex
-from oracles import has_induced_cycle, path_distance
+from conftest import SAMPLE_EDGES, band_graph, cycle_graph, cycle_vertex, plant_cycle
+from oracles import has_induced_cycle, path_distance, unconfined_chordless_cycle
 
 
 class TestBuildGraph:
@@ -37,6 +38,13 @@ class TestBuildGraph:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InputError):
             bp.build_graph(2, 1, [(0, 0)], x_labels=("a", "a"))
+
+    def test_label_on_both_sides_rejected(self):
+        # A printed cycle names vertices by label, so a label may name only one.
+        with pytest.raises(InputError, match="'b' is used on both sides"):
+            bp.build_graph(2, 2, [(0, 0)], x_labels=("a", "b"), y_labels=("c", "b"))
+        with pytest.raises(InputError, match="both sides"):
+            bp.build_graph(1, 1, [], y_labels=("x1",))
 
 
 class TestBfsDistance:
@@ -186,6 +194,107 @@ class TestChordlessCycleSearch:
             assert (bp.find_chordless_cycle(g, 6) is not None) == has_induced_cycle(g, 6)
 
 
+def disjoint_union(parts: list[bp.BipartiteGraph], glue: bool, rng: random.Random) -> bp.BipartiteGraph:
+    """The parts side by side with both sides' indices shuffled.  With
+    ``glue``, each part's first X vertex is merged into the last X vertex of
+    the part before it, which becomes a cut vertex."""
+    edges: list[tuple[int, int]] = []
+    nx = ny = 0
+    for part in parts:
+        x_at = nx
+        if glue and nx:
+            x_at -= 1  # the part's X vertex 0 lands on the last X vertex so far
+        edges.extend((x_at + i, ny + j) for i, j in part.edges())
+        nx, ny = x_at + part.x_count, ny + part.y_count
+    x_perm, y_perm = list(range(nx)), list(range(ny))
+    rng.shuffle(x_perm)
+    rng.shuffle(y_perm)
+    return bp.build_graph(nx, ny, [(x_perm[i], y_perm[j]) for i, j in edges])
+
+
+class TestConfinedSearchMatchesUnconfined:
+    """``find_chordless_cycle`` searches only the blocks that are not chordal
+    bipartite; the certificate must be the unconfined search's, None too."""
+
+    def test_every_4_plus_4_graph(self):
+        found = 0
+        for g in bp.enumerate_bipartite(4, 4):
+            cert = bp.find_chordless_cycle(g, 6)
+            assert cert == unconfined_chordless_cycle(g, 6)
+            found += cert is not None
+        assert found > 0
+
+    def test_random_graphs_up_to_9_plus_9(self):
+        rng = random.Random(990)
+        found = dict.fromkeys((6, 8, 10), 0)
+        for _ in range(600):
+            g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 9), rng.randint(1, 9), rng.random())
+            for min_length in found:
+                cert = bp.find_chordless_cycle(g, min_length)
+                assert cert == unconfined_chordless_cycle(g, min_length)
+                found[min_length] += cert is not None
+        assert all(found.values())
+
+    def test_planted_bridged_cycles_up_to_32_plus_32(self):
+        rng = random.Random(3232)
+        for t in range(24):
+            length = rng.choice((6, 8, 10, 12))
+            n = (8, 14, 20, 32 - length // 2)[t % 4]
+            if t % 3:
+                base = bp.intervals_to_graph(bp.random_interval_representation(rng.getrandbits(32), n, n, 3 * n))
+            else:
+                base = band_graph(rng, n, 6)
+            power = bp.bipartite_power(base, rng.choice((1, 3, 5)))
+            # Mid-range cycles only where the unconfined search stays fast.
+            at = rng.randrange(n + 1) if n <= 14 else 0
+            g = plant_cycle(power, length, rng, at)
+            cert = bp.find_chordless_cycle(g, 6)
+            assert cert is not None and len(cert) == length
+            assert cert == unconfined_chordless_cycle(g, 6)
+
+    def test_blocks_sharing_a_cut_vertex(self):
+        rng = random.Random(2)
+        for _ in range(150):
+            parts = [cycle_graph(2 * rng.randint(3, 5)) for _ in range(2)]
+            parts.insert(rng.randrange(3), bp.gen_random_bipartite(rng.getrandbits(63), 3, 3, rng.random()))
+            g = disjoint_union(parts, True, rng)
+            for min_length in (6, 8):
+                assert bp.find_chordless_cycle(g, min_length) == unconfined_chordless_cycle(g, min_length)
+
+    def test_disconnected_graphs(self):
+        rng = random.Random(3)
+        found = 0
+        for _ in range(150):
+            parts = [
+                bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 5), rng.randint(1, 5), rng.random())
+                for _ in range(rng.randint(2, 3))
+            ]
+            g = disjoint_union(parts, False, rng)
+            cert = bp.find_chordless_cycle(g, 6)
+            assert cert == unconfined_chordless_cycle(g, 6)
+            found += cert is not None
+        assert found > 0
+
+    def test_chordal_graph_needs_no_search(self):
+        g = bp.bipartite_power(band_graph(random.Random(5), 32, 6), 1)
+        start = time.perf_counter()
+        assert bp.find_chordless_cycle(g, 6) is None
+        assert time.perf_counter() - start < 0.5
+
+    def test_bridged_cycle_in_band_within_budget(self):
+        # 24+24 band at k = 1 with an 8-cycle bridged in mid-range: 28+28.
+        # Every start vertex below the cycle costs the unconfined search an
+        # exhaustive pass; it takes seconds on this graph.
+        rng = random.Random(25)
+        g = plant_cycle(bp.bipartite_power(band_graph(rng, 24, 6), 1), 8, rng, 12)
+        start = time.perf_counter()
+        cert = bp.find_chordless_cycle(g, 6)
+        elapsed = time.perf_counter() - start
+        assert cert is not None and bp.verify_chordless(g, cert)
+        assert sorted(v.index for v in cert.vertices) == [12, 12, 13, 13, 14, 14, 15, 15]
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+
 class TestVerifyChordless:
     def test_six_cycle_own_list(self):
         g = cycle_graph(6)
@@ -251,3 +360,7 @@ class TestGraphJson:
     def test_unknown_label_rejected(self):
         with pytest.raises(InputError, match="ghost"):
             bp.graph_from_json('{"x": ["a"], "y": ["b"], "edges": [["ghost", "b"]]}')
+
+    def test_label_on_both_sides_rejected(self):
+        with pytest.raises(InputError, match="'a' is used on both sides"):
+            bp.graph_from_json('{"x": ["a", "b"], "y": ["b", "a"], "edges": [["a", "a"]]}')

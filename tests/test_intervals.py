@@ -226,3 +226,11 @@ class TestIntervalTsv:
     def test_duplicate_label_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
             parse_intervals_tsv("X\ta\t0\t1\nX\ta\t2\t3\n")
+
+    def test_label_on_both_sides_rejected(self):
+        with pytest.raises(InputError, match="line 3: label 'a' is used on both sides"):
+            parse_intervals_tsv("X\ta\t0\t1\nY\tb\t0\t1\nY\ta\t2\t3\n")
+
+    def test_graph_with_label_on_both_sides_rejected(self, sample_rep):
+        with pytest.raises(InputError, match="both sides"):
+            bp.intervals_to_graph(sample_rep, ("a", "b", "c", "d", "e", "f"), ("f", "g", "h", "i", "j"))

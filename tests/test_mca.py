@@ -61,6 +61,13 @@ class TestGraphMatrixBridge:
     def test_matrix_to_graph_round_trip(self, staircase_matrix):
         assert bp.graph_to_matrix(bp.matrix_to_graph(staircase_matrix)) == staircase_matrix
 
+    def test_entries_match_edges(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(0, 7), rng.randint(0, 7), rng.random())
+            want = tuple(tuple(int(g.has_edge(i, j)) for j in range(g.y_count)) for i in range(g.x_count))
+            assert bp.graph_to_matrix(g) == identity_arrangement(want)
+
 
 class TestRowIntervals:
     def test_staircase_fixture(self, staircase_matrix):

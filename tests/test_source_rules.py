@@ -22,3 +22,18 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements in src: {found}"
+
+
+def test_core_does_not_import_chordal_power():
+    # core holds the graph, the search and the Γ test the search uses;
+    # chordal_power builds on it, never the other way round.
+    tree = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.append(module)
+            imported.extend(f"{module}.{alias.name}".lstrip(".") for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert not [name for name in imported if "chordal_power" in name.split(".")]
