@@ -12,7 +12,6 @@ import hashlib
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -297,6 +296,8 @@ def run_campaign(campaign: Campaign) -> FuzzReport:
     start = time.perf_counter()
     jobs = [(campaign, i) for i in range(campaign.trials)]
     if campaign.parallelism > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel campaigns pay its import
+
         with ProcessPoolExecutor(max_workers=campaign.parallelism) as pool:
             outcomes = list(pool.map(_run_one, jobs, chunksize=64))
     else:

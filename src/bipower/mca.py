@@ -11,6 +11,13 @@ evaluates the row condition only and derives the columns and the labels
 from the row runs; the other two formulations are kept as independent
 oracles in the test suite.
 
+``find_mca`` builds each component's forced row order instead of searching:
+the matrices with an MCA are those of proper interval bigraphs (Hell &
+Huang, J. Graph Theory 46, 2004), and a connected one has one row order up
+to reversal and identical rows, as the strong ordering of a bipartite
+permutation graph (Spinrad, Brandstädt & Stewart, Discrete Appl. Math. 18,
+1987).
+
 Display coordinates in certificates are 1-based; storage is 0-based.
 """
 
@@ -98,8 +105,8 @@ def _check_nonzero(grid: tuple[tuple[int, ...], ...]) -> None:
     for i, row in enumerate(grid):
         if not any(row):
             raise InputError(f"row {i + 1} is all zeros; arrangements require non-zero rows")
-    for j in range(m):
-        if not any(grid[i][j] for i in range(n)):
+    for j, column in enumerate(zip(*grid)):
+        if not any(column):
             raise InputError(f"column {j + 1} is all zeros; arrangements require non-zero columns")
 
 
@@ -206,97 +213,86 @@ def boundary_maps(cert: McaCertificate) -> BoundaryMaps:
     return maps
 
 
+def _forced_order(bits: list[int], left: list[int]) -> list[int] | None:
+    """The forced row order of the next component among the unplaced rows
+    ``left``: the first start row whose greedy extension passes; None if no
+    start passes, when no component of ``left`` has an MCA.
+
+    Start rows are tried in ascending index, skipping a row with an identical
+    lower-index row.  The order grows greedily: next comes the unplaced row
+    with the most started columns, then the fewest new ones, then the lowest
+    index, until no unplaced row holds a started column.  A start fails on a
+    reopened column (a started column the previous row lacks) or when two
+    column runs strictly nest; with consecutive column runs, no strict
+    nesting is exactly the condition for monotone a and b.
+    """
+    tried = set()
+    for start in left:
+        if bits[start] in tried:
+            continue
+        tried.add(bits[start])
+        order = [start]
+        started = prev = bits[start]
+        opened = [started]  # opened[p]: the columns started by the first p + 1 rows
+        rest = [r for r in left if r != start]
+        while True:
+            # max keeps the first of equal keys, which is the lowest index.
+            nxt = max(rest, default=None,
+                      key=lambda r: ((bits[r] & started).bit_count(), -(bits[r] & ~started).bit_count()))
+            if nxt is None or not bits[nxt] & started:
+                return order
+            row = bits[nxt]
+            if row & started & ~prev:
+                break  # a started column that the previous row lacks reopens
+            closing = prev & ~row
+            # A closing column started after the oldest one going on nests in it.
+            if closing and closing & ~next(cols for cols in opened if cols & row):
+                break
+            order.append(nxt)
+            rest.remove(nxt)
+            prev = row
+            started |= row
+            opened.append(started)
+    return None
+
+
 def find_mca(
     mat: ArrangedMatrix, *, size_cap: int = DEFAULT_MCA_SIZE_CAP
 ) -> tuple[ArrangedMatrix, McaCertificate] | None:
-    """Search for row and column permutations exhibiting a monotone
-    consecutive arrangement of ``mat.entries``; None if there is none.
+    """Row and column permutations exhibiting a monotone consecutive
+    arrangement of ``mat.entries``; None if there is none.
 
-    Backtracking over row display orders, trying candidate rows in ascending
-    original index.  A partial order dies as soon as some column's placed
-    ones have a gap, or its run has closed while ones remain unplaced.  For
-    each complete row order the column order is forced: each column's ones
-    must already be consecutive, and sorting columns by (first row, last
-    row, original index) is the only candidate display up to identical
-    columns.  The first arrangement that verifies is returned, so the result
-    is the lexicographically least acceptable one under this candidate order.
-    Identical rows are placed in ascending index only: swapping two of them
-    gives the same subtree, so the skipped orders could add nothing and the
-    first arrangement found is unchanged.
+    The row order is the lexicographically least, in original indices, of
+    any MCA.  The rows of a component (rows joined by shared columns) are
+    contiguous in every MCA, so the components take their forced orders one
+    after another, by first row.  Columns are sorted by (first row, last row,
+    original index), the only candidate display up to identical columns.
+    ``verify_mca`` checks the result before it is returned.
     """
     entries = mat.entries
-    n = len(entries)
-    m = len(entries[0]) if n else 0
+    n, m = mat.n, mat.m
     if max(n, m) > size_cap:
         raise CapacityError(f"matrix is {n}x{m}, above the arrangement-search cap {size_cap}")
     _check_nonzero(entries)
 
-    col_rows = [[i for i in range(n) if entries[i][j]] for j in range(m)]
-    total = [len(rows) for rows in col_rows]
-    count = [0] * m
-    last = [-1] * m
-    placed: list[int] = []
-    used = [False] * n
-    # twin[r]: the nearest lower index holding a row identical to row r, or -1.
-    seen: dict[tuple[int, ...], int] = {}
-    twin = [-1] * n
-    for r, row in enumerate(entries):
-        twin[r] = seen.get(row, -1)
-        seen[row] = r
-
-    def place(orig_row: int) -> bool:
-        pos = len(placed)
-        touched = []
-        for j in range(m):
-            if entries[orig_row][j]:
-                if count[j] and last[j] != pos - 1:
-                    for jj in touched:  # undo before rejecting
-                        count[jj] -= 1
-                        last[jj] = pos - 1 if count[jj] else -1
-                    return False
-                count[j] += 1
-                last[j] = pos
-                touched.append(j)
-        placed.append(orig_row)
-        used[orig_row] = True
-        return True
-
-    def unplace(orig_row: int) -> None:
-        pos = len(placed) - 1
-        placed.pop()
-        used[orig_row] = False
-        for j in range(m):
-            if entries[orig_row][j]:
-                count[j] -= 1
-                last[j] = pos - 1 if count[j] else -1
-
-    def stuck() -> bool:
-        pos = len(placed)
-        return any(0 < count[j] < total[j] and last[j] != pos - 1 for j in range(m))
-
-    def search() -> tuple[ArrangedMatrix, McaCertificate] | None:
-        if len(placed) == n:
-            # Runs are consecutive by the pruning invariant, so each column's
-            # first placed one sits count-1 positions above its last.
-            order = sorted(range(m), key=lambda j: (last[j] - count[j] + 1, last[j], j))
-            candidate = ArrangedMatrix(entries, tuple(placed), tuple(order))
-            cert = verify_mca(candidate)
-            if cert is not None:
-                return candidate, cert
+    bits = [sum(v << j for j, v in enumerate(row)) for row in entries]
+    row_perm: list[int] = []
+    while len(row_perm) < n:
+        order = _forced_order(bits, [r for r in range(n) if r not in row_perm])
+        if order is None:
             return None
-        for r in range(n):
-            if used[r] or (twin[r] >= 0 and not used[twin[r]]):
-                continue
-            if not place(r):
-                continue
-            if not stuck():
-                found = search()
-                if found is not None:
-                    return found
-            unplace(r)
-        return None
+        row_perm += order
+    shown = [entries[r] for r in row_perm]
 
-    return search()
+    def span(j: int) -> tuple[int, int, int]:
+        holding = [pos for pos, row in enumerate(shown) if row[j]]
+        return holding[0], holding[-1], j
+
+    candidate = ArrangedMatrix(entries, tuple(row_perm), tuple(sorted(range(m), key=span)))
+    cert = verify_mca(candidate)
+    if cert is None:
+        raise AssertionError("the forced row order does not verify as monotone consecutive")
+    return candidate, cert
 
 
 def greedy_distance(mat: ArrangedMatrix, cert: McaCertificate, row: int, col: int) -> int:
@@ -385,7 +381,7 @@ def parse_matrix(text: str) -> ArrangedMatrix:
     if not lines:
         raise InputError("matrix text is empty")
     head = lines[0].split()
-    if len(head) != 2 or not all(p.isdigit() for p in head):
+    if len(head) != 2 or not all(p.isdecimal() for p in head):
         raise InputError(f"matrix text line 1: expected 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
     if len(lines) < 1 + n:

@@ -122,3 +122,31 @@ def random_nonzero_matrix(rng: random.Random, max_n: int, max_m: int) -> tuple[t
             any(entries[i][j] for i in range(n)) for j in range(m)
         ):
             return entries
+
+
+def shuffled_staircase(rng: random.Random, n: int, m: int, copies: int = 1) -> tuple[tuple[int, ...], ...]:
+    """A generated staircase of n - copies + 1 rows and m columns, one of its
+    rows repeated to ``copies`` in all, rows and columns then shuffled."""
+    rows = list(bp.gen_staircase_matrix(rng.getrandbits(63), n - copies + 1, m).entries)
+    rows += [rng.choice(rows)] * (copies - 1)
+    return shuffled(rng, rows)
+
+
+def shuffled(rng: random.Random, rows) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 rows with their order and their column order shuffled."""
+    rows = list(rows)
+    rng.shuffle(rows)
+    cols = list(range(len(rows[0])))
+    rng.shuffle(cols)
+    return tuple(tuple(row[j] for j in cols) for row in rows)
+
+
+def block_diagonal(blocks) -> tuple[tuple[int, ...], ...]:
+    """The matrices of ``blocks`` on the diagonal of one matrix, zeros elsewhere."""
+    width = sum(len(block[0]) for block in blocks)
+    rows, left = [], 0
+    for block in blocks:
+        m = len(block[0])
+        rows += [(0,) * left + tuple(row) + (0,) * (width - left - m) for row in block]
+        left += m
+    return tuple(rows)

@@ -3,7 +3,9 @@
 Everything here recomputes results from first principles (path enumeration,
 subset enumeration, exhaustive permutations) using only the public graph
 surface, so the fast implementations are checked against genuinely separate
-code paths.
+code paths.  The searches that fast paths replaced (the unconfined cycle
+search, the row-order backtracker) are kept here too, as references that
+the fast paths must match result for result.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from bipower import BipartiteGraph, CycleCertificate
+from bipower.errors import CapacityError
+from bipower.mca import DEFAULT_MCA_SIZE_CAP, ArrangedMatrix, McaCertificate, _check_nonzero, verify_mca
 
 
 def plain_adjacency(g: BipartiteGraph) -> list[set[int]]:
@@ -125,6 +129,103 @@ def unconfined_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCerti
                 if found is not None:
                     return CycleCertificate(tuple(g.vertex_of_global(w) for w in found), 1)
     return None
+
+
+def backtrack_mca(
+    mat: ArrangedMatrix, *, size_cap: int = DEFAULT_MCA_SIZE_CAP
+) -> tuple[ArrangedMatrix, McaCertificate] | None:
+    """Search for row and column permutations exhibiting a monotone
+    consecutive arrangement of ``mat.entries``; None if there is none.
+
+    Reference for ``find_mca``, which builds each component's forced row
+    order instead of searching: both must return the same arrangement and
+    certificate, None included.
+
+    Backtracking over row display orders, trying candidate rows in ascending
+    original index.  A partial order dies as soon as some column's placed
+    ones have a gap, or its run has closed while ones remain unplaced.  For
+    each complete row order the column order is forced: each column's ones
+    must already be consecutive, and sorting columns by (first row, last
+    row, original index) is the only candidate display up to identical
+    columns.  The first arrangement that verifies is returned, so the result
+    is the lexicographically least acceptable one under this candidate order.
+    Identical rows are placed in ascending index only: swapping two of them
+    gives the same subtree, so the skipped orders could add nothing and the
+    first arrangement found is unchanged.
+    """
+    entries = mat.entries
+    n = len(entries)
+    m = len(entries[0]) if n else 0
+    if max(n, m) > size_cap:
+        raise CapacityError(f"matrix is {n}x{m}, above the arrangement-search cap {size_cap}")
+    _check_nonzero(entries)
+
+    col_rows = [[i for i in range(n) if entries[i][j]] for j in range(m)]
+    total = [len(rows) for rows in col_rows]
+    count = [0] * m
+    last = [-1] * m
+    placed: list[int] = []
+    used = [False] * n
+    # twin[r]: the nearest lower index holding a row identical to row r, or -1.
+    seen: dict[tuple[int, ...], int] = {}
+    twin = [-1] * n
+    for r, row in enumerate(entries):
+        twin[r] = seen.get(row, -1)
+        seen[row] = r
+
+    def place(orig_row: int) -> bool:
+        pos = len(placed)
+        touched = []
+        for j in range(m):
+            if entries[orig_row][j]:
+                if count[j] and last[j] != pos - 1:
+                    for jj in touched:  # undo before rejecting
+                        count[jj] -= 1
+                        last[jj] = pos - 1 if count[jj] else -1
+                    return False
+                count[j] += 1
+                last[j] = pos
+                touched.append(j)
+        placed.append(orig_row)
+        used[orig_row] = True
+        return True
+
+    def unplace(orig_row: int) -> None:
+        pos = len(placed) - 1
+        placed.pop()
+        used[orig_row] = False
+        for j in range(m):
+            if entries[orig_row][j]:
+                count[j] -= 1
+                last[j] = pos - 1 if count[j] else -1
+
+    def stuck() -> bool:
+        pos = len(placed)
+        return any(0 < count[j] < total[j] and last[j] != pos - 1 for j in range(m))
+
+    def search() -> tuple[ArrangedMatrix, McaCertificate] | None:
+        if len(placed) == n:
+            # Runs are consecutive by the pruning invariant, so each column's
+            # first placed one sits count-1 positions above its last.
+            order = sorted(range(m), key=lambda j: (last[j] - count[j] + 1, last[j], j))
+            candidate = ArrangedMatrix(entries, tuple(placed), tuple(order))
+            cert = verify_mca(candidate)
+            if cert is not None:
+                return candidate, cert
+            return None
+        for r in range(n):
+            if used[r] or (twin[r] >= 0 and not used[twin[r]]):
+                continue
+            if not place(r):
+                continue
+            if not stuck():
+                found = search()
+                if found is not None:
+                    return found
+            unplace(r)
+        return None
+
+    return search()
 
 
 def mca_exists(entries: tuple[tuple[int, ...], ...]) -> bool:

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bipower as bp
 from bipower import chordal_power, core
 from bipower.chordal_power import cycle_json
 from bipower.cli import dispatch
 from bipower.intervals import intervals_tsv
-from bipower.mca import matrix_text
+from bipower.mca import DEFAULT_MCA_SIZE_CAP, matrix_text
 from conftest import cycle_graph
 
 
@@ -331,3 +336,54 @@ class TestCounterexampleRecheck:
         ip.write_text(record["intervals"])
         code, _, _ = run(capsys, "power-intervals", "-k", str(record["k"]), str(gp), str(ip))
         assert code == 0
+
+
+@st.composite
+def matrix_files(draw) -> bytes:
+    """Matrix files, mostly malformed: a header that may lie or not parse
+    (digits of any script included), ragged rows, zero rows and columns,
+    sizes above the search cap, ``rows:`` / ``cols:`` trailers that need not
+    be bijections, and bytes that are not UTF-8."""
+    n = draw(st.integers(0, DEFAULT_MCA_SIZE_CAP + 2))
+    m = draw(st.integers(0, DEFAULT_MCA_SIZE_CAP + 2))
+    number = st.text(st.characters(categories=("Nd", "No")), min_size=1, max_size=2)
+    head = draw(
+        st.sampled_from((f"{n} {m}", f"{n + 1} {m}"))
+        | st.tuples(number, number).map(" ".join)
+        | st.text(max_size=5)
+    )
+    rows = []
+    for _ in range(n):
+        width = draw(st.sampled_from((m, m, m, m - 1, m + 1)))
+        fill = draw(st.sampled_from(("01", "0", "1")))
+        rows.append("".join(draw(st.sampled_from(fill)) for _ in range(max(width, 0))))
+    trailers = []
+    for key, size in (("rows", n), ("cols", m)):
+        if draw(st.booleans()):
+            values = draw(st.lists(st.integers(-2, size + 2), min_size=max(size - 1, 0), max_size=size + 1))
+            trailers.append(f"{key}: " + " ".join(map(str, values)))
+    junk = draw(st.lists(st.text(max_size=8), max_size=2))
+    data = ("\n".join([head, *rows, *trailers, *junk]) + "\n").encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestMatrixVerbErrorContract:
+    """Any matrix file ends the matrix verbs in a documented exit code, and
+    an input error in one stderr line, never in a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=matrix_files(), k=st.sampled_from((1, 2, 3, -1)))
+    def test_malformed_matrix_files(self, data, k):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.mat"
+            path.write_bytes(data)
+            for argv in (["mca-verify", str(path)], ["mca-find", str(path)], ["mca-power", "-k", str(k), str(path)]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = dispatch(argv)
+                assert code in (0, 1, 2, 3), (argv, data)
+                if code == 2:
+                    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, data)

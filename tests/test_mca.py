@@ -12,8 +12,9 @@ import pytest
 import bipower as bp
 from bipower.errors import CapacityError, InputError
 from bipower.mca import certificate_json, identity_arrangement, matrix_text, parse_matrix
-from conftest import random_nonzero_matrix
+from conftest import block_diagonal, random_nonzero_matrix, shuffled, shuffled_staircase
 from oracles import (
+    backtrack_mca,
     column_runs,
     labeling_exists,
     labels_closed,
@@ -25,6 +26,17 @@ from oracles import (
 # 0/1 matrices with 1 <= n, m <= 4 and no zero row or column: the sum over
 # n, m of sum_k (-1)^k C(n, k) (2^(n-k) - 1)^m.
 NONZERO_MATRICES_UP_TO_4X4 = 46312
+
+
+def nonzero_matrices_up_to_4x4():
+    """Every n x m matrix with n, m <= 4 and no zero row or column."""
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for bits in range(1 << (n * m)):
+                entries = tuple(tuple(bits >> (m * i + j) & 1 for j in range(m)) for i in range(n))
+                if all(map(any, entries)) and all(map(any, zip(*entries))):
+                    yield entries
+
 
 # Frozen expected R/C labelling of the 6x7 staircase fixture, row-major,
 # derived by applying the labelling rule by hand.
@@ -170,6 +182,34 @@ class TestFindMca:
         assert found is not None and bp.verify_mca(found[0]) == found[1]
         assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
+    def test_three_staircase_components_within_budget(self):
+        rng = random.Random(12)
+        blocks = [shuffled_staircase(rng, 4, 4, copies) for copies in (2, 3, 2)]
+        entries = shuffled(rng, block_diagonal(blocks))
+        start = time.perf_counter()
+        found = bp.find_mca(identity_arrangement(entries))
+        elapsed = time.perf_counter() - start
+        assert found is not None and bp.verify_mca(found[0]) == found[1]
+        assert elapsed < 0.1, f"took {elapsed:.3f}s"
+
+    def test_no_arrangement_within_budget(self):
+        # A 24-cycle: every row is a start, and each start's extension runs
+        # around the cycle until the last row reopens the first column.
+        rng = random.Random(13)
+        entries = shuffled(rng, [tuple(int(j in (i, (i + 1) % 12)) for j in range(12)) for i in range(12)])
+        start = time.perf_counter()
+        found = bp.find_mca(identity_arrangement(entries))
+        elapsed = time.perf_counter() - start
+        assert found is None
+        assert elapsed < 0.1, f"took {elapsed:.3f}s"
+
+    def test_unverified_order_raises(self, staircase_matrix, monkeypatch):
+        # The forced order is checked, not trusted: a verifier that rejects
+        # it must surface as a defect, not as "no arrangement".
+        monkeypatch.setattr(bp.mca, "verify_mca", lambda mat: None)
+        with pytest.raises(AssertionError, match="does not verify"):
+            bp.find_mca(staircase_matrix)
+
     def test_size_cap(self):
         big = identity_arrangement(tuple(tuple(1 for _ in range(13)) for _ in range(13)))
         with pytest.raises(CapacityError):
@@ -193,6 +233,77 @@ class TestFindMca:
         for _ in range(400):
             entries = random_nonzero_matrix(rng, 5, 5)
             assert (bp.find_mca(identity_arrangement(entries)) is not None) == mca_exists(entries)
+
+
+class TestFindMcaMatchesBacktracker:
+    """find_mca builds each component's forced row order; oracles.backtrack_mca
+    searches row orders.  Both must return the same arrangement and
+    certificate, None included."""
+
+    @staticmethod
+    def _same(entries) -> bool:
+        mat = identity_arrangement(entries)
+        found = bp.find_mca(mat)
+        assert found == backtrack_mca(mat), entries
+        return found is not None
+
+    def test_every_small_matrix(self):
+        # The budget is find_mca's; the backtracker, about twice as slow
+        # here, is the reference and not what is timed.
+        elapsed = 0.0
+        results = []
+        for entries in nonzero_matrices_up_to_4x4():
+            mat = identity_arrangement(entries)
+            start = time.perf_counter()
+            found = bp.find_mca(mat)
+            elapsed += time.perf_counter() - start
+            assert found == backtrack_mca(mat), entries
+            results.append(found is not None)
+        assert len(results) == NONZERO_MATRICES_UP_TO_4X4
+        assert 0 < sum(results) < len(results)
+        assert elapsed < 20, f"find_mca took {elapsed:.1f}s"
+
+    def test_seeded_volume_up_to_8x8(self):
+        # The sparse draws often split into several components.
+        rng = random.Random(808)
+        found = split = 0
+        for _ in range(3000):
+            n, m = rng.randint(1, 8), rng.randint(1, 8)
+            p = rng.choice((0.15, 0.3, 0.5, 0.7))
+            rows = [row for row in ([int(rng.random() < p) for _ in range(m)] for _ in range(n)) if any(row)]
+            cols = [j for j in range(m) if any(row[j] for row in rows)]
+            if not rows:
+                continue
+            entries = tuple(tuple(row[j] for j in cols) for row in rows)
+            found += self._same(entries)
+            split += not bp.is_connected(bp.matrix_to_graph(identity_arrangement(entries)))
+        assert found > 1000 and split > 500
+
+    def test_shuffled_staircases_with_repeated_rows(self):
+        rng = random.Random(1212)
+        for _ in range(800):
+            n, m = rng.randint(1, 12), rng.randint(1, 12)
+            assert self._same(shuffled_staircase(rng, n, m, rng.randint(1, min(4, n))))
+
+    def test_shuffled_block_diagonal_staircases(self):
+        # One to three staircases, some rows repeated, some random rows added
+        # across the blocks, which may join them or leave no arrangement.
+        rng = random.Random(333)
+        found = 0
+        for _ in range(1500):
+            blocks = []
+            for _ in range(rng.randint(1, 3)):
+                n = rng.randint(1, 4)
+                blocks.append(shuffled_staircase(rng, n, rng.randint(1, 4), rng.randint(1, min(2, n))))
+            rows = list(block_diagonal(blocks))
+            for _ in range(rng.randint(0, 2)):
+                extra = tuple(int(rng.random() < 0.3) for _ in rows[0])
+                if any(extra):
+                    rows.append(extra)
+            if rng.random() < 0.5:
+                rows.append(rng.choice(rows))
+            found += self._same(shuffled(rng, rows[:12]))
+        assert 500 < found < 1500
 
 
 class TestBoundaryMaps:
@@ -363,14 +474,9 @@ class TestFormulationEquivalence:
         # as stored; any other display of one of them is another of them.
         start = time.perf_counter()
         checked = certified = 0
-        for n in range(1, 5):
-            for m in range(1, 5):
-                for bits in range(1 << (n * m)):
-                    entries = tuple(tuple(bits >> (m * i + j) & 1 for j in range(m)) for i in range(n))
-                    if not all(map(any, entries)) or not all(map(any, zip(*entries))):
-                        continue
-                    checked += 1
-                    certified += self._agree(identity_arrangement(entries)) is not None
+        for entries in nonzero_matrices_up_to_4x4():
+            checked += 1
+            certified += self._agree(identity_arrangement(entries)) is not None
         elapsed = time.perf_counter() - start
         assert checked == NONZERO_MATRICES_UP_TO_4X4
         assert 0 < certified < checked

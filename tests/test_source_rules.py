@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bipower
@@ -37,3 +40,17 @@ def test_core_does_not_import_chordal_power():
         elif isinstance(node, ast.Import):
             imported.extend(alias.name for alias in node.names)
     assert not [name for name in imported if "chordal_power" in name.split(".")]
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # Only parallel campaigns start a pool; every other command would pay
+    # for importing it at start-up.
+    script = (
+        "import sys\n"
+        "import bipower.cli\n"
+        "print(*sorted(name for name in ('concurrent.futures.process', 'multiprocessing') if name in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
