@@ -14,13 +14,17 @@ import json
 import sys
 from pathlib import Path
 
-from . import chordal_power, core, harness, intervals, mca
+from . import core
 from .errors import BipowerError, InputError, TheoremCounterexample
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_INPUT = 2
 EXIT_COUNTEREXAMPLE = 3
+
+# The values of harness.Theorem, spelled out so that building the parser
+# does not import the harness.
+_THEOREMS = ["t3", "t4", "t5", "kchordal"]
 
 
 def _read(path: str) -> str:
@@ -50,12 +54,8 @@ def _load_graph(path: str) -> core.BipartiteGraph:
     return core.graph_from_json(_read(path))
 
 
-def _load_intervals(path: str):
-    doc = intervals.parse_intervals_tsv(_read(path))
-    return doc.representation()
-
-
 def _intervals_payload(rep, x_labels, y_labels, fmt: str) -> str:
+    from . import intervals
     if fmt == "json":
         obj = {
             "x": [{"label": lab, "left": iv.left, "right": iv.right} for lab, iv in zip(x_labels, rep.x_intervals)],
@@ -65,7 +65,8 @@ def _intervals_payload(rep, x_labels, y_labels, fmt: str) -> str:
     return intervals.intervals_tsv(rep, x_labels, y_labels)
 
 
-def _matrix_payload(mat: mca.ArrangedMatrix, fmt: str) -> str:
+def _matrix_payload(mat, fmt: str) -> str:
+    from . import mca
     if fmt == "json":
         obj = {
             "n": mat.n,
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("fuzz", "run a counterexample-hunting campaign")
     p.add_argument("campaign", nargs="?", help="campaign JSON file (flags override nothing when given)")
-    p.add_argument("--theorem", choices=[t.value for t in harness.Theorem])
+    p.add_argument("--theorem", choices=_THEOREMS)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-x", type=int, default=6)
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kchordal-k", type=int, default=4)
 
     p = add("gen", "emit one deterministic instance of a campaign's input kind")
-    p.add_argument("--theorem", choices=[t.value for t in harness.Theorem], required=True)
+    p.add_argument("--theorem", choices=_THEOREMS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-x", type=int, default=6, help="x side / row count")
     p.add_argument("--max-y", type=int, default=6, help="y side / column count")
@@ -167,6 +168,7 @@ def _cmd_power(args, out: _Out) -> int:
 
 
 def _cmd_check_chordal(args, out: _Out) -> int:
+    from . import chordal_power
     fmt = args.format or "json"
     g = _load_graph(args.graph)
     if args.min_length == 6:
@@ -181,6 +183,7 @@ def _cmd_check_chordal(args, out: _Out) -> int:
 
 
 def _cmd_check_kchordal(args, out: _Out) -> int:
+    from . import chordal_power
     fmt = args.format or "json"
     g = _load_graph(args.graph)
     k = args.kchordal_k
@@ -193,24 +196,27 @@ def _cmd_check_kchordal(args, out: _Out) -> int:
 
 
 def _cmd_verify_intervals(args, out: _Out) -> int:
+    from . import intervals
     fmt = args.format or "json"
     g = _load_graph(args.graph)
-    rep, _, _ = _load_intervals(args.intervals_file)
+    rep, _, _ = intervals.parse_intervals_tsv(_read(args.intervals_file)).representation()
     ok = intervals.verify_representation(g, rep)
     out.emit(_verdict_payload({"valid": ok}, fmt))
     return EXIT_OK if ok else EXIT_PROPERTY_FAILS
 
 
 def _cmd_power_intervals(args, out: _Out) -> int:
+    from . import intervals
     fmt = args.format or "tsv"
     g = _load_graph(args.graph)
-    rep, _, _ = _load_intervals(args.intervals_file)
+    rep, _, _ = intervals.parse_intervals_tsv(_read(args.intervals_file)).representation()
     result = intervals.power_representation(g, rep, args.k)
     out.emit(_intervals_payload(result, g.x_labels, g.y_labels, fmt))
     return EXIT_OK
 
 
 def _cmd_mca_verify(args, out: _Out) -> int:
+    from . import mca
     fmt = args.format or "json"
     mat = mca.parse_matrix(_read(args.matrix))
     cert = mca.verify_mca(mat)
@@ -222,6 +228,7 @@ def _cmd_mca_verify(args, out: _Out) -> int:
 
 
 def _cmd_mca_find(args, out: _Out) -> int:
+    from . import mca
     fmt = args.format or "json"
     mat = mca.parse_matrix(_read(args.matrix))
     found = mca.find_mca(mat)
@@ -239,6 +246,7 @@ def _cmd_mca_find(args, out: _Out) -> int:
 
 
 def _cmd_mca_power(args, out: _Out) -> int:
+    from . import mca
     fmt = args.format or "text"
     mat = mca.parse_matrix(_read(args.matrix))
     g = mca.matrix_to_graph(mat)
@@ -248,6 +256,7 @@ def _cmd_mca_power(args, out: _Out) -> int:
 
 
 def _cmd_classify_cycle(args, out: _Out) -> int:
+    from . import chordal_power
     g = _load_graph(args.graph)
     cert = chordal_power.cycle_from_json(g, _read(args.cycle))
     cls = chordal_power.classify_cycle_edges(g, args.k, cert)
@@ -272,6 +281,7 @@ def _cmd_classify_cycle(args, out: _Out) -> int:
 
 
 def _cmd_lift_cycle(args, out: _Out) -> int:
+    from . import chordal_power
     g = _load_graph(args.graph)
     cert = chordal_power.cycle_from_json(g, _read(args.cycle))
     result = chordal_power.lift_chordless_cycle(g, args.k, cert)
@@ -280,6 +290,7 @@ def _cmd_lift_cycle(args, out: _Out) -> int:
 
 
 def _cmd_fuzz(args, out: _Out) -> int:
+    from . import harness
     if args.campaign is not None:
         campaign = harness.campaign_from_json(_read(args.campaign))
     else:
@@ -303,15 +314,17 @@ def _cmd_fuzz(args, out: _Out) -> int:
 
 
 def _cmd_gen(args, out: _Out) -> int:
-    theorem = harness.Theorem(args.theorem)
-    if theorem is harness.Theorem.T3:
+    if args.theorem == "t3":
+        from . import intervals
         rep = intervals.random_interval_representation(args.seed, args.max_x, args.max_y, args.span)
         g = intervals.intervals_to_graph(rep)
         out.emit(intervals.intervals_tsv(rep, g.x_labels, g.y_labels))
-    elif theorem is harness.Theorem.T4:
+    elif args.theorem == "t4":
+        from . import harness, mca
         mat = harness.gen_staircase_matrix(args.seed, args.max_x, args.max_y)
         out.emit(mca.matrix_text(mat))
     else:
+        from . import harness
         g = harness.gen_random_bipartite(args.seed, args.max_x, args.max_y, 0.5)
         out.emit(core.graph_to_json(g))
     return EXIT_OK

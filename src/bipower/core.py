@@ -529,9 +529,10 @@ def graph_from_json(text: str) -> BipartiteGraph:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InputError(f"edge {pair!r} is not a two-element [xLabel, yLabel] array")
         xl, yl = pair
-        if xl not in x_index:
+        # A list or object endpoint is unhashable, so test the type first.
+        if not isinstance(xl, str) or xl not in x_index:
             raise InputError(f"edge endpoint {xl!r} is not an x label")
-        if yl not in y_index:
+        if not isinstance(yl, str) or yl not in y_index:
             raise InputError(f"edge endpoint {yl!r} is not a y label")
         edges.append((x_index[xl], y_index[yl]))
     return build_graph(len(x_labels), len(y_labels), edges, tuple(x_labels), tuple(y_labels))

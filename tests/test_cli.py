@@ -13,6 +13,7 @@ import bipower as bp
 from bipower import chordal_power, core
 from bipower.chordal_power import cycle_json
 from bipower.cli import dispatch
+from bipower.harness import MAX_PARALLELISM
 from bipower.intervals import intervals_tsv
 from bipower.mca import DEFAULT_MCA_SIZE_CAP, matrix_text
 from conftest import cycle_graph
@@ -121,6 +122,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "power", "-k", "1", str(graph))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "arrays" in err
+
+    @pytest.mark.parametrize("edge, side", [([["a"], "b"], "an x"), (["a", {"b": 1}], "a y"), ([1, "b"], "an x")])
+    def test_graph_endpoints_must_be_strings(self, files, capsys, edge, side):
+        graph = files["tmp"] / "unhashable-endpoint.json"
+        graph.write_text(json.dumps({"x": ["a"], "y": ["b"], "edges": [edge]}))
+        code, out, err = run(capsys, "power", "-k", "3", str(graph))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and f"is not {side} label" in err
 
     def test_graph_label_on_both_sides_is_exit_2(self, files, capsys):
         # check-chordal would print a cycle whose labels parse back as X vertices.
@@ -370,6 +379,25 @@ def matrix_files(draw) -> bytes:
     return data
 
 
+def assert_error_contract(files: dict[str, bytes], *argvs: list[str]) -> None:
+    """Write ``files`` to a temporary directory and run each argv there, with
+    every file name replaced by its path.  Each call must end in a documented
+    exit code, and an input error in one stderr line, never in a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in files.items():
+            paths[name] = str(Path(tmp) / name)
+            Path(paths[name]).write_bytes(data)
+        for argv in argvs:
+            argv = [paths.get(arg, arg) for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch(argv)
+            assert code in (0, 1, 2, 3), (argv, files)
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, files)
+
+
 class TestMatrixVerbErrorContract:
     """Any matrix file ends the matrix verbs in a documented exit code, and
     an input error in one stderr line, never in a traceback."""
@@ -377,13 +405,180 @@ class TestMatrixVerbErrorContract:
     @settings(max_examples=200, deadline=None)
     @given(data=matrix_files(), k=st.sampled_from((1, 2, 3, -1)))
     def test_malformed_matrix_files(self, data, k):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.mat"
-            path.write_bytes(data)
-            for argv in (["mca-verify", str(path)], ["mca-find", str(path)], ["mca-power", "-k", str(k), str(path)]):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = dispatch(argv)
-                assert code in (0, 1, 2, 3), (argv, data)
-                if code == 2:
-                    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, data)
+        assert_error_contract(
+            {"m.mat": data}, ["mca-verify", "m.mat"], ["mca-find", "m.mat"], ["mca-power", "-k", str(k), "m.mat"]
+        )
+
+
+# Any JSON value, to stand where a well-formed part of a file is expected.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def one_in(n: int) -> st.SearchStrategy:
+    """True about once in ``n`` draws (hypothesis biases integer draws
+    towards their bounds, so weights are given by repetition)."""
+    return st.sampled_from((False,) * (n - 1) + (True,))
+
+
+def mostly(good: st.SearchStrategy, n: int = 3) -> st.SearchStrategy:
+    """Any JSON value about once in ``n`` draws, ``good`` otherwise."""
+    return st.sampled_from((good,) * (n - 1) + (json_values,)).flatmap(lambda values: values)
+
+
+@st.composite
+def json_objects(draw, fields: dict[str, st.SearchStrategy]):
+    """A JSON object of the given fields, each of which may be missing or
+    any JSON value instead; now and then any JSON value, not an object."""
+    if draw(one_in(10)):
+        return draw(json_values)
+    return {key: draw(mostly(value, 6)) for key, value in fields.items() if not draw(one_in(8))}
+
+
+@st.composite
+def json_files(draw, values: st.SearchStrategy) -> bytes:
+    """A value as JSON text, now and then cut short or with a byte that is
+    not UTF-8."""
+    data = json.dumps(draw(values)).encode()
+    if draw(one_in(20)):
+        data = data[: draw(st.integers(0, len(data)))]
+    elif draw(one_in(20)):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def graph_files(draw) -> bytes:
+    """Graph JSON with labels that may repeat or sit on both sides, and
+    edges that may be short, long, or name labels that do not exist."""
+    x = draw(st.lists(st.sampled_from("abcdq"), max_size=4, unique=not draw(one_in(6))))
+    y = draw(st.lists(st.sampled_from("pqrsa"), max_size=4, unique=not draw(one_in(6))))
+    pair = st.tuples(mostly(st.sampled_from(x or "z")), mostly(st.sampled_from(y or "z"))).map(list)
+    edge = pair | st.lists(st.sampled_from("abpq"), max_size=3)
+    return draw(json_files(json_objects({"x": st.just(x), "y": st.just(y), "edges": st.lists(edge, max_size=8)})))
+
+
+def small_graphs() -> st.SearchStrategy:
+    """Well-formed 3+3 graphs for the interval verbs to read beside the TSV."""
+    return st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=9).map(
+        lambda edges: bp.build_graph(3, 3, edges, ("a", "b", "c"), ("p", "q", "r"))
+    )
+
+
+@st.composite
+def interval_files(draw) -> bytes:
+    """Interval TSV, mostly malformed: unknown sides, repeated or shared
+    labels, endpoints that are not integers or are reversed, too few or too
+    many fields, comments and junk lines."""
+    endpoint = st.integers(-3, 9).map(str) | st.sampled_from(("", "1.5", "x", "²", "٣"))
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("comment", "junk", "fields") + ("entry",) * 7))
+        if kind == "comment":
+            lines.append("#" + draw(st.text(max_size=5)))
+        elif kind == "junk":
+            lines.append(draw(st.text(max_size=8)))
+        else:
+            fields = [
+                draw(st.sampled_from(("X", "Y", "X", "Y", "Z", ""))),
+                draw(st.sampled_from(("a", "b", "c", "p", "q", "r", ""))),
+                draw(endpoint),
+                draw(endpoint),
+            ]
+            if kind == "fields":
+                fields = fields[: draw(st.integers(0, 3))] if draw(st.booleans()) else [*fields, "1"]
+            lines.append("\t".join(fields))
+    data = ("\n".join(lines) + "\n").encode()
+    if draw(one_in(20)):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+CYCLE_GRAPHS = [bp.gen_subdivided_cycle(lengths) for lengths in ([1] * 6, [3] * 6, [1, 3, 1, 3])]
+
+
+@st.composite
+def cycle_files(draw) -> tuple[bytes, bytes]:
+    """A subdivided cycle's graph JSON and a cycle JSON for it: its corners
+    (perhaps rotated or cut short), or labels drawn from the graph."""
+    g, corners = draw(st.sampled_from(CYCLE_GRAPHS))
+    labels = [g.label(v) for v in corners.vertices]
+    turn = draw(st.integers(0, len(labels)))
+    cycle = st.sampled_from((labels, labels[turn:] + labels[:turn], labels[:turn]))
+    cycle |= st.lists(mostly(st.sampled_from(g.x_labels + g.y_labels)), max_size=10)
+    doc = draw(json_files(json_objects({"k": st.sampled_from((corners.host_power, 1, 3, 5, -1, 2)), "cycle": cycle})))
+    return bp.graph_to_json(g).encode(), doc
+
+
+def starts_pool(data: bytes) -> bool:
+    """Whether the campaign file asks for a valid parallelism above 1."""
+    try:
+        doc = json.loads(data)
+    except ValueError:
+        return False
+    parallelism = doc.get("parallelism") if isinstance(doc, dict) else None
+    return type(parallelism) is int and parallelism > 1
+
+
+def campaign_files() -> st.SearchStrategy:
+    """Campaign JSON with small bounds and any field wrong or missing.  A
+    valid parallelism above 1 would start a process pool, so none is drawn."""
+    bounds = json_objects({
+        "max_x": st.integers(-1, 5),
+        "max_y": st.integers(-1, 5),
+        "span": st.integers(-1, 12),
+        "k_set": st.lists(st.integers(-1, 7), max_size=3),
+        "k_chordal_k": st.integers(2, 8),
+    })
+    campaign = json_objects({
+        "theorem": st.sampled_from(("t3", "t4", "t5", "kchordal", "t6")),
+        "trials": st.integers(-1, 3),
+        "seed": st.integers(-5, 5),
+        "bounds": bounds,
+        "parallelism": st.sampled_from((1, 0, -1, MAX_PARALLELISM + 1, 2.0, "2", True)),
+    })
+    return json_files(campaign).filter(lambda data: not starts_pool(data))
+
+
+class TestFileVerbErrorContract:
+    """Any graph, interval, cycle or campaign file ends the verbs that read
+    it in a documented exit code, and an input error in one stderr line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=graph_files(), k=st.sampled_from((1, 3, 2, -1)))
+    def test_malformed_graph_files(self, data, k):
+        assert_error_contract(
+            {"g.json": data},
+            ["power", "-k", str(k), "g.json"],
+            ["check-chordal", "g.json"],
+            ["check-kchordal", "--kchordal-k", "6", "g.json"],
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=small_graphs(), data=interval_files(), k=st.sampled_from((1, 3, 2, -1)))
+    def test_malformed_interval_files(self, g, data, k):
+        assert_error_contract(
+            {"g.json": bp.graph_to_json(g).encode(), "i.tsv": data},
+            ["verify-intervals", "g.json", "i.tsv"],
+            ["power-intervals", "-k", str(k), "g.json", "i.tsv"],
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(files=cycle_files(), k=st.sampled_from((1, 3, 5, 2, -1)))
+    def test_malformed_cycle_files(self, files, k):
+        graph, cycle = files
+        assert_error_contract(
+            {"g.json": graph, "c.json": cycle},
+            ["classify-cycle", "-k", str(k), "g.json", "c.json"],
+            ["lift-cycle", "-k", str(k), "g.json", "c.json"],
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=campaign_files())
+    def test_malformed_campaign_files(self, data):
+        assert_error_contract({"c.json": data}, ["fuzz", "c.json"])

@@ -1,0 +1,73 @@
+"""The package's public names, which load their submodules on first use."""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+
+import pytest
+
+import bipower
+from bipower import harness
+from bipower.cli import build_parser
+
+SUBMODULES = ("core", "errors", "intervals", "mca", "chordal_power", "harness")
+
+# Every name the package exported when it imported all its submodules eagerly.
+EXPORTED = {
+    "core": (
+        "BipartiteGraph", "CycleCertificate", "DistanceTable", "Side", "VertexId", "bfs_distance",
+        "bipartite_power", "build_graph", "diameter", "find_chordless_cycle", "graph_from_json",
+        "graph_to_json", "is_connected", "verify_chordless", "x_vertex", "y_vertex",
+    ),
+    "errors": ("BipowerError", "CapacityError", "InputError", "TheoremCounterexample"),
+    "intervals": (
+        "Interval", "IntervalRepresentation", "RawEndpoint", "canonicalize", "intervals_to_graph",
+        "power_representation", "random_interval_representation", "raw_right_endpoint", "verify_representation",
+    ),
+    "mca": (
+        "ArrangedMatrix", "BoundaryMaps", "McaCertificate", "boundary_maps", "find_mca", "graph_to_matrix",
+        "greedy_distance", "label_zeros", "matrix_power", "matrix_to_graph", "row_intervals", "verify_mca",
+    ),
+    "chordal_power": (
+        "CycleClassification", "EdgeClass", "LiftMethod", "LiftResult", "StrongClosureReport",
+        "classify_cycle_edges", "is_chordal_bipartite", "is_k_chordal", "lift_chordless_cycle",
+        "strongly_closed_check",
+    ),
+    "harness": (
+        "Bounds", "Campaign", "FuzzReport", "Theorem", "enumerate_bipartite", "gen_random_bipartite",
+        "gen_staircase_matrix", "gen_subdivided_cycle", "run_campaign",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_names_resolve_to_the_submodule_objects(module):
+    home = importlib.import_module(f"bipower.{module}")
+    assert getattr(bipower, module) is home
+    for name in EXPORTED[module]:
+        assert getattr(bipower, name) is getattr(home, name), name
+
+
+def test_dir_and_all_list_every_name():
+    names = [*SUBMODULES, *(name for names in EXPORTED.values() for name in names)]
+    assert sorted(bipower.__all__) == sorted(names)
+    listed = dir(bipower)
+    assert [name for name in [*names, "__version__"] if name not in listed] == []
+    assert bipower.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'parse_matrix'"):
+        getattr(bipower, "parse_matrix")
+    assert not hasattr(bipower, "cli_main")
+    with pytest.raises(ImportError):
+        from bipower import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize("verb", ["fuzz", "gen"])
+def test_theorem_choices_match_the_harness(verb):
+    parser = build_parser()
+    verbs = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    choices = next(action.choices for action in verbs.choices[verb]._actions if action.dest == "theorem")
+    assert choices == [t.value for t in harness.Theorem]

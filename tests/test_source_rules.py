@@ -6,9 +6,15 @@ import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import pytest
+
 import bipower
+from bipower.core import graph_to_json
+from bipower.intervals import intervals_tsv
+from bipower.mca import matrix_text
 
 SRC = Path(bipower.__file__).parent
 
@@ -54,3 +60,45 @@ def test_cli_import_leaves_out_the_process_pool():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def bipower_modules(code: str, *argv: str, cwd: Path | None = None) -> tuple[int, list[str]]:
+    """Run ``python -c CODE ARGV`` in a fresh interpreter and return its exit
+    code and the ``bipower`` submodules loaded when CODE is done."""
+    script = (
+        "import sys\n"
+        "status = 0\n"
+        "try:\n"
+        f"{textwrap.indent(code, '    ')}\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('bipower.')), file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stderr.splitlines()[-1].split()
+
+
+def test_package_import_loads_no_submodule():
+    # The public names load their submodules on first use.
+    assert bipower_modules("import bipower") == (0, [])
+
+
+@pytest.mark.parametrize("argv, home", [
+    (["power", "-k", "3", "g.json"], set()),
+    (["check-chordal", "g.json"], {"chordal_power"}),
+    (["verify-intervals", "g.json", "i.tsv"], {"intervals"}),
+    (["mca-find", "m.txt"], {"mca"}),
+])
+def test_cold_cli_call_loads_only_its_verbs_modules(tmp_path, sample_graph, sample_rep, staircase_matrix, argv, home):
+    # A cold call compiles every module it imports; the harness imports all.
+    (tmp_path / "g.json").write_text(graph_to_json(sample_graph))
+    (tmp_path / "i.tsv").write_text(intervals_tsv(sample_rep, sample_graph.x_labels, sample_graph.y_labels))
+    (tmp_path / "m.txt").write_text(matrix_text(staircase_matrix))
+    # What python -m bipower.cli does.
+    run = "import runpy\nrunpy.run_module('bipower.cli', run_name='__main__', alter_sys=True)"
+    code, loaded = bipower_modules(run, *argv, cwd=tmp_path)
+    assert code in (0, 1)
+    assert loaded == sorted(f"bipower.{name}" for name in {"core", "errors", *home})
