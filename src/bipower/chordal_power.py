@@ -14,10 +14,10 @@ from typing import NamedTuple
 from .core import (
     BipartiteGraph,
     CycleCertificate,
+    Side,
     VertexId,
+    _bfs_layers,
     _check_vertex_cap,
-    _gamma_free,
-    _iter_bits,
     bipartite_power,
     doubly_lexical_ordering,  # re-exported
     find_chordless_cycle,
@@ -44,10 +44,10 @@ def is_chordal_bipartite(g: BipartiteGraph) -> ChordalityVerdict:
     only in the biconnected blocks that fail the same test, each of which
     holds a chordless cycle of length >= 6, so it never proves a negative.
     Graphs above the cycle-search vertex cap are refused with CapacityError
-    either way.
+    either way.  The Γ decision is made once per graph and kept on it.
     """
     _check_vertex_cap(g)
-    if _gamma_free(g.x_adj, g.y_count):
+    if g._is_gamma_free:
         return ChordalityVerdict(True, None)
     cert = find_chordless_cycle(g, 6)
     if cert is None:
@@ -106,27 +106,28 @@ def _canonical_shortest_path(g: BipartiteGraph, u: VertexId, v: VertexId) -> tup
     to u."""
     adj = g.global_adj
     su, sv = g.global_id(u), g.global_id(v)
-    dist = g.distances[su]
-    if dist[sv] is None:
+    layers = list(_bfs_layers(g, su))
+    d = next((d for d, layer in enumerate(layers) if layer >> sv & 1), None)
+    if d is None:
         raise InputError("no path between the requested vertices")
     path = [sv]
-    cur = sv
-    while cur != su:
-        want = dist[cur] - 1  # type: ignore[operator]
-        cur = next(w for w in _iter_bits(adj[cur]) if dist[w] == want)
-        path.append(cur)
+    for layer in reversed(layers[:d]):
+        closer = adj[path[-1]] & layer
+        path.append((closer & -closer).bit_length() - 1)
     path.reverse()
     return tuple(g.vertex_of_global(w) for w in path)
 
 
 def classify_cycle_edges(g: BipartiteGraph, k: int, cert: CycleCertificate) -> CycleClassification:
     """Classify each edge of a chordless cycle of the (k+2)-power by the exact
-    distance of its endpoints in ``g``."""
+    distance of its endpoints in ``g``: the first power level that holds the
+    edge."""
     if k < 1 or k % 2 == 0:
         raise InputError(f"k must be odd and >= 1, got {k}")
     power = bipartite_power(g, k + 2)
     if not verify_chordless(power, cert):
         raise InputError("certificate is not a chordless cycle of the (k+2)-power")
+    levels = [g._level(d) for d in range(1, k + 3, 2)]
     verts = cert.vertices
     length = len(verts)
     edges = []
@@ -134,8 +135,9 @@ def classify_cycle_edges(g: BipartiteGraph, k: int, cert: CycleCertificate) -> C
     counts = {EdgeClass.LOW: 0, EdgeClass.MID: 0, EdgeClass.HIGH: 0}
     for p in range(length):
         u, v = verts[p], verts[(p + 1) % length]
-        d = g.distances[g.global_id(u)][g.global_id(v)]
-        if d is None or d % 2 == 0 or d > k + 2:
+        x, y = (u, v) if u.side is Side.X else (v, u)
+        d = next((2 * t + 1 for t, level in enumerate(levels) if level.has_edge(x.index, y.index)), None)
+        if d is None:
             raise AssertionError(f"edge {p} of a chordless (k+2)-power cycle has base distance {d}")
         if d == k + 2:
             cls = EdgeClass.HIGH

@@ -5,6 +5,7 @@ Exit codes are stable for scripting:
   1  the property fails (certificate on stdout)
   2  input or usage error
   3  a closure property that should always hold was refuted (report on stdout)
+  4  internal defect: bipower itself failed (traceback on stderr)
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_INPUT = 2
 EXIT_COUNTEREXAMPLE = 3
+EXIT_INTERNAL = 4
 
 # The values of harness.Theorem, spelled out so that building the parser
 # does not import the harness.
@@ -362,6 +364,11 @@ def dispatch(argv: list[str]) -> int:
     except BipowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        # Not "property fails": a defect must not read as a verdict.
+        import traceback
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def main() -> None:

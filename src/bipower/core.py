@@ -4,6 +4,10 @@ chordless-cycle search.
 Vertices live on two sides X and Y; every edge crosses sides.  Adjacency is
 stored once, as one integer bitset per X vertex, and the Y-side view is
 derived on demand.  All operations are pure functions of immutable values.
+A graph keeps what it derives: its odd powers, each grown once from the one
+below and returned as the same object on every later request, and its
+chordal-bipartite (Γ) verdict.  Distances from one source come from one
+breadth-first search over the bitsets; no all-pairs table is kept.
 """
 
 from __future__ import annotations
@@ -47,12 +51,25 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _union(rows: Sequence[int], mask: int) -> int:
+    """Bitwise OR of ``rows[i]`` over the set bits i of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable two-sided graph.
 
     ``x_adj[i]`` has bit ``j`` set iff x_i y_j is an edge.  Instances may be
-    shared freely across threads; nothing mutates after construction.
+    shared freely across threads; their value never changes after
+    construction.  Derived data (the Y-side view, the odd powers, the
+    chordal-bipartite verdict) is cached on first use, so a repeated power
+    is the same object; a race between threads can only repeat that work.
     """
 
     x_count: int
@@ -83,32 +100,40 @@ class BipartiteGraph:
         return tuple(out)
 
     @cached_property
-    def distances(self) -> tuple[tuple[int | None, ...], ...]:
-        """All-pairs distances over global ids: ``distances[u][v]`` is the
-        length of a shortest u-v path, None when v is unreachable from u.
+    def _two_hop(self) -> tuple[int, ...]:
+        """Bit j' of ``_two_hop[j]`` iff y_j and y_j' have a common neighbour."""
+        return tuple(_union(self.x_adj, col) for col in self.y_adj)
 
-        Filled on first use by one breadth-first search per vertex; every
-        power, reach set and edge class of this graph reads it.
+    def _level(self, k: int) -> BipartiteGraph:
+        """The k-power for odd ``k``; see ``bipartite_power``.
+
+        Levels 1, 3, 5, ... are kept in a tuple, level 1 being this graph.
+        Level k + 2 grows from level k: each row gains the two-hop reach of
+        the Y vertices that first entered it at level k.  A level equal to
+        the one below is saturated; it is stored once more as the last
+        entry and answers every higher k.  A new level is published by
+        replacing the tuple, so a race between threads can only repeat work.
         """
-        adj = self.global_adj
-        # Rows share one int object per distance, so the table costs a
-        # pointer per entry even where distances exceed the small-int cache.
-        depth = list(range(len(adj)))
-        table = []
-        for start in depth:
-            dist: list[int | None] = [None] * len(adj)
-            frontier = seen = 1 << start
-            for d in depth:
-                if not frontier:
-                    break
-                reach = 0
-                for v in _iter_bits(frontier):
-                    dist[v] = d
-                    reach |= adj[v]
-                frontier = reach & ~seen
-                seen |= frontier
-            table.append(tuple(dist))
-        return tuple(table)
+        levels = self.__dict__.get("_levels", (self,))
+        if k // 2 < len(levels):
+            return levels[k // 2]
+        grown, two_hop = list(levels), self._two_hop
+        while len(grown) <= k // 2 and (len(grown) == 1 or grown[-1] is not grown[-2]):
+            rows = grown[-1].x_adj
+            older = grown[-2].x_adj if len(grown) > 1 else (0,) * self.x_count
+            step = tuple(row | _union(two_hop, row & ~old) for row, old in zip(rows, older))
+            if step == rows:  # saturated
+                grown.append(grown[-1])
+            else:
+                grown.append(BipartiteGraph(self.x_count, self.y_count, step, self.x_labels, self.y_labels))
+        self.__dict__["_levels"] = tuple(grown)
+        return grown[min(k // 2, len(grown) - 1)]
+
+    @cached_property
+    def _is_gamma_free(self) -> bool:
+        """True iff this graph is chordal bipartite: its doubly lexical
+        ordering is Γ-free (module-level ``_gamma_free``)."""
+        return _gamma_free(self.x_adj, self.y_count)
 
     @property
     def vertex_count(self) -> int:
@@ -207,11 +232,24 @@ class DistanceTable:
         return (self.x_dist if v.side is Side.X else self.y_dist)[v.index]
 
 
+def _bfs_layers(g: BipartiteGraph, source: int) -> Iterator[int]:
+    """Breadth-first layers from global id ``source``, as bitsets over global
+    ids: the d-th layer yielded holds the vertices at distance d."""
+    frontier = seen = 1 << source
+    while frontier:
+        yield frontier
+        frontier = _union(g.global_adj, frontier) & ~seen
+        seen |= frontier
+
+
 def bfs_distance(g: BipartiteGraph, source: VertexId) -> DistanceTable:
-    """Distances from ``source`` to every vertex: its row of ``g.distances``."""
-    row = g.distances[g.global_id(source)]
+    """Distances from ``source`` to every vertex, by one breadth-first search."""
+    dist: list[int | None] = [None] * g.vertex_count
+    for d, layer in enumerate(_bfs_layers(g, g.global_id(source))):
+        for v in _iter_bits(layer):
+            dist[v] = d
     nx = g.x_count
-    return DistanceTable(source, row[:nx], row[nx:])
+    return DistanceTable(source, tuple(dist[:nx]), tuple(dist[nx:]))
 
 
 def bipartite_power(g: BipartiteGraph, k: int) -> BipartiteGraph:
@@ -222,17 +260,14 @@ def bipartite_power(g: BipartiteGraph, k: int) -> BipartiteGraph:
     automatic; ``k`` itself must be an odd positive integer because even
     powers of a bipartite graph stop being bipartite.  Vertices in different
     components stay non-adjacent.
+
+    Each level is built once, from the level two below it, and kept on
+    ``g``: asking again for the same k returns the same object, k = 1
+    returns ``g`` itself, and every k beyond the level where the powers stop
+    changing returns that level.
     """
     _require_odd_k(k)
-    nx = g.x_count
-    rows = []
-    for dist in g.distances[:nx]:
-        row = 0
-        for j, d in enumerate(dist[nx:]):
-            if d is not None and d <= k:
-                row |= 1 << j
-        rows.append(row)
-    return BipartiteGraph(nx, g.y_count, tuple(rows), g.x_labels, g.y_labels)
+    return g._level(k)
 
 
 def _require_odd_k(k: int) -> None:
@@ -480,16 +515,16 @@ def verify_chordless(g: BipartiteGraph, cert: CycleCertificate) -> bool:
 
 def is_connected(g: BipartiteGraph) -> bool:
     """True iff every vertex is reachable from every other (or <= 1 vertex)."""
-    return g.vertex_count <= 1 or None not in g.distances[0]
+    return g.vertex_count <= 1 or sum(_bfs_layers(g, 0)) == (1 << g.vertex_count) - 1
 
 
 def diameter(g: BipartiteGraph) -> int:
     """Largest pairwise distance; input error on empty or disconnected graphs."""
     if g.vertex_count == 0:
         raise InputError("diameter of an empty graph is undefined")
-    if None in g.distances[0]:
+    if not is_connected(g):
         raise InputError("diameter requires a connected graph")
-    return max(map(max, g.distances))
+    return max(sum(1 for _ in _bfs_layers(g, s)) for s in range(g.vertex_count)) - 1
 
 
 # --- graph JSON format -------------------------------------------------------

@@ -14,6 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Iterator
 
 from .chordal_power import is_k_chordal, strongly_closed_check
@@ -258,10 +259,14 @@ def _trial_kchordal(campaign: Campaign, index: int) -> TrialOutcome:
     rng = random.Random(trial_seed(campaign.seed, index))
     g = _random_graph_for_trial(campaign, rng)
     kc = campaign.bounds.k_chordal_k
+
+    @cache  # adjacent k share a level; ask each once
+    def holds(k: int) -> bool:
+        return is_k_chordal(bipartite_power(g, k), kc).chordal
+
     records = []
     for k in campaign.k_set():
-        holds = is_k_chordal(bipartite_power(g, k), kc).chordal
-        if holds and not is_k_chordal(bipartite_power(g, k + 2), kc).chordal:
+        if holds(k) and not holds(k + 2):
             records.append(
                 {
                     "trial": index,

@@ -18,6 +18,7 @@ from .core import (
     BipartiteGraph,
     Side,
     VertexId,
+    _iter_bits,
     bipartite_power,
     build_graph,
     graph_to_json,
@@ -95,7 +96,7 @@ def canonicalize(
     x_perm = order(rep.x_intervals)
     y_perm = order(rep.y_intervals)
     y_pos = {old: new for new, old in enumerate(y_perm)}
-    edges = [(new_i, y_pos[j]) for new_i, old_i in enumerate(x_perm) for j in _neighbor_indices(g, old_i)]
+    edges = [(new_i, y_pos[j]) for new_i, old_i in enumerate(x_perm) for j in _iter_bits(g.x_adj[old_i])]
     g2 = build_graph(
         g.x_count,
         g.y_count,
@@ -110,20 +111,16 @@ def canonicalize(
     return g2, rep2, (x_perm, y_perm)
 
 
-def _neighbor_indices(g: BipartiteGraph, x_index: int) -> list[int]:
-    return [j for j in range(g.y_count) if g.has_edge(x_index, j)]
-
-
-def _right_endpoint(g: BipartiteGraph, rep: IntervalRepresentation, v: VertexId, k: int) -> int:
-    """Largest left endpoint among opposite-side vertices within distance k of v."""
-    row = g.distances[g.global_id(v)]
-    if v.side is Side.X:
-        opposite, dists = rep.y_intervals, row[g.x_count:]
+def _right_endpoint(power: BipartiteGraph, rep: IntervalRepresentation, side: Side, index: int, k: int) -> int:
+    """Largest left endpoint among opposite-side vertices within distance k
+    of a vertex: its neighbours in ``power``, the k-power."""
+    if side is Side.X:
+        opposite, reach = rep.y_intervals, power.x_adj[index]
     else:
-        opposite, dists = rep.x_intervals, row[:g.x_count]
-    lefts = [opposite[w].left for w, d in enumerate(dists) if d is not None and d <= k]
+        opposite, reach = rep.x_intervals, power.y_adj[index]
+    lefts = [iv.left for w, iv in enumerate(opposite) if reach >> w & 1]
     if not lefts:
-        raise InputError(f"no opposite-side vertex within distance {k} of {v.side.value}{v.index}")
+        raise InputError(f"no opposite-side vertex within distance {k} of {side.value}{index}")
     return max(lefts)
 
 
@@ -136,7 +133,8 @@ def raw_right_endpoint(g: BipartiteGraph, rep: IntervalRepresentation, v: Vertex
     _check_sizes(g, rep)
     if k < 1 or k % 2 == 0:
         raise InputError(f"k must be odd and >= 1, got {k}")
-    value = _right_endpoint(g, rep, v, k)
+    g._check_vertex(v)
+    value = _right_endpoint(bipartite_power(g, k), rep, v.side, v.index, k)
     return RawEndpoint(value, value >= rep.of(v).left)
 
 
@@ -156,15 +154,16 @@ def power_representation(g: BipartiteGraph, rep: IntervalRepresentation, k: int)
     if k < 1 or k % 2 == 0:
         raise InputError(f"k must be odd and >= 1, got {k}")
 
+    power = bipartite_power(g, k)
+
     def clamped(side: Side, intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:
         return tuple(
-            Interval(iv.left, max(iv.left, _right_endpoint(g, rep, VertexId(side, i), k)))
+            Interval(iv.left, max(iv.left, _right_endpoint(power, rep, side, i, k)))
             for i, iv in enumerate(intervals)
         )
 
     result = IntervalRepresentation(clamped(Side.X, rep.x_intervals), clamped(Side.Y, rep.y_intervals))
 
-    power = bipartite_power(g, k)
     for i, ix in enumerate(result.x_intervals):
         for j, iy in enumerate(result.y_intervals):
             if ix.intersects(iy) != power.has_edge(i, j):

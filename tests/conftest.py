@@ -54,6 +54,11 @@ def cycle_graph(length: int) -> bp.BipartiteGraph:
     return g
 
 
+def fresh_copy(g: bp.BipartiteGraph) -> bp.BipartiteGraph:
+    """An equal graph with nothing derived or cached yet."""
+    return bp.build_graph(g.x_count, g.y_count, list(g.edges()), g.x_labels, g.y_labels)
+
+
 def cycle_vertex(position: int) -> bp.VertexId:
     side = bp.Side.X if position % 2 == 0 else bp.Side.Y
     return bp.VertexId(side, position // 2)

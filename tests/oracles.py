@@ -4,8 +4,8 @@ Everything here recomputes results from first principles (path enumeration,
 subset enumeration, exhaustive permutations) using only the public graph
 surface, so the fast implementations are checked against genuinely separate
 code paths.  The searches that fast paths replaced (the unconfined cycle
-search, the row-order backtracker) are kept here too, as references that
-the fast paths must match result for result.
+search, the row-order backtracker) and the all-pairs distance table are kept
+here too, as references that the fast paths must match result for result.
 """
 
 from __future__ import annotations
@@ -48,6 +48,25 @@ def path_distance(g: BipartiteGraph, u: int, v: int) -> int | None:
 
     walk(u, {u}, 0)
     return best
+
+
+def distance_table(g: BipartiteGraph) -> list[list[int | None]]:
+    """All-pairs distances over global ids, one breadth-first search per
+    vertex over ``plain_adjacency``; None marks an unreachable pair.  This
+    is the table the graph once kept for every power and distance query."""
+    adj = plain_adjacency(g)
+    table = []
+    for source in range(len(adj)):
+        dist: list[int | None] = [None] * len(adj)
+        dist[source] = 0
+        queue = [source]
+        for u in queue:
+            for w in sorted(adj[u]):
+                if dist[w] is None:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        table.append(dist)
+    return table
 
 
 def induced_cycle_lengths(g: BipartiteGraph) -> set[int]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bipower as bp
-from bipower import chordal_power, core
+from bipower import chordal_power, cli, core
 from bipower.chordal_power import cycle_json
 from bipower.cli import dispatch
 from bipower.harness import MAX_PARALLELISM
@@ -166,6 +166,16 @@ class TestExitCodes:
         code, out, err = run(capsys, "fuzz", str(campaign))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and word in err
+
+    def test_internal_defect_is_exit_4(self, files, capsys, monkeypatch):
+        # A defect in bipower itself must not read as "property fails" (1).
+        def broken(args, out):
+            raise RuntimeError("defect under test")
+
+        monkeypatch.setitem(cli._COMMANDS, "power", broken)
+        code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]))
+        assert code == cli.EXIT_INTERNAL == 4 and out == ""
+        assert err.startswith("Traceback") and err.rstrip().endswith("RuntimeError: defect under test")
 
 
 class TestVerbs:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import bipower as bp
 from bipower.errors import CapacityError, InputError
-from conftest import SAMPLE_EDGES, band_graph, cycle_graph, cycle_vertex, plant_cycle
-from oracles import has_induced_cycle, path_distance, unconfined_chordless_cycle
+from conftest import SAMPLE_EDGES, band_graph, cycle_graph, cycle_vertex, fresh_copy, plant_cycle
+from oracles import distance_table, has_induced_cycle, path_distance, unconfined_chordless_cycle
 
 
 class TestBuildGraph:
@@ -47,6 +49,56 @@ class TestBuildGraph:
             bp.build_graph(1, 1, [], y_labels=("x1",))
 
 
+def power_rows(g: bp.BipartiteGraph, table: list[list[int | None]], k: int) -> tuple[int, ...]:
+    """The k-power's X rows read off an all-pairs distance table."""
+    nx = g.x_count
+    return tuple(
+        sum(1 << j for j in range(g.y_count) if table[i][nx + j] is not None and table[i][nx + j] <= k)
+        for i in range(nx)
+    )
+
+
+# Every odd k up to 11, in ascending and descending order and mixed, each
+# order on a fresh copy, so that levels are grown, resumed and saturated in
+# every order.
+LEVEL_ORDERS = (tuple(range(1, 12, 2)), tuple(range(11, 0, -2)), (7, 3, 11, 1, 9, 5))
+
+
+def assert_distances_match(g: bp.BipartiteGraph, table: list[list[int | None]]) -> None:
+    n = g.vertex_count
+    for u in range(n):
+        got = bp.bfs_distance(g, g.vertex_of_global(u))
+        assert list(got.x_dist) + list(got.y_dist) == table[u]
+    for order in LEVEL_ORDERS:
+        copy = fresh_copy(g)
+        for k in order:
+            power = bp.bipartite_power(copy, k)
+            assert power.x_adj == power_rows(g, table, k)
+            assert (power.x_labels, power.y_labels) == (g.x_labels, g.y_labels)
+    connected = all(d is not None for row in table for d in row)
+    assert bp.is_connected(g) == connected
+    if n and connected:
+        assert bp.diameter(g) == max(map(max, table))
+    else:
+        with pytest.raises(InputError):
+            bp.diameter(g)
+
+
+def assert_classes_match(g: bp.BipartiteGraph, table: list[list[int | None]], k: int, cert) -> None:
+    cls = bp.classify_cycle_edges(g, k, cert)
+    verts = cert.vertices
+    for p, edge in enumerate(cls.edges):
+        u, v = g.global_id(verts[p]), g.global_id(verts[(p + 1) % len(verts)])
+        assert edge.distance == table[u][v]
+        if cls.witnesses[p] is not None:
+            # Canonical: walking back from v, the smallest neighbour one layer closer to u.
+            want = [v]
+            while want[-1] != u:
+                closer = table[u][want[-1]] - 1
+                want.append(min(w for w, d in enumerate(table[want[-1]]) if d == 1 and table[u][w] == closer))
+            assert [g.global_id(w) for w in cls.witnesses[p]] == want[::-1]
+
+
 class TestBfsDistance:
     def test_sample_from_x4(self, sample_graph):
         table = bp.bfs_distance(sample_graph, bp.x_vertex(3))
@@ -65,29 +117,16 @@ class TestBfsDistance:
 
     def test_agrees_with_path_enumeration(self):
         # Every graph up to 3+3, including one-sided, empty and disconnected
-        # ones: distances, powers, connectivity and diameter all read the one
-        # distance table, and all agree with simple-path enumeration.
+        # ones: the oracle's all-pairs table agrees with simple-path
+        # enumeration, and distances, powers (every odd k up to 11, asked in
+        # several orders), connectivity and diameter agree with the table.
         for nx in range(4):
             for ny in range(4):
                 for g in bp.enumerate_bipartite(nx, ny):
                     n = g.vertex_count
-                    want = [[path_distance(g, u, v) for v in range(n)] for u in range(n)]
-                    for u in range(n):
-                        table = bp.bfs_distance(g, g.vertex_of_global(u))
-                        assert [table.of(g.vertex_of_global(v)) for v in range(n)] == want[u]
-                    for k in (1, 3, 5):
-                        power = bp.bipartite_power(g, k)
-                        for i in range(nx):
-                            for j in range(ny):
-                                d = want[i][nx + j]
-                                assert power.has_edge(i, j) == (d is not None and d <= k)
-                    connected = all(d is not None for row in want for d in row)
-                    assert bp.is_connected(g) == connected
-                    if n and connected:
-                        assert bp.diameter(g) == max(map(max, want))
-                    else:
-                        with pytest.raises(InputError):
-                            bp.diameter(g)
+                    table = distance_table(g)
+                    assert table == [[path_distance(g, u, v) for v in range(n)] for u in range(n)]
+                    assert_distances_match(g, table)
 
     def test_unreachable_is_none(self):
         g = bp.build_graph(2, 2, [(0, 0)])
@@ -98,6 +137,127 @@ class TestBfsDistance:
         table = bp.bfs_distance(sample_graph, bp.x_vertex(0))
         assert all(d % 2 == 0 for d in table.x_dist)
         assert all(d % 2 == 1 for d in table.y_dist)
+
+
+class TestDistancesMatchTable:
+    """Powers, single-source distances, connectivity, diameter and edge
+    classes against the all-pairs table of ``tests/oracles.py``, itself
+    checked against simple-path enumeration; every graph up to 3+3 is
+    checked the same way in ``TestBfsDistance``."""
+
+    def test_seeded_volume_up_to_9_plus_9(self):
+        rng = random.Random(8181)
+        seen = dict.fromkeys(("disconnected", "one-sided", "classified"), 0)
+        for t in range(400):
+            if t % 5 == 0:  # one side empty
+                nx, ny = (0, rng.randint(1, 9)) if t % 10 else (rng.randint(1, 9), 0)
+                g = bp.build_graph(nx, ny, [])
+            elif t % 5 == 1:
+                parts = [
+                    bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 4), rng.randint(1, 4), rng.random())
+                    for _ in range(2)
+                ]
+                g = disjoint_union(parts, False, rng)
+            elif t % 5 == 2:  # a long cycle with a few extra edges, whose powers hold cycles
+                g = cycle_graph(2 * rng.randint(5, 9))
+                extra = [(rng.randrange(g.x_count), rng.randrange(g.y_count)) for _ in range(rng.randint(0, 2))]
+                g = bp.build_graph(g.x_count, g.y_count, list(g.edges()) + extra)
+            else:
+                nx, ny = rng.randint(1, 9), rng.randint(1, 9)
+                g = bp.gen_random_bipartite(rng.getrandbits(63), nx, ny, rng.uniform(0.1, 0.7))
+            table = distance_table(g)
+            n = g.vertex_count
+            assert table == [[path_distance(g, u, v) for v in range(n)] for u in range(n)]
+            assert_distances_match(g, table)
+            seen["disconnected"] += not bp.is_connected(g)
+            seen["one-sided"] += (g.x_count == 0) != (g.y_count == 0)
+            for k in (1, 3, 5):
+                cert = bp.find_chordless_cycle(bp.bipartite_power(g, k + 2), 6)
+                if cert is not None:
+                    assert_classes_match(g, table, k, cert)
+                    seen["classified"] += 1
+        assert all(seen.values()), seen
+
+    def test_subdivided_cycle_classes(self):
+        rng = random.Random(77)
+        classified = 0
+        for _ in range(60):
+            g, corners = bp.gen_subdivided_cycle([rng.choice((1, 3, 5, 7)) for _ in range(2 * rng.randint(2, 4))])
+            table = distance_table(g)
+            for k in range(max(1, corners.host_power - 2), 9, 2):
+                if bp.verify_chordless(bp.bipartite_power(g, k + 2), corners):
+                    assert_classes_match(g, table, k, corners.with_host_power(k + 2))
+                    classified += 1
+        assert classified > 30
+
+
+class TestPowerLadder:
+    def test_each_level_built_once(self):
+        g = cycle_graph(18)
+        assert bp.bipartite_power(g, 1) is g
+        p7 = bp.bipartite_power(g, 7)
+        p3 = bp.bipartite_power(g, 3)
+        assert bp.bipartite_power(g, 3) is p3 and bp.bipartite_power(g, 7) is p7
+        assert bp.bipartite_power(g, 5) is bp.bipartite_power(g, 5)
+        assert not hasattr(g, "distances")  # no all-pairs table is kept
+
+    def test_growth_stops_at_saturation(self):
+        # The 18-cycle's farthest cross pair is at distance 9, so level 9 is
+        # complete and answers every higher k without growing further.
+        g = cycle_graph(18)
+        p9 = bp.bipartite_power(g, 9)
+        assert p9.edge_count() == 81
+        assert bp.bipartite_power(g, 10**9 + 1) is p9 and bp.bipartite_power(g, 11) is p9
+        edgeless = bp.build_graph(3, 3, [])
+        assert bp.bipartite_power(edgeless, 10**9 + 1) is edgeless
+
+    def test_one_shot_power_of_a_long_path_within_budget(self):
+        # x_i is path vertex 2i and y_j is 2j + 1, so x_i y_j is an edge of
+        # the 3-power iff |2i - 2j - 1| <= 3.  With the all-pairs table of
+        # the earlier design this took about 1.5 s.
+        n = 1000
+        g = bp.build_graph(n, n, [(i, i) for i in range(n)] + [(i + 1, i) for i in range(n - 1)])
+        start = time.perf_counter()
+        text = bp.graph_to_json(bp.bipartite_power(g, 3))
+        elapsed = time.perf_counter() - start
+        want = tuple(sum(1 << j for j in range(max(0, i - 2), min(n, i + 2))) for i in range(n))
+        assert bp.graph_from_json(text).x_adj == want
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+    def test_threads_share_one_graph(self):
+        # Four threads (more than the cores CI has) grow one fresh graph's
+        # ladder in different orders with frequent switches; a level lost or
+        # published half-grown would give a wrong power.
+        rng = random.Random(4)
+        g = bp.gen_random_bipartite(rng.getrandbits(63), 9, 9, 0.2)
+        table = distance_table(g)
+        orders = [list(range(1, 16, 2)) for _ in range(4)]
+        for order in orders:
+            rng.shuffle(order)
+        barrier = threading.Barrier(len(orders), timeout=30)
+        results: list[list[tuple[int, bp.BipartiteGraph]]] = [[] for _ in orders]
+
+        def request(slot: int) -> None:
+            barrier.wait()
+            for _ in range(20):
+                for k in orders[slot]:
+                    results[slot].append((k, bp.bipartite_power(g, k)))
+
+        threads = [threading.Thread(target=request, args=(slot,)) for slot in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(got) == 20 * 8 for got in results)
+        for got in results:
+            for k, power in got:
+                assert power.x_adj == power_rows(g, table, k)
 
 
 class TestBipartitePower:

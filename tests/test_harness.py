@@ -5,6 +5,7 @@ import json
 import pytest
 
 import bipower as bp
+from bipower import core, harness
 from bipower.errors import CapacityError, InputError
 from bipower.harness import (
     MAX_PARALLELISM,
@@ -15,6 +16,7 @@ from bipower.harness import (
     report_json,
     trial_seed,
 )
+from conftest import cycle_graph, fresh_copy
 
 
 class TestGenRandomBipartite:
@@ -188,3 +190,88 @@ class TestCampaigns:
         )
         report = bp.run_campaign(campaign)
         assert report.executed == 40
+
+
+class TestEachLevelDecidedOnce:
+    """Adjacent levels share a power: t5 and kchordal at k_set (1, 3, 5)
+    need levels 1, 3, 5 and 7 only, and ask each one once.  On the 18-cycle
+    (diameter 9) those are four different graphs; a random graph's levels
+    often stop changing sooner, and a level equal to the one below is then
+    the same object."""
+
+    def trial_graphs(self, monkeypatch, graph: bp.BipartiteGraph | None = None) -> list[bp.BipartiteGraph]:
+        made: list[bp.BipartiteGraph] = []
+        original = harness._random_graph_for_trial
+
+        def recorded(campaign, rng):
+            made.append(original(campaign, rng) if graph is None else fresh_copy(graph))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "_random_graph_for_trial", recorded)
+        return made
+
+    def gamma_calls(self, monkeypatch) -> list[object]:
+        calls: list[object] = []
+        original = core._gamma_free
+
+        def counted(x_rows, y_count):
+            calls.append(x_rows)
+            return original(x_rows, y_count)
+
+        monkeypatch.setattr(core, "_gamma_free", counted)
+        return calls
+
+    @staticmethod
+    def whole_graph_decisions(calls: list[object], g: bp.BipartiteGraph) -> list[int]:
+        """Positions of the levels of ``g`` decided; a block of a "no" is
+        decided on a list of rows, never on a graph's own rows."""
+        levels = [bp.bipartite_power(g, k) for k in (1, 3, 5, 7)]
+        whole = [rows for rows in calls if not isinstance(rows, list)]
+        return sorted(next(t for t, level in enumerate(levels) if level.x_adj is rows) for rows in whole)
+
+    def test_t5_trial_decides_four_levels(self, monkeypatch):
+        made = self.trial_graphs(monkeypatch, cycle_graph(18))
+        calls = self.gamma_calls(monkeypatch)
+        campaign = Campaign(Theorem.T5, trials=1, seed=8, bounds=Bounds(max_x=9, max_y=9, k_set=(1, 3, 5)))
+        harness._trial_t5(campaign, 0)
+        assert self.whole_graph_decisions(calls, made[-1]) == [0, 1, 2, 3]
+
+    def test_t5_campaign_decides_each_level_once(self, monkeypatch):
+        made = self.trial_graphs(monkeypatch)
+        calls = self.gamma_calls(monkeypatch)
+        campaign = Campaign(Theorem.T5, trials=80, seed=8, bounds=Bounds(max_x=7, max_y=7, k_set=(1, 3, 5)))
+        for index in range(campaign.trials):
+            calls.clear()
+            harness._trial_t5(campaign, index)
+            g = made[-1]
+            distinct = {id(bp.bipartite_power(g, k)) for k in (1, 3, 5, 7)}
+            decided = self.whole_graph_decisions(calls, g)
+            assert len(decided) == len(set(decided)) == len(distinct)
+
+    def test_kchordal_trial_asks_each_level_once(self, monkeypatch):
+        # An 18-vertex path: every level is chordal, so every level is asked.
+        path = bp.build_graph(9, 9, [(i, i) for i in range(9)] + [(i + 1, i) for i in range(8)])
+        made = self.trial_graphs(monkeypatch, path)
+        asked: list[bp.BipartiteGraph] = []
+        original = harness.is_k_chordal
+
+        def counted(g, k):
+            asked.append(g)
+            return original(g, k)
+
+        monkeypatch.setattr(harness, "is_k_chordal", counted)
+        for kc in (4, 6):
+            campaign = Campaign(
+                Theorem.KCHORDAL, trials=1, seed=9, bounds=Bounds(max_x=9, max_y=9, k_set=(1, 3, 5), k_chordal_k=kc)
+            )
+            asked.clear()
+            harness._trial_kchordal(campaign, 0)
+            levels = [bp.bipartite_power(made[-1], k) for k in (1, 3, 5, 7)]
+            assert [next(t for t, level in enumerate(levels) if a is level) for a in asked] == [0, 1, 2, 3]
+        # A random campaign: never more than four questions per trial.
+        made = self.trial_graphs(monkeypatch)
+        campaign = Campaign(Theorem.KCHORDAL, trials=60, seed=9, bounds=Bounds(max_x=7, max_y=7, k_chordal_k=6))
+        for index in range(campaign.trials):
+            asked.clear()
+            harness._trial_kchordal(campaign, index)
+            assert len(asked) <= 4
