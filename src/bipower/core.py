@@ -13,9 +13,11 @@ breadth-first search over the bitsets; no all-pairs table is kept.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, InputError
@@ -130,10 +132,22 @@ class BipartiteGraph:
         return grown[min(k // 2, len(grown) - 1)]
 
     @cached_property
+    def _ordering(self) -> tuple[list[int], list[int], list[int]]:
+        """This graph's ``doubly_lexical_ordering``, built once: the Γ
+        decision and every block scan of the cycle search read it."""
+        return _doubly_lexical(self.x_adj, self.y_count)
+
+    @cached_property
     def _is_gamma_free(self) -> bool:
         """True iff this graph is chordal bipartite: its doubly lexical
         ordering is Γ-free (module-level ``_gamma_free``)."""
-        return _gamma_free(self.x_adj, self.y_count)
+        return _gamma_free(self._ordering[2])
+
+    @cached_property
+    def _cycle_witness(self) -> CycleCertificate | None:
+        """``find_chordless_cycle(self, 6)``, searched once: the witness of
+        a "no" from the Γ decision."""
+        return _search_chordless_cycle(self, 6)
 
     @property
     def vertex_count(self) -> int:
@@ -299,33 +313,26 @@ def _check_vertex_cap(g: BipartiteGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -
         raise CapacityError(f"graph has {n} vertices, above the cycle-search cap {vertex_cap}")
 
 
-def _lex_keys(bits: list[list[int]], order: list[int]) -> list[int]:
-    """Each set of bit positions read as an integer under a display order of
-    the positions: the position shown first becomes the most significant."""
-    width = len(order)
-    weight = [0] * width
-    for p, orig in enumerate(order):
-        weight[orig] = 1 << (width - 1 - p)
-    return [sum(map(weight.__getitem__, row)) for row in bits]
-
-
 def _doubly_lexical(x_rows: Sequence[int], y_count: int) -> tuple[list[int], list[int], list[int]]:
     """``doubly_lexical_ordering`` of the matrix whose rows are the bitsets
-    ``x_rows`` over ``y_count`` columns."""
-    x_bits = [list(_iter_bits(row)) for row in x_rows]
-    y_bits: list[list[int]] = [[] for _ in range(y_count)]
-    for i, row in enumerate(x_bits):
-        for j in row:
-            y_bits[j].append(i)
+    ``x_rows`` over ``y_count`` columns.  Rows and columns are held once as
+    '0'/'1' strings, and a sort key is one read in the other side's display
+    order: equal-length 0/1 strings compare as the integers they spell."""
+    if not x_rows or not y_count:  # no cell to sort by
+        return list(range(len(x_rows))), list(range(y_count)), [0] * len(x_rows)
+    x_strs = [format(row, f"0{y_count}b")[::-1] for row in x_rows]
+    y_strs = ["".join(col) for col in zip(*x_strs)]
     rows, cols = list(range(len(x_rows))), list(range(y_count))
     while True:
-        row_key = _lex_keys(x_bits, cols)
+        pick = itemgetter(*cols)
+        row_key = ["".join(pick(s)) for s in x_strs]
         rows.sort(key=row_key.__getitem__, reverse=True)
-        col_key = _lex_keys(y_bits, rows)
+        pick = itemgetter(*rows)
+        col_key = ["".join(pick(s)) for s in y_strs]
         new_cols = sorted(cols, key=col_key.__getitem__, reverse=True)
         if new_cols == cols:
             # The rows were just sorted under these very columns.
-            return rows, cols, [row_key[i] for i in rows]
+            return rows, cols, [int(row_key[i], 2) for i in rows]
         cols = new_cols
 
 
@@ -344,16 +351,17 @@ def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], li
     return _doubly_lexical(g.x_adj, g.y_count)
 
 
-def _gamma_free(x_rows: Sequence[int], y_count: int) -> bool:
-    """True iff the doubly lexical ordering of the matrix with rows
-    ``x_rows`` has no Γ, here [[0,1],[1,1]] at rows i < i' and columns
-    j < j' (Lubiw's [[1,1],[1,0]] with both orders reversed).
+def _gamma_free(shown: Sequence[int]) -> bool:
+    """True iff the rows ``shown``, top to bottom, have no Γ, here
+    [[0,1],[1,1]] at rows i < i' and columns j < j' (Lubiw's [[1,1],[1,0]]
+    with both orders reversed).
 
-    With columns shown first held in the high bits, a row pair has a Γ iff
-    some column where only the lower row has a one lies left of (in a higher
-    bit than) some column where both do.
+    Columns shown first are held in the high bits, so a row pair has a Γ
+    iff some column where only the lower row has a one lies left of (in a
+    higher bit than) some column where both do.  On the shown rows of a
+    doubly lexical ordering this decides chordal bipartiteness; on any
+    other row and column order, Γ-free still proves it.
     """
-    shown = _doubly_lexical(x_rows, y_count)[2]
     for lower, below in enumerate(shown):
         for above in shown[:lower]:
             only_below = below & ~above
@@ -365,68 +373,81 @@ def _gamma_free(x_rows: Sequence[int], y_count: int) -> bool:
 
 def _biconnected_blocks(adj: Sequence[int]) -> Iterator[int]:
     """Vertex sets, as bitsets over global ids, of the biconnected blocks
-    that hold an edge: one iterative depth-first search keeping discovery
-    times and low points (Hopcroft & Tarjan, CACM 16, 1973).  A block is
-    closed when a child's subtree reaches no higher than its parent."""
-    disc = [0] * len(adj)  # 0: not yet discovered
-    low = [0] * len(adj)
-    clock = 0
+    that hold an edge (Hopcroft & Tarjan, CACM 16, 1973).
+
+    The depth-first search steps to the lowest undiscovered neighbour,
+    ``adj[v] & ~seen``.  Non-tree edges join a vertex to ancestors, all on
+    the path when it is discovered, so its low point is a depth taken then:
+    the least d whose path prefix ``prefix[d]`` meets its neighbours, by
+    binary search.  A child whose subtree reaches no higher than its parent
+    closes a block: the parent and the child's still pending descendants.
+    """
+    seen = 0
     for root, root_adj in enumerate(adj):
-        if disc[root] or not root_adj:
+        if seen >> root & 1 or not root_adj:
             continue
-        clock += 1
-        disc[root] = low[root] = clock
-        path, todo, stack = [root], [root_adj], [root]
+        seen |= 1 << root
+        # Per path depth: the vertex, the path up to it, its low point, and
+        # the vertices discovered before it.
+        path, prefix, low, before = [root], [1 << root], [0], [0]
+        pending = 0  # discovered, not yet in a closed block
         while path:
-            v = path[-1]
-            rest = todo[-1]
-            if rest:
-                bit = rest & -rest
-                todo[-1] = rest ^ bit
+            fresh = adj[path[-1]] & ~seen
+            if fresh:
+                bit = fresh & -fresh
                 w = bit.bit_length() - 1
-                if disc[w]:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    path.append(w)
-                    todo.append(adj[w])
-                    stack.append(w)
+                low.append(bisect_left(prefix, 1, key=adj[w].__and__))
+                path.append(w)
+                prefix.append(prefix[-1] | bit)
+                before.append(seen)
+                seen |= bit
+                pending |= bit
                 continue
             path.pop()
-            todo.pop()
+            prefix.pop()
+            reach = low.pop()
+            since = pending & ~before.pop()
             if path:
-                u = path[-1]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    block = 1 << u
-                    while True:
-                        w = stack.pop()
-                        block |= 1 << w
-                        if w == v:
-                            break
-                    yield block
+                if reach < low[-1]:
+                    low[-1] = reach
+                if reach >= len(path) - 1:
+                    pending ^= since
+                    yield since | 1 << path[-1]
+
+
+def _block_restriction(g: BipartiteGraph, block: int) -> list[int]:
+    """The rows of ``g``'s doubly lexical ordering that belong to ``block``,
+    in shown order, masked to the block's shown columns."""
+    rows, cols, shown = g._ordering
+    y_bits = block >> g.x_count
+    top = g.y_count - 1
+    mask = sum(1 << (top - p) for p, j in enumerate(cols) if y_bits >> j & 1)
+    return [row & mask for i, row in zip(rows, shown) if block >> i & 1]
 
 
 def _cycle_bearing_vertices(g: BipartiteGraph, min_length: int) -> int:
     """Union, as a bitset over global ids, of the biconnected blocks that
     have at least ``min_length`` vertices and are not chordal bipartite.
 
-    Every chordless cycle lies inside one block, and a block whose
-    biadjacency matrix has a Γ-free doubly lexical ordering has no chordless
-    cycle of length 6 or more; every other vertex is on no chordless cycle
-    of length ``min_length`` or more.  A block is tested by masking the rows
-    of its X vertices with its Y bits.
+    Every chordless cycle lies inside one block, and a chordal bipartite
+    block has none of length 6 or more.  A block is first scanned on its
+    restriction of ``g``'s ordering: a matrix with any Γ-free ordering is
+    totally balanced (Lubiw 1987; Hoffman, Kolen & Sakarovitch 1985), so a
+    Γ-free restriction clears it.  A block holding every vertex that has an
+    edge is decided there too, as deleting zero rows and columns keeps an
+    ordering doubly lexical.  Any other block with a Γ is decided on a
+    doubly lexical ordering of its own rows, masked with its Y bits.
     """
     nx = g.x_count
     x_part = (1 << nx) - 1
     kept = 0
     for block in _biconnected_blocks(g.global_adj):
-        if block.bit_count() < min_length:
+        if block.bit_count() < min_length or _gamma_free(_block_restriction(g, block)):
             continue
+        covers = all(block >> v & 1 for v, v_adj in enumerate(g.global_adj) if v_adj)
         y_bits = block >> nx
         rows = [g.x_adj[i] & y_bits for i in _iter_bits(block & x_part)]
-        if not _gamma_free(rows, g.y_count):
+        if covers or not _gamma_free(_doubly_lexical(rows, g.y_count)[2]):
             kept |= block
     return kept
 
@@ -453,10 +474,18 @@ def find_chordless_cycle(
     unmasked search finds.  Inside the union the search is still
     exponential in the worst case, where a block has a Γ but no cycle of
     ``min_length`` or more (k-chordality for k >= 6, and the lift fallback).
+
+    The answer at ``min_length`` 6, the witness of a "no" from the Γ
+    decision, is searched once per graph and kept on it.
     """
     if min_length < 6 or min_length % 2:
         raise InputError(f"min_length must be even and >= 6, got {min_length}")
     _check_vertex_cap(g, vertex_cap)
+    return g._cycle_witness if min_length == 6 else _search_chordless_cycle(g, min_length)
+
+
+def _search_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate | None:
+    """The search of ``find_chordless_cycle``, on arguments it has checked."""
     live = _cycle_bearing_vertices(g, min_length)
     adj = g.global_adj
 

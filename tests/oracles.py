@@ -4,13 +4,16 @@ Everything here recomputes results from first principles (path enumeration,
 subset enumeration, exhaustive permutations) using only the public graph
 surface, so the fast implementations are checked against genuinely separate
 code paths.  The searches that fast paths replaced (the unconfined cycle
-search, the row-order backtracker) and the all-pairs distance table are kept
+search, the row-order backtracker), the all-pairs distance table, and the
+kernels of the chordal-bipartite decision (the integer-keyed ordering, the
+edge-scanning block search, a doubly lexical ordering per block) are kept
 here too, as references that the fast paths must match result for result.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from typing import Iterator, Sequence
 
 from bipower import BipartiteGraph, CycleCertificate
 from bipower.errors import CapacityError
@@ -148,6 +151,118 @@ def unconfined_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCerti
                 if found is not None:
                     return CycleCertificate(tuple(g.vertex_of_global(w) for w in found), 1)
     return None
+
+
+def _bits(mask: int) -> list[int]:
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
+def _lex_keys(bits: list[list[int]], order: list[int]) -> list[int]:
+    """Each set of bit positions read as an integer under a display order of
+    the positions: the position shown first becomes the most significant."""
+    width = len(order)
+    weight = [0] * width
+    for p, orig in enumerate(order):
+        weight[orig] = 1 << (width - 1 - p)
+    return [sum(map(weight.__getitem__, row)) for row in bits]
+
+
+def lex_keyed_ordering(x_rows: Sequence[int], y_count: int) -> tuple[list[int], list[int], list[int]]:
+    """Reference for ``core._doubly_lexical``, which sorts by '0'/'1' string
+    keys: the same alternating stable sorts on integer keys rebuilt from
+    each row's and column's bit positions.  Both must return the same row
+    order, column order and shown rows."""
+    x_bits = [_bits(row) for row in x_rows]
+    y_bits: list[list[int]] = [[] for _ in range(y_count)]
+    for i, row in enumerate(x_bits):
+        for j in row:
+            y_bits[j].append(i)
+    rows, cols = list(range(len(x_rows))), list(range(y_count))
+    while True:
+        row_key = _lex_keys(x_bits, cols)
+        rows.sort(key=row_key.__getitem__, reverse=True)
+        col_key = _lex_keys(y_bits, rows)
+        new_cols = sorted(cols, key=col_key.__getitem__, reverse=True)
+        if new_cols == cols:
+            return rows, cols, [row_key[i] for i in rows]
+        cols = new_cols
+
+
+def tarjan_blocks(adj: Sequence[int]) -> Iterator[int]:
+    """Reference for ``core._biconnected_blocks``, which takes low points
+    from path prefixes: the vertex sets of the biconnected blocks that hold
+    an edge, by a depth-first search that steps through every edge, keeping
+    discovery times, low points and a vertex stack (Hopcroft & Tarjan, CACM
+    16, 1973)."""
+    disc = [0] * len(adj)  # 0: not yet discovered
+    low = [0] * len(adj)
+    clock = 0
+    for root, root_adj in enumerate(adj):
+        if disc[root] or not root_adj:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        path, todo, stack = [root], [root_adj], [root]
+        while path:
+            v = path[-1]
+            rest = todo[-1]
+            if rest:
+                bit = rest & -rest
+                todo[-1] = rest ^ bit
+                w = bit.bit_length() - 1
+                if disc[w]:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    path.append(w)
+                    todo.append(adj[w])
+                    stack.append(w)
+                continue
+            path.pop()
+            todo.pop()
+            if path:
+                u = path[-1]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    block = 1 << u
+                    while True:
+                        w = stack.pop()
+                        block |= 1 << w
+                        if w == v:
+                            break
+                    yield block
+
+
+def has_gamma(shown: Sequence[int], width: int) -> bool:
+    """A Γ, [[0,1],[1,1]] at rows i < i' and columns j < j', in the rows
+    ``shown`` read as ``width``-bit strings, by trying every pair of rows
+    and every pair of columns."""
+    cells = [[row >> (width - 1 - p) & 1 for p in range(width)] for row in shown]
+    return any(
+        not top[j] and top[j2] and bottom[j] and bottom[j2]
+        for i, top in enumerate(cells)
+        for bottom in cells[i + 1:]
+        for j in range(width)
+        for j2 in range(j + 1, width)
+    )
+
+
+def cycle_bearing_per_block(g: BipartiteGraph, min_length: int) -> int:
+    """Reference for ``core._cycle_bearing_vertices``, which scans each
+    block on its restriction of the graph's ordering first: every block of
+    at least ``min_length`` vertices decided on a doubly lexical ordering of
+    its own rows, masked with its Y bits.  Both must keep the same union."""
+    nx = g.x_count
+    kept = 0
+    for block in tarjan_blocks(g.global_adj):
+        if block.bit_count() < min_length:
+            continue
+        y_bits = block >> nx
+        rows = [g.x_adj[i] & y_bits for i in _bits(block & ((1 << nx) - 1))]
+        if has_gamma(lex_keyed_ordering(rows, g.y_count)[2], g.y_count):
+            kept |= block
+    return kept
 
 
 def backtrack_mca(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bipower as bp
-from bipower import chordal_power
+from bipower import chordal_power, core
 from bipower.chordal_power import (
     EdgeClass,
     LiftMethod,
@@ -23,7 +23,7 @@ from bipower.chordal_power import (
 from bipower.errors import CapacityError, InputError
 from bipower.intervals import intervals_to_graph, random_interval_representation
 from bipower.mca import matrix_to_graph
-from conftest import cycle_graph, cycle_vertex, plant_cycle, random_tree
+from conftest import band_graph, cycle_graph, cycle_vertex, fresh_copy, plant_cycle, random_tree
 from oracles import has_induced_cycle, induced_cycle_lengths, unconfined_chordless_cycle
 
 
@@ -119,6 +119,28 @@ class TestDoublyLexicalDecision:
     def test_vertex_cap_still_applies(self):
         with pytest.raises(CapacityError):
             bp.is_chordal_bipartite(bp.build_graph(33, 32, []))
+
+    def test_no_builds_two_orderings(self, monkeypatch):
+        # A chordal 26+26 band with a 12-cycle bridged on: 32+32.  The band's
+        # blocks are cleared on the whole graph's ordering; only the cycle's
+        # block, whose restriction has a Γ, is ordered again.
+        rng = random.Random(12)
+        g = plant_cycle(band_graph(rng, 26, 6), 12, rng)
+        assert g.vertex_count == 64
+        big = [b for b in core._biconnected_blocks(g.global_adj) if b.bit_count() >= 6]
+        gamma = [b for b in big if not core._gamma_free(core._block_restriction(g, b))]
+        assert len(big) >= 2 and [b.bit_count() for b in gamma] == [12]
+        built = []
+        original = core._doubly_lexical
+
+        def counted(x_rows, y_count):
+            built.append(x_rows)
+            return original(x_rows, y_count)
+
+        monkeypatch.setattr(core, "_doubly_lexical", counted)
+        verdict = bp.is_chordal_bipartite(fresh_copy(g))
+        assert not verdict.chordal and len(verdict.certificate) == 12
+        assert len(built) == 2
 
     def test_decision_without_witness_is_a_defect(self, monkeypatch):
         monkeypatch.setattr(chordal_power, "find_chordless_cycle", lambda g, min_length: None)
@@ -335,6 +357,30 @@ class TestStronglyClosedCheck:
     def test_even_k_rejected(self):
         with pytest.raises(InputError):
             bp.strongly_closed_check(cycle_graph(4), 2)
+
+    def test_each_level_searched_once(self, monkeypatch):
+        # Levels 1, 3, 5 and 7 of the 18-cycle are four graphs, none chordal.
+        # Each level's witness is searched once, though levels 3 and 5 are
+        # asked twice and the lift falls back to a search of the k-power.
+        g = cycle_graph(18)
+        searched = []
+        original = core._search_chordless_cycle
+
+        def counted(h, min_length):
+            searched.append((h, min_length))
+            return original(h, min_length)
+
+        monkeypatch.setattr(core, "_search_chordless_cycle", counted)
+        reports = [bp.strongly_closed_check(g, k) for k in (1, 3, 5)]
+        levels = [bp.bipartite_power(g, k) for k in (1, 3, 5, 7)]
+        assert len({id(level) for level in levels}) == 4
+        assert [(levels.index(h), min_length) for h, min_length in searched] == [(t, 6) for t in range(4)]
+        assert any(r.lift is not None and r.lift.method is LiftMethod.FALLBACK for r in reports)
+        # Searching anew at every call, as the unconfined reference does,
+        # gives the same reports, lifts included.
+        monkeypatch.setattr(chordal_power, "find_chordless_cycle", unconfined_chordless_cycle)
+        fresh = fresh_copy(g)
+        assert reports == [bp.strongly_closed_check(fresh, k) for k in (1, 3, 5)]
 
     def test_lift_classified_once(self, monkeypatch):
         calls = []

@@ -9,9 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bipower as bp
+from bipower import core
 from bipower.errors import CapacityError, InputError
 from conftest import SAMPLE_EDGES, band_graph, cycle_graph, cycle_vertex, fresh_copy, plant_cycle
-from oracles import distance_table, has_induced_cycle, path_distance, unconfined_chordless_cycle
+from oracles import (
+    cycle_bearing_per_block,
+    distance_table,
+    has_gamma,
+    has_induced_cycle,
+    induced_cycle_lengths,
+    lex_keyed_ordering,
+    path_distance,
+    tarjan_blocks,
+    unconfined_chordless_cycle,
+)
 
 
 class TestBuildGraph:
@@ -453,6 +464,104 @@ class TestConfinedSearchMatchesUnconfined:
         assert cert is not None and bp.verify_chordless(g, cert)
         assert sorted(v.index for v in cert.vertices) == [12, 12, 13, 13, 14, 14, 15, 15]
         assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+
+def seeded_block_graphs(rng: random.Random, count: int, side: int) -> list[bp.BipartiteGraph]:
+    """Random graphs up to side+side, a third each: one random graph (sparse
+    ones have isolated vertices), disjoint parts, and parts glued at cut
+    vertices."""
+    graphs = []
+    for t in range(count):
+        if t % 3 == 0:
+            nx, ny = rng.randint(0, side), rng.randint(0, side)
+            graphs.append(bp.gen_random_bipartite(rng.getrandbits(63), nx, ny, rng.uniform(0.05, 0.9)))
+            continue
+        parts, nx, ny = [], 0, 0
+        while nx < side - 3 and ny < side - 3:
+            a, b = rng.randint(1, min(6, side - nx)), rng.randint(1, min(6, side - ny))
+            parts.append(bp.gen_random_bipartite(rng.getrandbits(63), a, b, rng.uniform(0.2, 0.9)))
+            nx, ny = nx + a, ny + b
+        graphs.append(disjoint_union(parts, t % 3 == 2, rng))
+    return graphs
+
+
+class TestOrderingMatchesIntegerKeys:
+    """The string-keyed ordering must return the integer-keyed one's row
+    order, column order and shown rows."""
+
+    def test_every_matrix_up_to_4x4(self):
+        for n in range(5):
+            for m in range(5):
+                for mask in range(1 << (n * m)):
+                    rows = [mask >> (i * m) & ((1 << m) - 1) for i in range(n)]
+                    assert core._doubly_lexical(rows, m) == lex_keyed_ordering(rows, m)
+
+    def test_seeded_volume_up_to_14x14(self):
+        rng = random.Random(1414)
+        shapes = [(0, 5), (5, 0), (0, 0), (14, 14)]
+        shapes += [(rng.randint(0, 14), rng.randint(0, 14)) for _ in range(596)]
+        for t, (n, m) in enumerate(shapes):
+            density = 0.0 if t % 50 == 1 else 0.1 + 0.8 * (t % 9) / 8
+            rows = [sum(1 << j for j in range(m) if rng.random() < density) for _ in range(n)]
+            assert core._doubly_lexical(rows, m) == lex_keyed_ordering(rows, m)
+
+
+class TestBlocksMatchHopcroftTarjan:
+    """The prefix-bitset block search must find the blocks of the search
+    that steps through every edge."""
+
+    def test_every_4_plus_4_graph(self):
+        for g in bp.enumerate_bipartite(4, 4):
+            assert sorted(core._biconnected_blocks(g.global_adj)) == sorted(tarjan_blocks(g.global_adj))
+
+    def test_seeded_volume_up_to_16_plus_16(self):
+        shapes = dict.fromkeys(("isolated", "disconnected", "several blocks"), 0)
+        for g in seeded_block_graphs(random.Random(1616), 600, 16):
+            blocks = sorted(core._biconnected_blocks(g.global_adj))
+            assert blocks == sorted(tarjan_blocks(g.global_adj))
+            shapes["isolated"] += not all(g.global_adj)
+            shapes["disconnected"] += not bp.is_connected(g)
+            shapes["several blocks"] += len(blocks) > 1
+        assert all(shapes.values())
+
+
+class TestRestrictionScan:
+    """``_cycle_bearing_vertices`` scans each block on its restriction of
+    the graph's ordering and orders a block of its own only after a Γ there;
+    it must keep what deciding every block on its own ordering keeps."""
+
+    def test_every_4_plus_4_graph(self):
+        for g in bp.enumerate_bipartite(4, 4):
+            for min_length in (6, 8):
+                assert core._cycle_bearing_vertices(g, min_length) == cycle_bearing_per_block(g, min_length)
+
+    def test_seeded_volume_up_to_14_plus_14(self):
+        kept = 0
+        for g in seeded_block_graphs(random.Random(1400), 450, 14):
+            for min_length in (6, 8):
+                want = cycle_bearing_per_block(g, min_length)
+                assert core._cycle_bearing_vertices(g, min_length) == want
+                kept += want != 0
+        assert kept > 0
+
+    def test_cleared_blocks_have_no_long_chordless_cycle(self):
+        rng = random.Random(66)
+        graphs = list(bp.enumerate_bipartite(3, 4)) + seeded_block_graphs(rng, 300, 6)
+        cleared = ordered = 0
+        for g in graphs:
+            nx = g.x_count
+            for block in tarjan_blocks(g.global_adj):
+                if block.bit_count() < 6:
+                    continue
+                if has_gamma(core._block_restriction(g, block), g.y_count):
+                    ordered += 1
+                    continue
+                xs = [i for i in range(nx) if block >> i & 1]
+                ys = [j for j in range(g.y_count) if block >> (nx + j) & 1]
+                edges = [(a, b) for a, i in enumerate(xs) for b, j in enumerate(ys) if g.has_edge(i, j)]
+                assert max(induced_cycle_lengths(bp.build_graph(len(xs), len(ys), edges)), default=0) < 6
+                cleared += 1
+        assert cleared > 0 and ordered > 0
 
 
 class TestVerifyChordless:

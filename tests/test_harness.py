@@ -211,20 +211,22 @@ class TestEachLevelDecidedOnce:
         return made
 
     def gamma_calls(self, monkeypatch) -> list[object]:
+        """Rows of every doubly lexical ordering built: a graph's Γ decision
+        reads the one ordering of its own rows."""
         calls: list[object] = []
-        original = core._gamma_free
+        original = core._doubly_lexical
 
         def counted(x_rows, y_count):
             calls.append(x_rows)
             return original(x_rows, y_count)
 
-        monkeypatch.setattr(core, "_gamma_free", counted)
+        monkeypatch.setattr(core, "_doubly_lexical", counted)
         return calls
 
     @staticmethod
     def whole_graph_decisions(calls: list[object], g: bp.BipartiteGraph) -> list[int]:
         """Positions of the levels of ``g`` decided; a block of a "no" is
-        decided on a list of rows, never on a graph's own rows."""
+        ordered on a list of rows, never on a graph's own rows."""
         levels = [bp.bipartite_power(g, k) for k in (1, 3, 5, 7)]
         whole = [rows for rows in calls if not isinstance(rows, list)]
         return sorted(next(t for t, level in enumerate(levels) if level.x_adj is rows) for rows in whole)
