@@ -40,14 +40,13 @@ def is_chordal_bipartite(g: BipartiteGraph) -> ChordalityVerdict:
     balanced, which holds iff a doubly lexical ordering of the matrix is
     Γ-free (Lubiw, "Doubly lexical orderings of matrices", SIAM J. Comput.
     16, 1987).  The decision is made that way, in polynomial time; only a
-    "no" runs ``find_chordless_cycle`` for the witness.  That search starts
-    only in the biconnected blocks that fail the same test, each of which
-    holds a chordless cycle of length >= 6, so it never proves a negative;
-    the blocks are tested on the graph's own ordering first, and only a
-    block with a Γ there that is not the whole graph is ordered again.
-    Graphs above the cycle-search vertex cap are refused with CapacityError
-    either way.  The ordering, the Γ decision and the witness are each made
-    once per graph and kept on it.
+    "no" runs ``find_chordless_cycle`` for the witness.  That search runs
+    only in the biconnected blocks whose restriction of the same ordering
+    has a Γ: a superset of the blocks that hold a chordless cycle of length
+    >= 6, so it finds the cycle the unconfined search finds.  Graphs above
+    the cycle-search vertex cap are refused with CapacityError either way.
+    The ordering, the Γ decision and the witness are each made once per
+    graph and kept on it.
     """
     _check_vertex_cap(g)
     if g._is_gamma_free:

@@ -93,13 +93,7 @@ class BipartiteGraph:
     @cached_property
     def global_adj(self) -> tuple[int, ...]:
         """Adjacency over global ids: X vertex i -> i, Y vertex j -> x_count + j."""
-        nx = self.x_count
-        out = [0] * (nx + self.y_count)
-        for i, row in enumerate(self.x_adj):
-            for j in _iter_bits(row):
-                out[i] |= 1 << (nx + j)
-                out[nx + j] |= 1 << i
-        return tuple(out)
+        return tuple(row << self.x_count for row in self.x_adj) + self.y_adj
 
     @cached_property
     def _two_hop(self) -> tuple[int, ...]:
@@ -307,10 +301,10 @@ class CycleCertificate:
         return CycleCertificate(self.vertices, k)
 
 
-def _check_vertex_cap(g: BipartiteGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> None:
+def _check_vertex_cap(g: BipartiteGraph) -> None:
     n = g.vertex_count
-    if n > vertex_cap:
-        raise CapacityError(f"graph has {n} vertices, above the cycle-search cap {vertex_cap}")
+    if n > DEFAULT_VERTEX_CAP:
+        raise CapacityError(f"graph has {n} vertices, above the cycle-search cap {DEFAULT_VERTEX_CAP}")
 
 
 def _doubly_lexical(x_rows: Sequence[int], y_count: int) -> tuple[list[int], list[int], list[int]]:
@@ -427,34 +421,26 @@ def _block_restriction(g: BipartiteGraph, block: int) -> list[int]:
 
 def _cycle_bearing_vertices(g: BipartiteGraph, min_length: int) -> int:
     """Union, as a bitset over global ids, of the biconnected blocks that
-    have at least ``min_length`` vertices and are not chordal bipartite.
+    have at least ``min_length`` vertices and whose restriction of ``g``'s
+    ordering has a Γ.
 
     Every chordless cycle lies inside one block, and a chordal bipartite
-    block has none of length 6 or more.  A block is first scanned on its
-    restriction of ``g``'s ordering: a matrix with any Γ-free ordering is
-    totally balanced (Lubiw 1987; Hoffman, Kolen & Sakarovitch 1985), so a
-    Γ-free restriction clears it.  A block holding every vertex that has an
-    edge is decided there too, as deleting zero rows and columns keeps an
-    ordering doubly lexical.  Any other block with a Γ is decided on a
-    doubly lexical ordering of its own rows, masked with its Y bits.
+    block has none of length 6 or more.  A matrix with any Γ-free ordering
+    is totally balanced (Lubiw 1987; Hoffman, Kolen & Sakarovitch 1985), so
+    a block whose restriction is Γ-free holds no chordless cycle of length 6
+    or more and is left out.  The union is thus a superset of the blocks
+    that hold a chordless cycle of ``min_length`` or more, which is all the
+    search needs to stay exact; whether a Γ in a restriction always marks
+    such a cycle bounds only how much searching is done.
     """
-    nx = g.x_count
-    x_part = (1 << nx) - 1
     kept = 0
     for block in _biconnected_blocks(g.global_adj):
-        if block.bit_count() < min_length or _gamma_free(_block_restriction(g, block)):
-            continue
-        covers = all(block >> v & 1 for v, v_adj in enumerate(g.global_adj) if v_adj)
-        y_bits = block >> nx
-        rows = [g.x_adj[i] & y_bits for i in _iter_bits(block & x_part)]
-        if covers or not _gamma_free(_doubly_lexical(rows, g.y_count)[2]):
+        if block.bit_count() >= min_length and not _gamma_free(_block_restriction(g, block)):
             kept |= block
     return kept
 
 
-def find_chordless_cycle(
-    g: BipartiteGraph, min_length: int, *, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> CycleCertificate | None:
+def find_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate | None:
     """Find some induced cycle of length >= ``min_length``, or None.
 
     Depth-first search over induced paths: a path grows only by vertices
@@ -465,11 +451,13 @@ def find_chordless_cycle(
     deterministic function of the graph.
 
     The search runs only inside the biconnected blocks that could hold such
-    a cycle: those with at least ``min_length`` vertices that are not
-    chordal bipartite (``_cycle_bearing_vertices``, polynomial).  When there
-    are none the answer is None without any search.  Otherwise start
-    vertices and extensions are masked to the union of those blocks.  A
-    branch that leaves the union can never close back to its start, so the
+    a cycle: those with at least ``min_length`` vertices whose restriction
+    of the graph's doubly lexical ordering has a Γ
+    (``_cycle_bearing_vertices``, polynomial).  When there are none the
+    answer is None without any search.  Otherwise start vertices and
+    extensions are masked to the union of those blocks.  The union holds
+    every block that has a chordless cycle of ``min_length`` or more, and a
+    branch that leaves such a superset can never close into one, so the
     mask removes only dead branches and the cycle found is the one the
     unmasked search finds.  Inside the union the search is still
     exponential in the worst case, where a block has a Γ but no cycle of
@@ -480,7 +468,7 @@ def find_chordless_cycle(
     """
     if min_length < 6 or min_length % 2:
         raise InputError(f"min_length must be even and >= 6, got {min_length}")
-    _check_vertex_cap(g, vertex_cap)
+    _check_vertex_cap(g)
     return g._cycle_witness if min_length == 6 else _search_chordless_cycle(g, min_length)
 
 

@@ -25,7 +25,6 @@ from .core import (
     VertexId,
     bipartite_power,
     build_graph,
-    diameter,
     graph_to_json,
     is_connected,
 )
@@ -209,7 +208,12 @@ def _trial_t3(campaign: Campaign, index: int) -> TrialOutcome:
     if not is_connected(g):
         return TrialOutcome(True, ())
     records = []
-    top = diameter(g) + 2
+    # The powers stop changing at the largest cross-side distance D, and the
+    # diameter is D or D + 1, so odd k <= diameter + 2 is odd k <= D + 2.
+    saturated = 1
+    while bipartite_power(g, saturated) is not bipartite_power(g, saturated + 2):
+        saturated += 2
+    top = saturated + 2
     ks = campaign.k_set() or tuple(range(1, top + 1, 2))
     for k in ks:
         if k > top:

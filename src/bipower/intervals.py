@@ -198,6 +198,8 @@ def intervals_to_graph(
 
 def random_interval_representation(seed: int, nx: int, ny: int, span: int) -> IntervalRepresentation:
     """Seed-deterministic representation with endpoints uniform in [0, span]."""
+    if nx < 0 or ny < 0:
+        raise InputError("side sizes must be non-negative")
     if span < 1:
         raise InputError(f"span must be >= 1, got {span}")
     rng = random.Random(seed)

@@ -256,9 +256,7 @@ def _forced_order(bits: list[int], left: list[int]) -> list[int] | None:
     return None
 
 
-def find_mca(
-    mat: ArrangedMatrix, *, size_cap: int = DEFAULT_MCA_SIZE_CAP
-) -> tuple[ArrangedMatrix, McaCertificate] | None:
+def find_mca(mat: ArrangedMatrix) -> tuple[ArrangedMatrix, McaCertificate] | None:
     """Row and column permutations exhibiting a monotone consecutive
     arrangement of ``mat.entries``; None if there is none.
 
@@ -271,8 +269,8 @@ def find_mca(
     """
     entries = mat.entries
     n, m = mat.n, mat.m
-    if max(n, m) > size_cap:
-        raise CapacityError(f"matrix is {n}x{m}, above the arrangement-search cap {size_cap}")
+    if max(n, m) > DEFAULT_MCA_SIZE_CAP:
+        raise CapacityError(f"matrix is {n}x{m}, above the arrangement-search cap {DEFAULT_MCA_SIZE_CAP}")
     _check_nonzero(entries)
 
     bits = [sum(v << j for j, v in enumerate(row)) for row in entries]

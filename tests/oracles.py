@@ -250,9 +250,11 @@ def has_gamma(shown: Sequence[int], width: int) -> bool:
 
 def cycle_bearing_per_block(g: BipartiteGraph, min_length: int) -> int:
     """Reference for ``core._cycle_bearing_vertices``, which scans each
-    block on its restriction of the graph's ordering first: every block of
+    block on its restriction of the graph's ordering only: every block of
     at least ``min_length`` vertices decided on a doubly lexical ordering of
-    its own rows, masked with its Y bits.  Both must keep the same union."""
+    its own rows, masked with its Y bits.  Where both keep the same union,
+    a Γ in a block's restriction marked a block that is not chordal
+    bipartite."""
     nx = g.x_count
     kept = 0
     for block in tarjan_blocks(g.global_adj):

@@ -120,10 +120,10 @@ class TestDoublyLexicalDecision:
         with pytest.raises(CapacityError):
             bp.is_chordal_bipartite(bp.build_graph(33, 32, []))
 
-    def test_no_builds_two_orderings(self, monkeypatch):
-        # A chordal 26+26 band with a 12-cycle bridged on: 32+32.  The band's
-        # blocks are cleared on the whole graph's ordering; only the cycle's
-        # block, whose restriction has a Γ, is ordered again.
+    def test_no_builds_one_ordering(self, monkeypatch):
+        # A chordal 26+26 band with a 12-cycle bridged on: 32+32.  Every
+        # block, the cycle's included, is scanned on its restriction of the
+        # whole graph's ordering; no block is ordered on its own.
         rng = random.Random(12)
         g = plant_cycle(band_graph(rng, 26, 6), 12, rng)
         assert g.vertex_count == 64
@@ -140,7 +140,7 @@ class TestDoublyLexicalDecision:
         monkeypatch.setattr(core, "_doubly_lexical", counted)
         verdict = bp.is_chordal_bipartite(fresh_copy(g))
         assert not verdict.chordal and len(verdict.certificate) == 12
-        assert len(built) == 2
+        assert built == [g.x_adj]
 
     def test_decision_without_witness_is_a_defect(self, monkeypatch):
         monkeypatch.setattr(chordal_power, "find_chordless_cycle", lambda g, min_length: None)

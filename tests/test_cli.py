@@ -294,6 +294,12 @@ class TestVerbs:
         code, out, _ = run(capsys, "gen", "--theorem", "t5", "--seed", "4")
         assert code == 0 and "edges" in json.loads(out)
 
+    @pytest.mark.parametrize("theorem", ["t3", "t4", "t5"])
+    def test_gen_negative_size_is_exit_2(self, files, capsys, theorem):
+        code, out, err = run(capsys, "gen", "--theorem", theorem, "--max-x", "-1", "--max-y", "2")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+
     def test_gen_is_deterministic(self, files, capsys):
         _, first, _ = run(capsys, "gen", "--theorem", "t5", "--seed", "8")
         _, second, _ = run(capsys, "gen", "--theorem", "t5", "--seed", "8")

@@ -526,9 +526,10 @@ class TestBlocksMatchHopcroftTarjan:
 
 
 class TestRestrictionScan:
-    """``_cycle_bearing_vertices`` scans each block on its restriction of
-    the graph's ordering and orders a block of its own only after a Γ there;
-    it must keep what deciding every block on its own ordering keeps."""
+    """``_cycle_bearing_vertices`` keeps each block whose restriction of
+    the graph's ordering has a Γ.  That is a superset of the blocks that are
+    not chordal bipartite; these volumes check that it keeps no more than
+    deciding every block on its own ordering keeps."""
 
     def test_every_4_plus_4_graph(self):
         for g in bp.enumerate_bipartite(4, 4):
@@ -547,21 +548,21 @@ class TestRestrictionScan:
     def test_cleared_blocks_have_no_long_chordless_cycle(self):
         rng = random.Random(66)
         graphs = list(bp.enumerate_bipartite(3, 4)) + seeded_block_graphs(rng, 300, 6)
-        cleared = ordered = 0
+        cleared = kept = 0
         for g in graphs:
             nx = g.x_count
             for block in tarjan_blocks(g.global_adj):
                 if block.bit_count() < 6:
                     continue
                 if has_gamma(core._block_restriction(g, block), g.y_count):
-                    ordered += 1
+                    kept += 1
                     continue
                 xs = [i for i in range(nx) if block >> i & 1]
                 ys = [j for j in range(g.y_count) if block >> (nx + j) & 1]
                 edges = [(a, b) for a, i in enumerate(xs) for b, j in enumerate(ys) if g.has_edge(i, j)]
                 assert max(induced_cycle_lengths(bp.build_graph(len(xs), len(ys), edges)), default=0) < 6
                 cleared += 1
-        assert cleared > 0 and ordered > 0
+        assert cleared > 0 and kept > 0
 
 
 class TestVerifyChordless:

@@ -192,6 +192,43 @@ class TestCampaigns:
         assert report.executed == 40
 
 
+class TestT3KRange:
+    """A t3 trial checks the odd k up to diameter + 2, read off the power
+    ladder: the powers stop changing at the largest cross-side distance D,
+    and the diameter is D (odd) or D + 1 (even)."""
+
+    @pytest.mark.parametrize("k_set", [(), (1, 3, 5, 7, 9, 11)])
+    def test_ks_end_at_diameter_plus_two(self, monkeypatch, k_set):
+        graphs: list[bp.BipartiteGraph] = []
+        asked: list[list[int]] = []
+        make, represent = harness.intervals_to_graph, harness.power_representation
+
+        def made(rep):
+            graphs.append(make(rep))
+            asked.append([])
+            return graphs[-1]
+
+        def recorded(g, rep, k):
+            asked[-1].append(k)
+            return represent(g, rep, k)
+
+        monkeypatch.setattr(harness, "intervals_to_graph", made)
+        monkeypatch.setattr(harness, "power_representation", recorded)
+        campaign = Campaign(Theorem.T3, trials=300, seed=5, bounds=Bounds(max_x=6, max_y=6, k_set=k_set))
+        parities, cut = set(), 0
+        for index in range(campaign.trials):
+            harness._trial_t3(campaign, index)
+            if not bp.is_connected(graphs[-1]):
+                assert asked[-1] == []
+                continue
+            top = bp.diameter(graphs[-1]) + 2
+            assert asked[-1] == [k for k in k_set or range(1, top + 1, 2) if k <= top]
+            parities.add(top % 2)
+            cut += max(k_set, default=0) > top
+        assert parities == {0, 1}
+        assert cut > 0 or not k_set
+
+
 class TestEachLevelDecidedOnce:
     """Adjacent levels share a power: t5 and kchordal at k_set (1, 3, 5)
     need levels 1, 3, 5 and 7 only, and ask each one once.  On the 18-cycle
@@ -225,11 +262,11 @@ class TestEachLevelDecidedOnce:
 
     @staticmethod
     def whole_graph_decisions(calls: list[object], g: bp.BipartiteGraph) -> list[int]:
-        """Positions of the levels of ``g`` decided; a block of a "no" is
-        ordered on a list of rows, never on a graph's own rows."""
+        """Positions of the levels of ``g`` decided; every ordering built is
+        of a level's own rows, as the blocks of a "no" are scanned on their
+        restrictions of it."""
         levels = [bp.bipartite_power(g, k) for k in (1, 3, 5, 7)]
-        whole = [rows for rows in calls if not isinstance(rows, list)]
-        return sorted(next(t for t, level in enumerate(levels) if level.x_adj is rows) for rows in whole)
+        return sorted(next(t for t, level in enumerate(levels) if level.x_adj is rows) for rows in calls)
 
     def test_t5_trial_decides_four_levels(self, monkeypatch):
         made = self.trial_graphs(monkeypatch, cycle_graph(18))

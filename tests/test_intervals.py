@@ -200,6 +200,11 @@ class TestRandomRepresentation:
         with pytest.raises(InputError):
             bp.random_interval_representation(0, 1, 1, 0)
 
+    @pytest.mark.parametrize("nx, ny", [(-1, 2), (2, -1)])
+    def test_negative_side_refused(self, nx, ny):
+        with pytest.raises(InputError, match="non-negative"):
+            bp.random_interval_representation(0, nx, ny, 5)
+
 
 class TestIntervalTsv:
     def test_canonical_round_trip(self, sample_graph, sample_rep):
