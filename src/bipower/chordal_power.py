@@ -17,7 +17,7 @@ from .core import (
     Side,
     VertexId,
     _bfs_layers,
-    _check_vertex_cap,
+    _require_odd_k,
     bipartite_power,
     doubly_lexical_ordering,  # re-exported
     find_chordless_cycle,
@@ -40,15 +40,10 @@ def is_chordal_bipartite(g: BipartiteGraph) -> ChordalityVerdict:
     balanced, which holds iff a doubly lexical ordering of the matrix is
     Γ-free (Lubiw, "Doubly lexical orderings of matrices", SIAM J. Comput.
     16, 1987).  The decision is made that way, in polynomial time; only a
-    "no" runs ``find_chordless_cycle`` for the witness.  That search runs
-    only in the biconnected blocks whose restriction of the same ordering
-    has a Γ: a superset of the blocks that hold a chordless cycle of length
-    >= 6, so it finds the cycle the unconfined search finds.  Graphs above
-    the cycle-search vertex cap are refused with CapacityError either way.
-    The ordering, the Γ decision and the witness are each made once per
-    graph and kept on it.
+    "no" runs ``find_chordless_cycle`` for the witness, which is polynomial
+    too and finds the cycle the unconfined search finds.  The ordering, the
+    Γ decision and the witness are each made once per graph and kept on it.
     """
-    _check_vertex_cap(g)
     if g._is_gamma_free:
         return ChordalityVerdict(True, None)
     cert = find_chordless_cycle(g, 6)
@@ -124,8 +119,7 @@ def classify_cycle_edges(g: BipartiteGraph, k: int, cert: CycleCertificate) -> C
     """Classify each edge of a chordless cycle of the (k+2)-power by the exact
     distance of its endpoints in ``g``: the first power level that holds the
     edge."""
-    if k < 1 or k % 2 == 0:
-        raise InputError(f"k must be odd and >= 1, got {k}")
+    _require_odd_k(k)
     power = bipartite_power(g, k + 2)
     if not verify_chordless(power, cert):
         raise InputError("certificate is not a chordless cycle of the (k+2)-power")
@@ -271,8 +265,7 @@ def strongly_closed_check(g: BipartiteGraph, k: int) -> StrongClosureReport:
     contrapositive; lifting is skipped as inapplicable at k = 1 when the
     cycle mixes edge classes.
     """
-    if k < 1 or k % 2 == 0:
-        raise InputError(f"k must be odd and >= 1, got {k}")
+    _require_odd_k(k)
     power_k = bipartite_power(g, k)
     base_chordal, base_raw = is_chordal_bipartite(power_k)
     base_cycle = base_raw.with_host_power(k) if base_raw is not None else None

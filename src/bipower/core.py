@@ -20,9 +20,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .errors import CapacityError, InputError
-
-DEFAULT_VERTEX_CAP = 64
+from .errors import InputError
 
 
 class Side(str, Enum):
@@ -301,12 +299,6 @@ class CycleCertificate:
         return CycleCertificate(self.vertices, k)
 
 
-def _check_vertex_cap(g: BipartiteGraph) -> None:
-    n = g.vertex_count
-    if n > DEFAULT_VERTEX_CAP:
-        raise CapacityError(f"graph has {n} vertices, above the cycle-search cap {DEFAULT_VERTEX_CAP}")
-
-
 def _doubly_lexical(x_rows: Sequence[int], y_count: int) -> tuple[list[int], list[int], list[int]]:
     """``doubly_lexical_ordering`` of the matrix whose rows are the bitsets
     ``x_rows`` over ``y_count`` columns.  Rows and columns are held once as
@@ -450,25 +442,24 @@ def find_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate
     and only indices above the start are used, which makes the result a
     deterministic function of the graph.
 
-    The search runs only inside the biconnected blocks that could hold such
-    a cycle: those with at least ``min_length`` vertices whose restriction
-    of the graph's doubly lexical ordering has a Γ
-    (``_cycle_bearing_vertices``, polynomial).  When there are none the
-    answer is None without any search.  Otherwise start vertices and
-    extensions are masked to the union of those blocks.  The union holds
-    every block that has a chordless cycle of ``min_length`` or more, and a
-    branch that leaves such a superset can never close into one, so the
-    mask removes only dead branches and the cycle found is the one the
-    unmasked search finds.  Inside the union the search is still
-    exponential in the worst case, where a block has a Γ but no cycle of
-    ``min_length`` or more (k-chordality for k >= 6, and the lift fallback).
+    Two cuts remove only branches that cannot close, so the cycle found is
+    the one the uncut search finds.  The search stays inside the biconnected
+    blocks with at least ``min_length`` vertices whose restriction of the
+    graph's doubly lexical ordering has a Γ (``_cycle_bearing_vertices``),
+    a superset of the blocks that hold such a cycle; with none there is no
+    search.  And it enters an extension only if a bitset breadth-first
+    search finds a way on to a neighbour of the start through kept vertices
+    above the start, off the path and not adjacent to the new interior.
+    Once a path has ``min_length`` - 1 vertices, a shortest such way closes
+    a long enough chordless cycle (Nikolopoulos & Palios, "Detecting holes
+    and antiholes in graphs", Algorithmica 47, 2007), so the search never
+    backtracks there: it is polynomial for every fixed ``min_length``.
 
     The answer at ``min_length`` 6, the witness of a "no" from the Γ
     decision, is searched once per graph and kept on it.
     """
     if min_length < 6 or min_length % 2:
         raise InputError(f"min_length must be even and >= 6, got {min_length}")
-    _check_vertex_cap(g)
     return g._cycle_witness if min_length == 6 else _search_chordless_cycle(g, min_length)
 
 
@@ -478,18 +469,25 @@ def _search_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertific
     adj = g.global_adj
 
     def extend(head: int, path: list[int], path_mask: int, interior_adj: int) -> list[int] | None:
-        start_bit = 1 << path[0]
+        start_adj = adj[path[0]]
         cand = adj[head] & ~path_mask & ~interior_adj & high_mask
+        interior_adj |= adj[head]  # the head joins the interior of every extension
         for w in _iter_bits(cand):
-            if adj[w] & start_bit:
+            if start_adj >> w & 1:
                 # Closing edge exists: either report the cycle or abandon w,
                 # since extending past it would leave a chord back to the start.
                 if len(path) + 1 >= min_length:
                     return path + [w]
                 continue
-            found = extend(w, path + [w], path_mask | 1 << w, interior_adj | adj[head])
-            if found is not None:
-                return found
+            # Enter w only if it can still reach a neighbour of the start.
+            allowed, frontier = high_mask & ~path_mask & ~interior_adj, 1 << w
+            while frontier and not frontier & start_adj:
+                frontier = _union(adj, frontier) & allowed
+                allowed &= ~frontier
+            if frontier:
+                found = extend(w, path + [w], path_mask | 1 << w, interior_adj)
+                if found is not None:
+                    return found
         return None
 
     for v0 in _iter_bits(live):

@@ -14,7 +14,7 @@ class InputError(BipowerError):
 
 
 class CapacityError(BipowerError):
-    """A configurable size cap was exceeded (CLI exit 2)."""
+    """An exhaustive enumeration exceeded ``harness.ENUMERATION_CAP`` (CLI exit 2)."""
 
 
 class TheoremCounterexample(BipowerError):

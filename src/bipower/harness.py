@@ -29,8 +29,8 @@ from .core import (
     is_connected,
 )
 from .errors import CapacityError, InputError, TheoremCounterexample
-from .intervals import intervals_to_graph, power_representation, random_interval_representation
-from .mca import ArrangedMatrix, identity_arrangement, matrix_power, matrix_to_graph
+from .intervals import _power_representation, intervals_to_graph, random_interval_representation, verify_representation
+from .mca import ArrangedMatrix, _matrix_power, identity_arrangement, matrix_to_graph, verify_mca
 
 ENUMERATION_CAP = 16  # max nx * ny for exhaustive edge-subset streaming
 MAX_PARALLELISM = 256  # most worker processes one campaign may ask for
@@ -207,6 +207,8 @@ def _trial_t3(campaign: Campaign, index: int) -> TrialOutcome:
     g = intervals_to_graph(rep)
     if not is_connected(g):
         return TrialOutcome(True, ())
+    if not verify_representation(g, rep):
+        raise AssertionError("an interval graph disagrees with the representation it was built from")
     records = []
     # The powers stop changing at the largest cross-side distance D, and the
     # diameter is D or D + 1, so odd k <= diameter + 2 is odd k <= D + 2.
@@ -219,7 +221,7 @@ def _trial_t3(campaign: Campaign, index: int) -> TrialOutcome:
         if k > top:
             continue
         try:
-            power_representation(g, rep, k)
+            _power_representation(g, rep, k)
         except TheoremCounterexample as exc:
             records.append({"trial": index, **exc.report})
     return TrialOutcome(False, tuple(records))
@@ -231,10 +233,12 @@ def _trial_t4(campaign: Campaign, index: int) -> TrialOutcome:
     n, m = rng.randint(1, b.max_x), rng.randint(1, b.max_y)
     mat = gen_staircase_matrix(rng.getrandbits(63), n, m)
     g = matrix_to_graph(mat)
+    if verify_mca(mat) is None:
+        raise AssertionError("a generated staircase matrix is not monotone consecutive")
     records = []
     for k in campaign.k_set():
         try:
-            matrix_power(g, (mat.row_perm, mat.col_perm), k)
+            _matrix_power(g, mat, k)
         except TheoremCounterexample as exc:
             records.append({"trial": index, **exc.report})
     return TrialOutcome(False, tuple(records))

@@ -19,6 +19,7 @@ from .core import (
     Side,
     VertexId,
     _iter_bits,
+    _require_odd_k,
     bipartite_power,
     build_graph,
     graph_to_json,
@@ -131,8 +132,7 @@ def raw_right_endpoint(g: BipartiteGraph, rep: IntervalRepresentation, v: Vertex
     not always a usable endpoint, hence the validity flag.
     """
     _check_sizes(g, rep)
-    if k < 1 or k % 2 == 0:
-        raise InputError(f"k must be odd and >= 1, got {k}")
+    _require_odd_k(k)
     g._check_vertex(v)
     value = _right_endpoint(bipartite_power(g, k), rep, v.side, v.index, k)
     return RawEndpoint(value, value >= rep.of(v).left)
@@ -151,9 +151,12 @@ def power_representation(g: BipartiteGraph, rep: IntervalRepresentation, k: int)
         raise InputError("power_representation requires a valid representation")
     if not is_connected(g):
         raise InputError("power_representation requires a connected graph")
-    if k < 1 or k % 2 == 0:
-        raise InputError(f"k must be odd and >= 1, got {k}")
+    _require_odd_k(k)
+    return _power_representation(g, rep, k)
 
+
+def _power_representation(g: BipartiteGraph, rep: IntervalRepresentation, k: int) -> IntervalRepresentation:
+    """``power_representation`` on arguments that pass its checks."""
     power = bipartite_power(g, k)
 
     def clamped(side: Side, intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:

@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import BipartiteGraph, bipartite_power, build_graph
-from .errors import CapacityError, InputError, TheoremCounterexample
-
-DEFAULT_MCA_SIZE_CAP = 12
+from .errors import InputError, TheoremCounterexample
 
 
 @dataclass(frozen=True)
@@ -269,8 +267,6 @@ def find_mca(mat: ArrangedMatrix) -> tuple[ArrangedMatrix, McaCertificate] | Non
     """
     entries = mat.entries
     n, m = mat.n, mat.m
-    if max(n, m) > DEFAULT_MCA_SIZE_CAP:
-        raise CapacityError(f"matrix is {n}x{m}, above the arrangement-search cap {DEFAULT_MCA_SIZE_CAP}")
     _check_nonzero(entries)
 
     bits = [sum(v << j for j, v in enumerate(row)) for row in entries]
@@ -343,7 +339,12 @@ def matrix_power(
     base = ArrangedMatrix(_biadjacency(g), row_perm, col_perm)
     if verify_mca(base) is None:
         raise InputError("matrix_power requires an arrangement that verifies on the input graph")
-    out = ArrangedMatrix(_biadjacency(bipartite_power(g, k)), row_perm, col_perm)
+    return _matrix_power(g, base, k)
+
+
+def _matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> ArrangedMatrix:
+    """``matrix_power`` given ``g``'s matrix under an arrangement that verifies."""
+    out = ArrangedMatrix(_biadjacency(bipartite_power(g, k)), base.row_perm, base.col_perm)
     if verify_mca(out) is None:
         raise TheoremCounterexample(
             f"power at k={k} broke a monotone consecutive arrangement",

@@ -118,6 +118,20 @@ def band_graph(rng: random.Random, n: int, width: int) -> bp.BipartiteGraph:
     return bp.build_graph(n, n, [(i, j) for i, (a, b) in enumerate(runs) for j in range(a, b + 1)])
 
 
+def band_with_extra_edges(rng: random.Random, n: int, count: int) -> bp.BipartiteGraph:
+    """``band_graph(rng, n, 6)`` with ``count`` more edges, each a non-edge
+    drawn uniformly by ``rng``.  An edge across the band closes long cycles,
+    many of them chordless."""
+    g = band_graph(rng, n, 6)
+    edges = set(g.edges())
+    if count > n * n - len(edges):
+        raise ValueError(f"the band has fewer than {count} non-edges")
+    target = len(edges) + count
+    while len(edges) < target:
+        edges.add((rng.randrange(n), rng.randrange(n)))
+    return bp.build_graph(n, n, sorted(edges))
+
+
 def random_nonzero_matrix(rng: random.Random, max_n: int, max_m: int) -> tuple[tuple[int, ...], ...]:
     """Uniform 0/1 entries, redrawn until no row or column is all zero."""
     while True:

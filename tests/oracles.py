@@ -17,7 +17,10 @@ from typing import Iterator, Sequence
 
 from bipower import BipartiteGraph, CycleCertificate
 from bipower.errors import CapacityError
-from bipower.mca import DEFAULT_MCA_SIZE_CAP, ArrangedMatrix, McaCertificate, _check_nonzero, verify_mca
+from bipower.mca import ArrangedMatrix, McaCertificate, _check_nonzero, verify_mca
+
+# The row-order backtracker is exponential, so it refuses larger matrices.
+BACKTRACK_SIZE_CAP = 12
 
 
 def plain_adjacency(g: BipartiteGraph) -> list[set[int]]:
@@ -116,8 +119,9 @@ def has_induced_cycle(g: BipartiteGraph, min_length: int) -> bool:
 
 def unconfined_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate | None:
     """Reference for ``find_chordless_cycle``, which searches only the
-    biconnected blocks that are not chordal bipartite: the same depth-first
-    search over every vertex of the graph.  Both must return the same
+    biconnected blocks that are not chordal bipartite and cuts every branch
+    that can no longer reach the start: the same depth-first search over
+    every vertex of the graph, with no cut.  Both must return the same
     certificate, None included.
 
     Induced paths grow from each start vertex in ascending global index,
@@ -268,7 +272,7 @@ def cycle_bearing_per_block(g: BipartiteGraph, min_length: int) -> int:
 
 
 def backtrack_mca(
-    mat: ArrangedMatrix, *, size_cap: int = DEFAULT_MCA_SIZE_CAP
+    mat: ArrangedMatrix, *, size_cap: int = BACKTRACK_SIZE_CAP
 ) -> tuple[ArrangedMatrix, McaCertificate] | None:
     """Search for row and column permutations exhibiting a monotone
     consecutive arrangement of ``mat.entries``; None if there is none.

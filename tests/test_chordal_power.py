@@ -20,10 +20,18 @@ from bipower.chordal_power import (
     doubly_lexical_ordering,
     lift_json,
 )
-from bipower.errors import CapacityError, InputError
+from bipower.errors import InputError
 from bipower.intervals import intervals_to_graph, random_interval_representation
 from bipower.mca import matrix_to_graph
-from conftest import band_graph, cycle_graph, cycle_vertex, fresh_copy, plant_cycle, random_tree
+from conftest import (
+    band_graph,
+    band_with_extra_edges,
+    cycle_graph,
+    cycle_vertex,
+    fresh_copy,
+    plant_cycle,
+    random_tree,
+)
 from oracles import has_induced_cycle, induced_cycle_lengths, unconfined_chordless_cycle
 
 
@@ -116,9 +124,19 @@ class TestDoublyLexicalDecision:
         assert columns == sorted(columns, reverse=True)
         assert shown_bits == [int("".join(map(str, row)) or "0", 2) for row in shown]
 
-    def test_vertex_cap_still_applies(self):
-        with pytest.raises(CapacityError):
-            bp.is_chordal_bipartite(bp.build_graph(33, 32, []))
+    def test_no_vertex_cap(self):
+        assert bp.is_chordal_bipartite(bp.build_graph(33, 32, [])) == (True, None)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_power_of_a_128_plus_128_band_within_budget(self, seed):
+        # The 3-power of a band with two extra edges: 256 dense vertices,
+        # decided "no" and searched for a witness.
+        g = bp.bipartite_power(band_with_extra_edges(random.Random(seed), 128, 2), 3)
+        start = time.perf_counter()
+        verdict = bp.is_chordal_bipartite(g)
+        elapsed = time.perf_counter() - start
+        assert not verdict.chordal and bp.verify_chordless(g, verdict.certificate)
+        assert elapsed < 3, f"took {elapsed:.2f}s"
 
     def test_no_builds_one_ordering(self, monkeypatch):
         # A chordal 26+26 band with a 12-cycle bridged on: 32+32.  Every

@@ -15,7 +15,7 @@ from bipower.chordal_power import cycle_json
 from bipower.cli import dispatch
 from bipower.harness import MAX_PARALLELISM
 from bipower.intervals import intervals_tsv
-from bipower.mca import DEFAULT_MCA_SIZE_CAP, matrix_text
+from bipower.mca import matrix_text
 from conftest import cycle_graph
 
 
@@ -207,6 +207,12 @@ class TestVerbs:
         code, out, _ = run(capsys, "mca-find", str(c6))
         assert code == 1
 
+    def test_mca_find_above_12x12(self, capsys, tmp_path):
+        ones = tmp_path / "ones.mat"
+        ones.write_text("13 13\n" + ("1" * 13 + "\n") * 13)
+        code, out, _ = run(capsys, "mca-find", str(ones))
+        assert code == 0 and json.loads(out)["certificate"]["a"] == [1] * 13
+
     def test_mca_power(self, files, capsys):
         code, out, _ = run(capsys, "mca-power", "-k", "3", str(files["matrix"]))
         assert code == 0
@@ -234,6 +240,12 @@ class TestVerbs:
         assert code == 0
         obj = json.loads(out)
         assert obj["y"][4] == {"label": "y5", "left": 9, "right": 9}
+
+    def test_check_chordal_above_64_vertices(self, capsys, tmp_path):
+        graph = tmp_path / "edgeless.json"
+        graph.write_text(bp.graph_to_json(bp.build_graph(33, 32, [])))
+        code, out, _ = run(capsys, "check-chordal", str(graph))
+        assert code == 0 and json.loads(out)["chordal_bipartite"] is True
 
     def test_check_kchordal(self, files, capsys, tmp_path):
         c8 = tmp_path / "c8.json"
@@ -363,14 +375,17 @@ class TestCounterexampleRecheck:
         assert code == 0
 
 
+MATRIX_SIDE_MAX = 14  # largest side of a drawn matrix file
+
+
 @st.composite
 def matrix_files(draw) -> bytes:
     """Matrix files, mostly malformed: a header that may lie or not parse
     (digits of any script included), ragged rows, zero rows and columns,
-    sizes above the search cap, ``rows:`` / ``cols:`` trailers that need not
-    be bijections, and bytes that are not UTF-8."""
-    n = draw(st.integers(0, DEFAULT_MCA_SIZE_CAP + 2))
-    m = draw(st.integers(0, DEFAULT_MCA_SIZE_CAP + 2))
+    sizes up to ``MATRIX_SIDE_MAX``, ``rows:`` / ``cols:`` trailers that need
+    not be bijections, and bytes that are not UTF-8."""
+    n = draw(st.integers(0, MATRIX_SIDE_MAX))
+    m = draw(st.integers(0, MATRIX_SIDE_MAX))
     number = st.text(st.characters(categories=("Nd", "No")), min_size=1, max_size=2)
     head = draw(
         st.sampled_from((f"{n} {m}", f"{n + 1} {m}"))

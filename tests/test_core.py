@@ -10,8 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 import bipower as bp
 from bipower import core
-from bipower.errors import CapacityError, InputError
-from conftest import SAMPLE_EDGES, band_graph, cycle_graph, cycle_vertex, fresh_copy, plant_cycle
+from bipower.errors import InputError
+from conftest import (
+    SAMPLE_EDGES,
+    band_graph,
+    band_with_extra_edges,
+    cycle_graph,
+    cycle_vertex,
+    fresh_copy,
+    plant_cycle,
+)
 from oracles import (
     cycle_bearing_per_block,
     distance_table,
@@ -290,6 +298,21 @@ class TestBipartitePower:
         with pytest.raises(InputError, match="odd"):
             bp.bipartite_power(sample_graph, k)
 
+    @pytest.mark.parametrize("k", [0, 2, -1])
+    def test_one_odd_k_rule(self, sample_graph, sample_rep, k):
+        # Every function taking a power level refuses a bad k with one message.
+        g18, corners = bp.gen_subdivided_cycle([3] * 6)
+        calls = [
+            lambda: bp.classify_cycle_edges(g18, k, corners),
+            lambda: bp.strongly_closed_check(sample_graph, k),
+            lambda: bp.raw_right_endpoint(sample_graph, sample_rep, bp.x_vertex(0), k),
+            lambda: bp.power_representation(sample_graph, sample_rep, k),
+        ]
+        message = rf"^bipartite powers are defined only for odd k >= 1 .*; got k={k}$"
+        for call in calls:
+            with pytest.raises(InputError, match=message):
+                call()
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32), nx=st.integers(1, 5), ny=st.integers(1, 5), k=st.sampled_from([1, 3, 5]))
     def test_monotone_under_k(self, seed, nx, ny, k):
@@ -347,10 +370,8 @@ class TestChordlessCycleSearch:
         with pytest.raises(InputError):
             bp.find_chordless_cycle(g, 7)
 
-    def test_vertex_cap(self):
-        g = bp.build_graph(40, 40, [])
-        with pytest.raises(CapacityError):
-            bp.find_chordless_cycle(g, 6)
+    def test_no_vertex_cap(self):
+        assert bp.find_chordless_cycle(bp.build_graph(40, 40, []), 6) is None
 
     def test_deterministic(self):
         g = bp.gen_random_bipartite(11, 6, 6, 0.4)
@@ -388,18 +409,34 @@ class TestConfinedSearchMatchesUnconfined:
     bipartite; the certificate must be the unconfined search's, None too."""
 
     def test_every_4_plus_4_graph(self):
-        found = 0
+        found = dict.fromkeys((6, 8), 0)
         for g in bp.enumerate_bipartite(4, 4):
-            cert = bp.find_chordless_cycle(g, 6)
-            assert cert == unconfined_chordless_cycle(g, 6)
-            found += cert is not None
-        assert found > 0
+            for min_length in found:
+                cert = bp.find_chordless_cycle(g, min_length)
+                assert cert == unconfined_chordless_cycle(g, min_length)
+                found[min_length] += cert is not None
+        assert all(found.values())
 
     def test_random_graphs_up_to_9_plus_9(self):
         rng = random.Random(990)
-        found = dict.fromkeys((6, 8, 10), 0)
-        for _ in range(600):
+        found = dict.fromkeys((6, 8, 10, 12), 0)
+        for _ in range(2000):
             g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 9), rng.randint(1, 9), rng.random())
+            for min_length in found:
+                cert = bp.find_chordless_cycle(g, min_length)
+                assert cert == unconfined_chordless_cycle(g, min_length)
+                found[min_length] += cert is not None
+        # A chordless 12-cycle takes 6+6 of at most 9+9 vertices and is rare
+        # here, so 12 checks the search's "none"; the banded volume finds them.
+        assert found[6] and found[8] and found[10]
+
+    def test_banded_graphs_up_to_16_plus_16(self):
+        # An edge across a band closes long cycles, which the search must
+        # tell from the many long paths that cannot close.
+        rng = random.Random(1616)
+        found = dict.fromkeys((8, 10, 12), 0)
+        for _ in range(200):
+            g = band_with_extra_edges(rng, rng.randint(6, 16), rng.randint(1, 3))
             for min_length in found:
                 cert = bp.find_chordless_cycle(g, min_length)
                 assert cert == unconfined_chordless_cycle(g, min_length)
@@ -463,6 +500,39 @@ class TestConfinedSearchMatchesUnconfined:
         elapsed = time.perf_counter() - start
         assert cert is not None and bp.verify_chordless(g, cert)
         assert sorted(v.index for v in cert.vertices) == [12, 12, 13, 13, 14, 14, 15, 15]
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+
+class TestSearchIsPolynomial:
+    """Past ``min_length`` - 1 path vertices the pruned search never
+    backtracks, so long thresholds on large graphs stay fast.  The
+    unpruned search took seconds on the first inputs, and the second ones
+    were refused for size."""
+
+    @pytest.mark.parametrize("seed, edge, min_length, length", [
+        (6, (9, 3), 8, 8),
+        (6, (9, 3), 10, None),
+        (5, (5, 22), 8, 10),
+        (5, (5, 22), 10, 10),
+    ])
+    def test_band_with_one_extra_edge_within_budget(self, seed, edge, min_length, length):
+        band = band_graph(random.Random(seed), 28, 6)
+        g = bp.build_graph(28, 28, [*band.edges(), edge])
+        start = time.perf_counter()
+        cert = bp.find_chordless_cycle(g, min_length)
+        elapsed = time.perf_counter() - start
+        assert (None if cert is None else len(cert)) == length
+        assert cert is None or bp.verify_chordless(g, cert)
+        assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("min_length", [6, 10])
+    def test_128_plus_128_band_within_budget(self, seed, min_length):
+        g = band_with_extra_edges(random.Random(seed), 128, 2)
+        start = time.perf_counter()
+        cert = bp.find_chordless_cycle(g, min_length)
+        elapsed = time.perf_counter() - start
+        assert cert is not None and len(cert) >= min_length and bp.verify_chordless(g, cert)
         assert elapsed < 0.5, f"took {elapsed:.2f}s"
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import bipower as bp
-from bipower import core, harness
+from bipower import core, harness, intervals, mca
 from bipower.errors import CapacityError, InputError
 from bipower.harness import (
     MAX_PARALLELISM,
@@ -201,7 +201,7 @@ class TestT3KRange:
     def test_ks_end_at_diameter_plus_two(self, monkeypatch, k_set):
         graphs: list[bp.BipartiteGraph] = []
         asked: list[list[int]] = []
-        make, represent = harness.intervals_to_graph, harness.power_representation
+        make, represent = harness.intervals_to_graph, harness._power_representation
 
         def made(rep):
             graphs.append(make(rep))
@@ -213,7 +213,7 @@ class TestT3KRange:
             return represent(g, rep, k)
 
         monkeypatch.setattr(harness, "intervals_to_graph", made)
-        monkeypatch.setattr(harness, "power_representation", recorded)
+        monkeypatch.setattr(harness, "_power_representation", recorded)
         campaign = Campaign(Theorem.T3, trials=300, seed=5, bounds=Bounds(max_x=6, max_y=6, k_set=k_set))
         parities, cut = set(), 0
         for index in range(campaign.trials):
@@ -227,6 +227,66 @@ class TestT3KRange:
             cut += max(k_set, default=0) > top
         assert parities == {0, 1}
         assert cut > 0 or not k_set
+
+
+class TestInputCheckedOncePerTrial:
+    """A t3 or t4 trial checks its graph and its representation or
+    arrangement once, and then builds each k's power from the checked
+    input."""
+
+    @staticmethod
+    def counting(monkeypatch, module, name: str, calls: list[str]) -> None:
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_t3_trial(self, monkeypatch):
+        calls: list[str] = []
+        self.counting(monkeypatch, harness, "verify_representation", calls)
+        self.counting(monkeypatch, intervals, "is_connected", calls)
+        self.counting(monkeypatch, harness, "is_connected", calls)
+        self.counting(monkeypatch, harness, "_power_representation", calls)
+        campaign = Campaign(Theorem.T3, trials=200, seed=7, bounds=Bounds(max_x=6, max_y=6))
+        several = 0
+        for index in range(campaign.trials):
+            calls.clear()
+            outcome = harness._trial_t3(campaign, index)
+            if outcome.skipped:
+                assert calls == ["is_connected"]
+                continue
+            ks = calls.count("_power_representation")
+            assert calls == ["is_connected", "verify_representation"] + ["_power_representation"] * ks
+            several += ks > 1
+        assert several > 0
+
+    def test_t4_trial(self, monkeypatch):
+        calls: list[str] = []
+        for module in (harness, mca):
+            self.counting(monkeypatch, module, "verify_mca", calls)
+        self.counting(monkeypatch, mca, "_biadjacency", calls)
+        campaign = Campaign(Theorem.T4, trials=100, seed=7, bounds=Bounds(max_x=6, max_y=6))
+        ks = len(campaign.k_set())
+        assert ks > 1
+        for index in range(campaign.trials):
+            calls.clear()
+            harness._trial_t4(campaign, index)
+            assert calls == ["verify_mca"] + ["_biadjacency", "verify_mca"] * ks
+
+    def test_failed_trial_check_is_a_defect(self, monkeypatch):
+        # Each trial builds its graph from the input it checks, so a failed
+        # check is a fault in bipower, not an input error.
+        monkeypatch.setattr(harness, "verify_representation", lambda g, rep: False)
+        monkeypatch.setattr(harness, "verify_mca", lambda mat: None)
+        campaign = Campaign(Theorem.T3, trials=50, seed=7)
+        with pytest.raises(AssertionError, match="representation it was built from"):
+            for index in range(campaign.trials):
+                harness._trial_t3(campaign, index)
+        with pytest.raises(AssertionError, match="not monotone consecutive"):
+            harness._trial_t4(Campaign(Theorem.T4, trials=1, seed=7), 0)
 
 
 class TestEachLevelDecidedOnce:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bipower as bp
-from bipower.errors import CapacityError, InputError
+from bipower.errors import InputError
 from bipower.mca import certificate_json, identity_arrangement, matrix_text, parse_matrix
 from conftest import block_diagonal, random_nonzero_matrix, shuffled, shuffled_staircase
 from oracles import (
@@ -210,10 +210,19 @@ class TestFindMca:
         with pytest.raises(AssertionError, match="does not verify"):
             bp.find_mca(staircase_matrix)
 
-    def test_size_cap(self):
-        big = identity_arrangement(tuple(tuple(1 for _ in range(13)) for _ in range(13)))
-        with pytest.raises(CapacityError):
-            bp.find_mca(big)
+    def test_no_size_cap(self):
+        ones = identity_arrangement(tuple(tuple(1 for _ in range(13)) for _ in range(13)))
+        found = bp.find_mca(ones)
+        assert found is not None and bp.verify_mca(found[0]) == found[1]
+
+    def test_24x24_shuffled_staircase_within_budget(self):
+        rng = random.Random(24)
+        entries = shuffled_staircase(rng, 24, 24, copies=3)
+        start = time.perf_counter()
+        found = bp.find_mca(identity_arrangement(entries))
+        elapsed = time.perf_counter() - start
+        assert found is not None and bp.verify_mca(found[0]) == found[1]
+        assert elapsed < 0.1, f"took {elapsed:.3f}s"
 
     def test_exhaustive_3x3_against_both_oracles(self):
         for bits in range(1 << 9):
