@@ -468,32 +468,42 @@ def _search_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertific
     live = _cycle_bearing_vertices(g, min_length)
     adj = g.global_adj
 
-    def extend(head: int, path: list[int], path_mask: int, interior_adj: int) -> list[int] | None:
-        start_adj = adj[path[0]]
-        cand = adj[head] & ~path_mask & ~interior_adj & high_mask
-        interior_adj |= adj[head]  # the head joins the interior of every extension
-        for w in _iter_bits(cand):
-            if start_adj >> w & 1:
-                # Closing edge exists: either report the cycle or abandon w,
-                # since extending past it would leave a chord back to the start.
-                if len(path) + 1 >= min_length:
-                    return path + [w]
-                continue
-            # Enter w only if it can still reach a neighbour of the start.
-            allowed, frontier = high_mask & ~path_mask & ~interior_adj, 1 << w
-            while frontier and not frontier & start_adj:
-                frontier = _union(adj, frontier) & allowed
-                allowed &= ~frontier
-            if frontier:
-                found = extend(w, path + [w], path_mask | 1 << w, interior_adj)
-                if found is not None:
-                    return found
+    def grow(v0: int, v1: int, high_mask: int) -> list[int] | None:
+        start_adj = adj[v0]
+        path, path_mask = [v0, v1], 1 << v0 | 1 << v1
+        # One frame per path vertex after the start: the extensions of the
+        # path it heads not yet tried, and the adjacency of every vertex that
+        # is interior to those extensions.
+        frames = [(_iter_bits(adj[v1] & ~path_mask & high_mask), adj[v1])]
+        while frames:
+            cand, interior_adj = frames[-1]
+            for w in cand:
+                if start_adj >> w & 1:
+                    # Closing edge exists: either report the cycle or abandon w,
+                    # since extending past it would leave a chord back to the start.
+                    if len(path) + 1 >= min_length:
+                        return path + [w]
+                    continue
+                # Enter w only if it can still reach a neighbour of the start.
+                allowed, frontier = high_mask & ~path_mask & ~interior_adj, 1 << w
+                while frontier and not frontier & start_adj:
+                    frontier = _union(adj, frontier) & allowed
+                    allowed &= ~frontier
+                if frontier:
+                    path.append(w)
+                    path_mask |= 1 << w
+                    ahead = adj[w] & ~path_mask & ~interior_adj & high_mask
+                    frames.append((_iter_bits(ahead), interior_adj | adj[w]))
+                    break
+            else:
+                frames.pop()
+                path_mask ^= 1 << path.pop()
         return None
 
     for v0 in _iter_bits(live):
         high_mask = live & (-1 << (v0 + 1))
         for v1 in _iter_bits(adj[v0] & high_mask):
-            found = extend(v1, [v0, v1], (1 << v0) | (1 << v1), 0)
+            found = grow(v0, v1, high_mask)
             if found is not None:
                 return CycleCertificate(tuple(g.vertex_of_global(w) for w in found), 1)
     return None

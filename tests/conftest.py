@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import inspect
 import random
+import sys
+from typing import Iterator
 
 import pytest
 
@@ -52,6 +56,18 @@ def cycle_graph(length: int) -> bp.BipartiteGraph:
     """Plain even cycle as a bigraph; vertex t sits at X t//2 (t even) / Y t//2."""
     g, _ = bp.gen_subdivided_cycle([1] * length)
     return g
+
+
+@contextlib.contextmanager
+def frames_to_spare(count: int) -> Iterator[None]:
+    """Lower Python's recursion limit to ``count`` frames above the caller's
+    depth for the duration, so code whose stack grows with its input fails."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + count)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def fresh_copy(g: bp.BipartiteGraph) -> bp.BipartiteGraph:

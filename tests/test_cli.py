@@ -16,7 +16,7 @@ from bipower.cli import dispatch
 from bipower.harness import MAX_PARALLELISM
 from bipower.intervals import intervals_tsv
 from bipower.mca import matrix_text
-from conftest import cycle_graph
+from conftest import cycle_graph, frames_to_spare
 
 
 @pytest.fixture
@@ -246,6 +246,22 @@ class TestVerbs:
         graph.write_text(bp.graph_to_json(bp.build_graph(33, 32, [])))
         code, out, _ = run(capsys, "check-chordal", str(graph))
         assert code == 0 and json.loads(out)["chordal_bipartite"] is True
+
+    def test_check_chordal_cycle_deeper_than_the_stack(self, capsys, tmp_path):
+        # 400 path vertices against 100 spare frames: a search that recursed
+        # per path vertex would end in an internal error here.
+        graph = tmp_path / "c400.json"
+        graph.write_text(bp.graph_to_json(cycle_graph(400)))
+        with frames_to_spare(100):
+            code, out, _ = run(capsys, "check-chordal", str(graph))
+        assert code == 1
+        assert json.loads(out)["cycle"] == [f"{'xy'[t % 2]}{t // 2 + 1}" for t in range(400)]
+
+    @pytest.mark.parametrize("theorem", ["t5", "kchordal"])
+    def test_fuzz_above_64_vertices(self, capsys, theorem):
+        code, out, _ = run(capsys, "fuzz", "--theorem", theorem, "--trials", "20", "--seed", "3", "--max-x", "40", "--max-y", "40")
+        report = json.loads(out)
+        assert code == 0 and report["executed"] == 20 and report["counterexamples"] == []
 
     def test_check_kchordal(self, files, capsys, tmp_path):
         c8 = tmp_path / "c8.json"

@@ -373,6 +373,16 @@ class TestChordlessCycleSearch:
     def test_no_vertex_cap(self):
         assert bp.find_chordless_cycle(bp.build_graph(40, 40, []), 6) is None
 
+    def test_cycle_longer_than_the_recursion_limit(self):
+        # The search keeps its path on a list, not on the call stack, so a
+        # chordless cycle with more vertices than Python allows frames is
+        # found whole.
+        length = sys.getrecursionlimit() // 2 * 2 + 100
+        g = cycle_graph(length)
+        whole = tuple(cycle_vertex(t) for t in range(length))
+        assert bp.find_chordless_cycle(g, 8).vertices == whole
+        assert bp.is_chordal_bipartite(g).certificate.vertices == whole
+
     def test_deterministic(self):
         g = bp.gen_random_bipartite(11, 6, 6, 0.4)
         assert bp.find_chordless_cycle(g, 6) == bp.find_chordless_cycle(g, 6)
