@@ -468,44 +468,37 @@ def _search_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertific
     live = _cycle_bearing_vertices(g, min_length)
     adj = g.global_adj
 
-    def grow(v0: int, v1: int, high_mask: int) -> list[int] | None:
-        start_adj = adj[v0]
-        path, path_mask = [v0, v1], 1 << v0 | 1 << v1
-        # One frame per path vertex after the start: the extensions of the
-        # path it heads not yet tried, and the adjacency of every vertex that
-        # is interior to those extensions.
-        frames = [(_iter_bits(adj[v1] & ~path_mask & high_mask), adj[v1])]
-        while frames:
-            cand, interior_adj = frames[-1]
-            for w in cand:
-                if start_adj >> w & 1:
-                    # Closing edge exists: either report the cycle or abandon w,
-                    # since extending past it would leave a chord back to the start.
-                    if len(path) + 1 >= min_length:
-                        return path + [w]
-                    continue
-                # Enter w only if it can still reach a neighbour of the start.
-                allowed, frontier = high_mask & ~path_mask & ~interior_adj, 1 << w
-                while frontier and not frontier & start_adj:
-                    frontier = _union(adj, frontier) & allowed
-                    allowed &= ~frontier
-                if frontier:
-                    path.append(w)
-                    path_mask |= 1 << w
-                    ahead = adj[w] & ~path_mask & ~interior_adj & high_mask
-                    frames.append((_iter_bits(ahead), interior_adj | adj[w]))
-                    break
-            else:
-                frames.pop()
-                path_mask ^= 1 << path.pop()
-        return None
-
     for v0 in _iter_bits(live):
         high_mask = live & (-1 << (v0 + 1))
-        for v1 in _iter_bits(adj[v0] & high_mask):
-            found = grow(v0, v1, high_mask)
-            if found is not None:
-                return CycleCertificate(tuple(g.vertex_of_global(w) for w in found), 1)
+        start_adj = adj[v0]
+        for v1 in _iter_bits(start_adj & high_mask):
+            path, path_mask = [v0, v1], 1 << v0 | 1 << v1
+            # One frame per path vertex after the start: the untried extensions
+            # of the path it heads, and the adjacency of their interior.
+            frames = [(_iter_bits(adj[v1] & ~path_mask & high_mask), adj[v1])]
+            while frames:
+                cand, interior_adj = frames[-1]
+                for w in cand:
+                    if start_adj >> w & 1:
+                        # Closing edge exists: either report the cycle or abandon w,
+                        # since extending past it would leave a chord back to the start.
+                        if len(path) + 1 >= min_length:
+                            return CycleCertificate(tuple(g.vertex_of_global(u) for u in path + [w]), 1)
+                        continue
+                    # Enter w only if it can still reach a neighbour of the start.
+                    allowed, frontier = high_mask & ~path_mask & ~interior_adj, 1 << w
+                    while frontier and not frontier & start_adj:
+                        frontier = _union(adj, frontier) & allowed
+                        allowed &= ~frontier
+                    if frontier:
+                        path.append(w)
+                        path_mask |= 1 << w
+                        ahead = adj[w] & ~path_mask & ~interior_adj & high_mask
+                        frames.append((_iter_bits(ahead), interior_adj | adj[w]))
+                        break
+                else:
+                    frames.pop()
+                    path_mask ^= 1 << path.pop()
     return None
 
 
