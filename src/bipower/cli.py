@@ -56,6 +56,27 @@ def _load_graph(path: str) -> core.BipartiteGraph:
     return core.graph_from_json(_read(path))
 
 
+def _load_intervals(path: str, g: core.BipartiteGraph):
+    """The interval file's representation of ``g``: each interval goes to
+    the vertex its label names, in the graph's index order."""
+    from . import intervals
+    rep, x_labels, y_labels = intervals.parse_intervals_tsv(_read(path)).representation()
+
+    def matched(side: str, labels, ivs, graph_labels) -> tuple:
+        by_label, known = dict(zip(labels, ivs)), set(graph_labels)
+        for label in labels:
+            if label not in known:
+                raise InputError(f"interval label {label!r} is not one of the graph's {side} labels")
+        for label in graph_labels:
+            if label not in by_label:
+                raise InputError(f"graph vertex {label!r} has no interval")
+        return tuple(by_label[label] for label in graph_labels)
+
+    return intervals.IntervalRepresentation(
+        matched("X", x_labels, rep.x_intervals, g.x_labels), matched("Y", y_labels, rep.y_intervals, g.y_labels)
+    )
+
+
 def _intervals_payload(rep, x_labels, y_labels, fmt: str) -> str:
     from . import intervals
     if fmt == "json":
@@ -173,10 +194,7 @@ def _cmd_check_chordal(args, out: _Out) -> int:
     from . import chordal_power
     fmt = args.format or "json"
     g = _load_graph(args.graph)
-    if args.min_length == 6:
-        cert = chordal_power.is_chordal_bipartite(g).certificate
-    else:
-        cert = core.find_chordless_cycle(g, args.min_length)
+    cert = core.find_chordless_cycle(g, args.min_length)
     if cert is None:
         out.emit(_verdict_payload({"chordal_bipartite": True}, fmt))
         return EXIT_OK
@@ -201,8 +219,7 @@ def _cmd_verify_intervals(args, out: _Out) -> int:
     from . import intervals
     fmt = args.format or "json"
     g = _load_graph(args.graph)
-    rep, _, _ = intervals.parse_intervals_tsv(_read(args.intervals_file)).representation()
-    ok = intervals.verify_representation(g, rep)
+    ok = intervals.verify_representation(g, _load_intervals(args.intervals_file, g))
     out.emit(_verdict_payload({"valid": ok}, fmt))
     return EXIT_OK if ok else EXIT_PROPERTY_FAILS
 
@@ -211,8 +228,7 @@ def _cmd_power_intervals(args, out: _Out) -> int:
     from . import intervals
     fmt = args.format or "tsv"
     g = _load_graph(args.graph)
-    rep, _, _ = intervals.parse_intervals_tsv(_read(args.intervals_file)).representation()
-    result = intervals.power_representation(g, rep, args.k)
+    result = intervals.power_representation(g, _load_intervals(args.intervals_file, g), args.k)
     out.emit(_intervals_payload(result, g.x_labels, g.y_labels, fmt))
     return EXIT_OK
 

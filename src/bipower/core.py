@@ -5,9 +5,10 @@ Vertices live on two sides X and Y; every edge crosses sides.  Adjacency is
 stored once, as one integer bitset per X vertex, and the Y-side view is
 derived on demand.  All operations are pure functions of immutable values.
 A graph keeps what it derives: its odd powers, each grown once from the one
-below and returned as the same object on every later request, and its
-chordal-bipartite (Γ) verdict.  Distances from one source come from one
-breadth-first search over the bitsets; no all-pairs table is kept.
+below and returned as the same object on every later request, its Γ
+verdict, and its answer to each chordless-cycle query.  Distances from one
+source come from one breadth-first search over the bitsets; no all-pairs
+table is kept.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class BipartiteGraph:
 
     ``x_adj[i]`` has bit ``j`` set iff x_i y_j is an edge.  Instances may be
     shared freely across threads; their value never changes after
-    construction.  Derived data (the Y-side view, the odd powers, the
-    chordal-bipartite verdict) is cached on first use, so a repeated power
+    construction.  Derived data (the Y-side view, the odd powers, the Γ
+    verdict, the cycles found) is cached on first use, so a repeated power
     is the same object; a race between threads can only repeat that work.
     """
 
@@ -134,12 +135,6 @@ class BipartiteGraph:
         """True iff this graph is chordal bipartite: its doubly lexical
         ordering is Γ-free (module-level ``_gamma_free``)."""
         return _gamma_free(self._ordering[2])
-
-    @cached_property
-    def _cycle_witness(self) -> CycleCertificate | None:
-        """``find_chordless_cycle(self, 6)``, searched once: the witness of
-        a "no" from the Γ decision."""
-        return _search_chordless_cycle(self, 6)
 
     @property
     def vertex_count(self) -> int:
@@ -332,9 +327,10 @@ def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], li
     and columns are stably sorted in turn until the column sort moves
     nothing.  Each sort can only increase the row-major reading of the
     matrix, and strictly does so whenever it moves something, so the loop
-    ends, and its fixpoint is doubly lexical.
+    ends, and its fixpoint is doubly lexical.  The ordering is built once
+    per graph and kept on it; each call returns fresh copies of its lists.
     """
-    return _doubly_lexical(g.x_adj, g.y_count)
+    return tuple(map(list, g._ordering))
 
 
 def _gamma_free(shown: Sequence[int]) -> bool:
@@ -435,6 +431,11 @@ def _cycle_bearing_vertices(g: BipartiteGraph, min_length: int) -> int:
 def find_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate | None:
     """Find some induced cycle of length >= ``min_length``, or None.
 
+    The one chordless-cycle query.  A graph with a Γ-free doubly lexical
+    ordering is chordal bipartite (Lubiw, SIAM J. Comput. 16, 1987), so it
+    gets None at any ``min_length`` without a search; any other graph is
+    searched once per ``min_length``, and the answer is kept on it.
+
     Depth-first search over induced paths: a path grows only by vertices
     adjacent to its head and non-adjacent to every interior vertex, so any
     closure back to the start is automatically chordless.  Start vertices,
@@ -454,17 +455,20 @@ def find_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate
     a long enough chordless cycle (Nikolopoulos & Palios, "Detecting holes
     and antiholes in graphs", Algorithmica 47, 2007), so the search never
     backtracks there: it is polynomial for every fixed ``min_length``.
-
-    The answer at ``min_length`` 6, the witness of a "no" from the Γ
-    decision, is searched once per graph and kept on it.
     """
     if min_length < 6 or min_length % 2:
         raise InputError(f"min_length must be even and >= 6, got {min_length}")
-    return g._cycle_witness if min_length == 6 else _search_chordless_cycle(g, min_length)
+    if g._is_gamma_free:
+        return None
+    found = g.__dict__.setdefault("_chordless_cycles", {})
+    if min_length not in found:
+        found[min_length] = _search_chordless_cycle(g, min_length)
+    return found[min_length]
 
 
 def _search_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate | None:
-    """The search of ``find_chordless_cycle``, on arguments it has checked."""
+    """The search of ``find_chordless_cycle``, on a graph with a Γ and
+    arguments it has checked: finding no cycle at length 6 is a defect."""
     live = _cycle_bearing_vertices(g, min_length)
     adj = g.global_adj
 
@@ -499,6 +503,8 @@ def _search_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertific
                 else:
                     frames.pop()
                     path_mask ^= 1 << path.pop()
+    if min_length == 6:
+        raise AssertionError("doubly lexical ordering has a Γ but no chordless cycle of length >= 6 exists")
     return None
 
 

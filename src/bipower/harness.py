@@ -14,7 +14,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 from typing import Iterator
 
 from .chordal_power import is_k_chordal, strongly_closed_check
@@ -267,14 +266,11 @@ def _trial_kchordal(campaign: Campaign, index: int) -> TrialOutcome:
     rng = random.Random(trial_seed(campaign.seed, index))
     g = _random_graph_for_trial(campaign, rng)
     kc = campaign.bounds.k_chordal_k
-
-    @cache  # adjacent k share a level; ask each once
-    def holds(k: int) -> bool:
-        return is_k_chordal(bipartite_power(g, k), kc).chordal
-
     records = []
     for k in campaign.k_set():
-        if holds(k) and not holds(k + 2):
+        # Adjacent k share a level, and a level keeps its answer.
+        if (is_k_chordal(bipartite_power(g, k), kc).chordal
+                and not is_k_chordal(bipartite_power(g, k + 2), kc).chordal):
             records.append(
                 {
                     "trial": index,
@@ -377,13 +373,8 @@ def campaign_from_json(text: str) -> Campaign:
     k_set = raw_bounds.get("k_set", [])
     if not isinstance(k_set, list):
         raise InputError('campaign JSON "k_set" must be an array')
-    bounds = Bounds(
-        max_x=raw_bounds.get("max_x", 6),
-        max_y=raw_bounds.get("max_y", 6),
-        span=raw_bounds.get("span", 12),
-        k_set=tuple(k_set),
-        k_chordal_k=raw_bounds.get("k_chordal_k", 4),
-    )
+    given = {name: raw_bounds[name] for name in ("max_x", "max_y", "span", "k_chordal_k") if name in raw_bounds}
+    bounds = Bounds(k_set=tuple(k_set), **given)
     return Campaign(
         theorem=theorem,
         trials=obj.get("trials", 1),

@@ -9,6 +9,7 @@ from typing import Iterator
 import pytest
 
 import bipower as bp
+from bipower import core
 from bipower.intervals import Interval, IntervalRepresentation
 from bipower.mca import identity_arrangement
 
@@ -73,6 +74,19 @@ def frames_to_spare(count: int) -> Iterator[None]:
 def fresh_copy(g: bp.BipartiteGraph) -> bp.BipartiteGraph:
     """An equal graph with nothing derived or cached yet."""
     return bp.build_graph(g.x_count, g.y_count, list(g.edges()), g.x_labels, g.y_labels)
+
+
+def counted_searches(monkeypatch) -> list[tuple[bp.BipartiteGraph, int]]:
+    """The (graph, min_length) of every chordless-cycle search run."""
+    searched: list[tuple[bp.BipartiteGraph, int]] = []
+    original = core._search_chordless_cycle
+
+    def counted(g, min_length):
+        searched.append((g, min_length))
+        return original(g, min_length)
+
+    monkeypatch.setattr(core, "_search_chordless_cycle", counted)
+    return searched
 
 
 def cycle_vertex(position: int) -> bp.VertexId:

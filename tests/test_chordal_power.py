@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bipower as bp
-from bipower import chordal_power, core
+from bipower import chordal_power, cli, core
 from bipower.chordal_power import (
     EdgeClass,
     LiftMethod,
@@ -26,6 +27,7 @@ from bipower.mca import matrix_to_graph
 from conftest import (
     band_graph,
     band_with_extra_edges,
+    counted_searches,
     cycle_graph,
     cycle_vertex,
     fresh_copy,
@@ -102,14 +104,20 @@ class TestDoublyLexicalDecision:
             assert bp.verify_chordless(g, verdict.certificate)
 
     def test_matches_cycle_search_on_random_powers(self):
+        # Every query, at every length, against the search over the whole
+        # graph with no Γ gate and no cut.
         rng = random.Random(7007)
         for _ in range(300):
             g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 7), rng.randint(1, 7), rng.random())
             for k in (1, 3, 5):
                 power = bp.bipartite_power(g, k)
-                cert = bp.find_chordless_cycle(power, 6)
-                assert cert == unconfined_chordless_cycle(power, 6)
-                assert bp.is_chordal_bipartite(power) == (cert is None, cert)
+                want = {min_length: unconfined_chordless_cycle(power, min_length) for min_length in (6, 8, 10)}
+                for min_length, cert in want.items():
+                    assert bp.find_chordless_cycle(power, min_length) == cert
+                for kc in range(4, 10):
+                    cert = want[kc + 2 - kc % 2]
+                    assert bp.is_k_chordal(power, kc) == (cert is None, cert)
+                assert bp.is_chordal_bipartite(power) == (want[6] is None, want[6])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**64 - 1))
@@ -161,15 +169,18 @@ class TestDoublyLexicalDecision:
         assert built == [g.x_adj]
 
     def test_decision_without_witness_is_a_defect(self, monkeypatch):
-        monkeypatch.setattr(chordal_power, "find_chordless_cycle", lambda g, min_length: None)
+        # A search that keeps no block of a graph with a Γ finds no cycle.
+        monkeypatch.setattr(core, "_cycle_bearing_vertices", lambda g, min_length: 0)
         with pytest.raises(AssertionError, match="no chordless cycle"):
             bp.is_chordal_bipartite(cycle_graph(6))
+        with pytest.raises(AssertionError, match="no chordless cycle"):
+            bp.is_k_chordal(cycle_graph(6), 4)
 
     def test_defect_guard_survives_optimized_mode(self):
         script = (
             "import bipower as bp\n"
-            "from bipower import chordal_power\n"
-            "chordal_power.find_chordless_cycle = lambda g, min_length: None\n"
+            "from bipower import core\n"
+            "core._cycle_bearing_vertices = lambda g, min_length: 0\n"
             "g, _ = bp.gen_subdivided_cycle([1] * 6)\n"
             "try:\n"
             "    bp.is_chordal_bipartite(g)\n"
@@ -179,6 +190,43 @@ class TestDoublyLexicalDecision:
         env = dict(os.environ, PYTHONPATH=str(Path(bp.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60)
         assert proc.returncode == 7, proc.stderr
+
+
+class TestOneChordlessCycleQuery:
+    """Every chordal and k-chordal verdict is ``find_chordless_cycle``: a
+    Γ-free graph is answered without a search, and any other graph is
+    searched once per length."""
+
+    def test_gamma_free_graph_is_never_searched(self, monkeypatch):
+        # Chordal graphs whose biconnected blocks are long enough for every
+        # length asked.
+        rng = random.Random(41)
+        graphs = [bp.bipartite_power(band_graph(rng, 24, 4), k) for k in (1, 3)] + [
+            intervals_to_graph(random_interval_representation(rng.getrandbits(32), 20, 20, 40)),
+            bp.build_graph(6, 6, [(i, j) for i in range(6) for j in range(6)]),
+        ]
+        searched = counted_searches(monkeypatch)
+        for g in graphs:
+            assert any(b.bit_count() >= 10 for b in core._biconnected_blocks(g.global_adj))
+            for min_length in (6, 8, 10):
+                assert bp.find_chordless_cycle(g, min_length) is None
+            for k in range(4, 10):
+                assert bp.is_k_chordal(g, k) == (True, None)
+        assert searched == []
+
+    def test_graph_with_a_gamma_is_searched_once_per_length(self, monkeypatch, capsys, tmp_path):
+        g = cycle_graph(10)
+        searched = counted_searches(monkeypatch)
+        monkeypatch.setattr(cli, "_load_graph", lambda path: g)
+        for _ in range(3):
+            answers = [bp.find_chordless_cycle(g, min_length) for min_length in (6, 8, 10, 12)]
+            assert [len(cert) if cert else None for cert in answers] == [10, 10, 10, None]
+            for k in range(4, 12):
+                assert bp.is_k_chordal(g, k) == (k >= 10, None if k >= 10 else answers[0])
+            assert cli.dispatch(["check-chordal", "--min-length", "8", str(tmp_path / "c10.json")]) == 1
+            assert len(json.loads(capsys.readouterr().out)["cycle"]) == 10
+        assert sorted(min_length for h, min_length in searched) == [6, 8, 10, 12]
+        assert all(h is g for h, _ in searched)
 
 
 class TestIsKChordal:
@@ -381,14 +429,7 @@ class TestStronglyClosedCheck:
         # Each level's witness is searched once, though levels 3 and 5 are
         # asked twice and the lift falls back to a search of the k-power.
         g = cycle_graph(18)
-        searched = []
-        original = core._search_chordless_cycle
-
-        def counted(h, min_length):
-            searched.append((h, min_length))
-            return original(h, min_length)
-
-        monkeypatch.setattr(core, "_search_chordless_cycle", counted)
+        searched = counted_searches(monkeypatch)
         reports = [bp.strongly_closed_check(g, k) for k in (1, 3, 5)]
         levels = [bp.bipartite_power(g, k) for k in (1, 3, 5, 7)]
         assert len({id(level) for level in levels}) == 4

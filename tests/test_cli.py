@@ -227,6 +227,43 @@ class TestVerbs:
         code, out, _ = run(capsys, "verify-intervals", str(edgeless), str(files["intervals"]))
         assert code == 1 and json.loads(out) == {"valid": False}
 
+    @pytest.fixture
+    def interval_path(self, tmp_path):
+        """The path x1 y1 x2 y2, and a writer of interval files."""
+        graph = tmp_path / "path.json"
+        graph.write_text(bp.graph_to_json(bp.build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])))
+
+        def tsv(name: str, *lines: str):
+            path = tmp_path / name
+            path.write_text("".join(f"{line}\n" for line in lines))
+            return str(path)
+
+        return str(graph), tsv
+
+    def test_intervals_matched_by_label(self, capsys, interval_path):
+        graph, tsv = interval_path
+        in_order = tsv("in-order.tsv", "X\tx1\t0\t1", "X\tx2\t3\t5", "Y\ty1\t1\t3", "Y\ty2\t5\t6")
+        swapped = tsv("swapped.tsv", "Y\ty2\t5\t6", "X\tx2\t3\t5", "Y\ty1\t1\t3", "X\tx1\t0\t1")
+        code, out, _ = run(capsys, "verify-intervals", graph, swapped)
+        assert code == 0 and json.loads(out) == {"valid": True}
+        for fmt in ((), ("--format", "json")):
+            want = run(capsys, "power-intervals", "-k", "3", *fmt, graph, in_order)
+            assert want[0] == 0
+            assert run(capsys, "power-intervals", "-k", "3", *fmt, graph, swapped) == want
+
+    @pytest.mark.parametrize("lines, word", [
+        (("X\tp\t0\t1", "X\tq\t4\t5", "Y\tr\t1\t2", "Y\ts\t5\t6"), "'p'"),
+        (("X\tx1\t0\t1", "X\tx2\t4\t5", "Y\ty1\t1\t2"), "'y2'"),
+        (("X\tx1\t0\t1", "X\ty1\t4\t5", "Y\tx2\t1\t2", "Y\ty2\t5\t6"), "'y1'"),
+    ])
+    def test_intervals_not_naming_the_graphs_vertices_are_exit_2(self, capsys, interval_path, lines, word):
+        graph, tsv = interval_path
+        path = tsv("alien.tsv", *lines)
+        for argv in (["verify-intervals", graph, path], ["power-intervals", "-k", "1", graph, path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error:") and word in err
+
     def test_power_intervals_tsv(self, files, capsys):
         code, out, _ = run(capsys, "power-intervals", "-k", "3", str(files["graph"]), str(files["intervals"]))
         assert code == 0

@@ -16,7 +16,7 @@ from bipower.harness import (
     report_json,
     trial_seed,
 )
-from conftest import cycle_graph, fresh_copy
+from conftest import counted_searches, cycle_graph, fresh_copy
 
 
 class TestGenRandomBipartite:
@@ -348,29 +348,30 @@ class TestEachLevelDecidedOnce:
             assert len(decided) == len(set(decided)) == len(distinct)
 
     def test_kchordal_trial_asks_each_level_once(self, monkeypatch):
-        # An 18-vertex path: every level is chordal, so every level is asked.
+        # An 18-vertex path: every level is chordal, so every level's
+        # ordering is built and none is searched, at either k_chordal_k.
         path = bp.build_graph(9, 9, [(i, i) for i in range(9)] + [(i + 1, i) for i in range(8)])
         made = self.trial_graphs(monkeypatch, path)
-        asked: list[bp.BipartiteGraph] = []
-        original = harness.is_k_chordal
-
-        def counted(g, k):
-            asked.append(g)
-            return original(g, k)
-
-        monkeypatch.setattr(harness, "is_k_chordal", counted)
+        calls = self.gamma_calls(monkeypatch)
+        searched = counted_searches(monkeypatch)
         for kc in (4, 6):
             campaign = Campaign(
                 Theorem.KCHORDAL, trials=1, seed=9, bounds=Bounds(max_x=9, max_y=9, k_set=(1, 3, 5), k_chordal_k=kc)
             )
-            asked.clear()
+            calls.clear()
             harness._trial_kchordal(campaign, 0)
-            levels = [bp.bipartite_power(made[-1], k) for k in (1, 3, 5, 7)]
-            assert [next(t for t, level in enumerate(levels) if a is level) for a in asked] == [0, 1, 2, 3]
-        # A random campaign: never more than four questions per trial.
+            assert self.whole_graph_decisions(calls, made[-1]) == [0, 1, 2, 3]
+            assert searched == []
+        # A random campaign: each level is ordered at most once and searched
+        # at most once.
         made = self.trial_graphs(monkeypatch)
         campaign = Campaign(Theorem.KCHORDAL, trials=60, seed=9, bounds=Bounds(max_x=7, max_y=7, k_chordal_k=6))
         for index in range(campaign.trials):
-            asked.clear()
+            calls.clear()
+            searched.clear()
             harness._trial_kchordal(campaign, index)
-            assert len(asked) <= 4
+            g = made[-1]
+            decided = self.whole_graph_decisions(calls, g)
+            assert len(decided) == len(set(decided)) <= len({id(bp.bipartite_power(g, k)) for k in (1, 3, 5, 7)})
+            assert len(searched) == len({id(h) for h, _ in searched})
+            assert all(min_length == 8 and not h._is_gamma_free for h, min_length in searched)

@@ -33,6 +33,52 @@ def test_no_assert_statements_in_src():
     assert found == [], f"assert statements in src: {found}"
 
 
+def self_calls(source: str) -> list[str]:
+    """``name:line`` of each call by which a function calls itself, by its
+    plain name or, as a method, through ``self``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = call.func
+            by_name = isinstance(callee, ast.Name) and callee.id == node.name
+            by_self = (
+                isinstance(callee, ast.Attribute) and callee.attr == node.name
+                and isinstance(callee.value, ast.Name) and callee.value.id == "self"
+            )
+            if by_name or by_self:
+                found.append(f"{node.name}:{call.lineno}")
+    return found
+
+
+def test_self_calls_rule_sees_recursion():
+    source = textwrap.dedent("""
+        def walk(n):
+            return walk(n - 1) if n else 0
+
+        class Tree:
+            def depth(self):
+                return 1 + self.depth()
+
+        class Error(Exception):
+            def __init__(self, msg):
+                super().__init__(msg)
+    """)
+    assert self_calls(source) == ["walk:3", "depth:7"]
+
+
+def test_no_recursion_in_src():
+    # The chordless-cycle search keeps its path on an explicit stack, so a
+    # cycle of any length is followed round below Python's recursion limit;
+    # no function here calls itself.
+    modules = sorted(SRC.glob("*.py"))
+    found = [f"{path.name}:{hit}" for path in modules for hit in self_calls(path.read_text(encoding="utf-8"))]
+    assert found == [], f"recursive calls in src: {found}"
+
+
 def test_core_does_not_import_chordal_power():
     # core holds the graph, the search and the Γ test the search uses;
     # chordal_power builds on it, never the other way round.
