@@ -304,17 +304,23 @@ def _doubly_lexical(x_rows: Sequence[int], y_count: int) -> tuple[list[int], lis
     x_strs = [format(row, f"0{y_count}b")[::-1] for row in x_rows]
     y_strs = ["".join(col) for col in zip(*x_strs)]
     rows, cols = list(range(len(x_rows))), list(range(y_count))
+    cols_sorted = False  # whether cols were sorted under the current row order
     while True:
         pick = itemgetter(*cols)
         row_key = ["".join(pick(s)) for s in x_strs]
-        rows.sort(key=row_key.__getitem__, reverse=True)
+        new_rows = sorted(rows, key=row_key.__getitem__, reverse=True)
+        if new_rows == rows and cols_sorted:
+            # The columns were sorted under this very row order, so a
+            # stable sort of them again would move nothing.
+            return rows, cols, [int(row_key[i], 2) for i in rows]
+        rows = new_rows
         pick = itemgetter(*rows)
         col_key = ["".join(pick(s)) for s in y_strs]
         new_cols = sorted(cols, key=col_key.__getitem__, reverse=True)
         if new_cols == cols:
             # The rows were just sorted under these very columns.
             return rows, cols, [int(row_key[i], 2) for i in rows]
-        cols = new_cols
+        cols, cols_sorted = new_cols, True
 
 
 def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], list[int]]:
@@ -324,10 +330,11 @@ def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], li
     Doubly lexical here means rows and columns both in decreasing
     lexicographic order, first column / first row most significant; each
     shown row is a bitset whose high bit is the first shown column.  Rows
-    and columns are stably sorted in turn until the column sort moves
-    nothing.  Each sort can only increase the row-major reading of the
-    matrix, and strictly does so whenever it moves something, so the loop
-    ends, and its fixpoint is doubly lexical.  The ordering is built once
+    and columns are stably sorted in turn until a sort moves nothing (a row
+    sort only once the columns have been sorted).  Each sort can only
+    increase the row-major reading of the matrix, and strictly does so
+    whenever it moves something, so the loop ends, and its fixpoint is
+    doubly lexical.  The ordering is built once
     per graph and kept on it; each call returns fresh copies of its lists.
     """
     return tuple(map(list, g._ordering))

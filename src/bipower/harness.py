@@ -28,8 +28,8 @@ from .core import (
     is_connected,
 )
 from .errors import CapacityError, InputError, TheoremCounterexample
-from .intervals import _power_representation, intervals_to_graph, random_interval_representation, verify_representation
-from .mca import ArrangedMatrix, _matrix_power, identity_arrangement, matrix_to_graph, verify_mca
+from .intervals import _check_power_representation, intervals_to_graph, random_interval_representation, verify_representation
+from .mca import ArrangedMatrix, _arrangement_holds, _check_matrix_power, identity_arrangement, matrix_to_graph
 
 ENUMERATION_CAP = 16  # max nx * ny for exhaustive edge-subset streaming
 MAX_PARALLELISM = 256  # most worker processes one campaign may ask for
@@ -220,7 +220,7 @@ def _trial_t3(campaign: Campaign, index: int) -> TrialOutcome:
         if k > top:
             continue
         try:
-            _power_representation(g, rep, k)
+            _check_power_representation(g, rep, k)
         except TheoremCounterexample as exc:
             records.append({"trial": index, **exc.report})
     return TrialOutcome(False, tuple(records))
@@ -232,12 +232,12 @@ def _trial_t4(campaign: Campaign, index: int) -> TrialOutcome:
     n, m = rng.randint(1, b.max_x), rng.randint(1, b.max_y)
     mat = gen_staircase_matrix(rng.getrandbits(63), n, m)
     g = matrix_to_graph(mat)
-    if verify_mca(mat) is None:
+    if not _arrangement_holds(g, mat):
         raise AssertionError("a generated staircase matrix is not monotone consecutive")
     records = []
     for k in campaign.k_set():
         try:
-            _matrix_power(g, mat, k)
+            _check_matrix_power(g, mat, k)
         except TheoremCounterexample as exc:
             records.append({"trial": index, **exc.report})
     return TrialOutcome(False, tuple(records))

@@ -7,6 +7,12 @@ count).  The power construction keeps every left endpoint and recomputes
 right endpoints from distances; because the recomputed endpoint can land
 left of the left endpoint, it is clamped, and the result is validated
 against the actual power graph rather than trusted.
+
+The construction and its validation read the power's X row bitsets only:
+each right endpoint is an int taken from groups of left endpoints, and
+each X vertex's intersecting intervals form one bitset that is compared
+with its row.  The pairwise form, a loop over every opposite vertex and
+every cross pair, is kept as an independent oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .core import (
     VertexId,
     _iter_bits,
     _require_odd_k,
+    _union,
     bipartite_power,
     build_graph,
     graph_to_json,
@@ -112,17 +119,40 @@ def canonicalize(
     return g2, rep2, (x_perm, y_perm)
 
 
-def _right_endpoint(power: BipartiteGraph, rep: IntervalRepresentation, side: Side, index: int, k: int) -> int:
-    """Largest left endpoint among opposite-side vertices within distance k
-    of a vertex: its neighbours in ``power``, the k-power."""
-    if side is Side.X:
-        opposite, reach = rep.y_intervals, power.x_adj[index]
-    else:
-        opposite, reach = rep.x_intervals, power.y_adj[index]
-    lefts = [iv.left for w, iv in enumerate(opposite) if reach >> w & 1]
-    if not lefts:
-        raise InputError(f"no opposite-side vertex within distance {k} of {side.value}{index}")
-    return max(lefts)
+def _by_left(intervals: tuple[Interval, ...]) -> list[tuple[int, int]]:
+    """(left endpoint, bitset of the vertices with that left endpoint),
+    largest left endpoint first."""
+    groups: dict[int, int] = {}
+    for v, iv in enumerate(intervals):
+        groups[iv.left] = groups.get(iv.left, 0) | 1 << v
+    return sorted(groups.items(), reverse=True)
+
+
+def _reach_lefts(power: BipartiteGraph, rep: IntervalRepresentation) -> tuple[list[int | None], list[int | None]]:
+    """Per X and per Y vertex, the largest left endpoint among opposite-side
+    vertices within distance k: its neighbours in ``power``, the k-power;
+    None where there is none.
+
+    Only the power's X rows are read.  An X row takes the first group of Y
+    left endpoints, largest first, that it meets.  The X groups, largest
+    left endpoint first, each give theirs to the Y vertices their rows
+    reach that no larger one has reached.
+    """
+    x_rows = power.x_adj
+    y_groups = _by_left(rep.y_intervals)
+    x_reach = [next((left for left, ys in y_groups if row & ys), None) for row in x_rows]
+    y_reach: list[int | None] = [None] * power.y_count
+    unreached = (1 << power.y_count) - 1
+    for left, xs in _by_left(rep.x_intervals):
+        reached = _union(x_rows, xs) & unreached
+        unreached ^= reached
+        for j in _iter_bits(reached):
+            y_reach[j] = left
+    return x_reach, y_reach
+
+
+def _no_reach(k: int, side: Side, index: int) -> InputError:
+    return InputError(f"no opposite-side vertex within distance {k} of {side.value}{index}")
 
 
 def raw_right_endpoint(g: BipartiteGraph, rep: IntervalRepresentation, v: VertexId, k: int) -> RawEndpoint:
@@ -134,7 +164,10 @@ def raw_right_endpoint(g: BipartiteGraph, rep: IntervalRepresentation, v: Vertex
     _check_sizes(g, rep)
     _require_odd_k(k)
     g._check_vertex(v)
-    value = _right_endpoint(bipartite_power(g, k), rep, v.side, v.index, k)
+    x_reach, y_reach = _reach_lefts(bipartite_power(g, k), rep)
+    value = (x_reach if v.side is Side.X else y_reach)[v.index]
+    if value is None:
+        raise _no_reach(k, v.side, v.index)
     return RawEndpoint(value, value >= rep.of(v).left)
 
 
@@ -152,36 +185,50 @@ def power_representation(g: BipartiteGraph, rep: IntervalRepresentation, k: int)
     if not is_connected(g):
         raise InputError("power_representation requires a connected graph")
     _require_odd_k(k)
-    return _power_representation(g, rep, k)
+    x_rights, y_rights = _check_power_representation(g, rep, k)
+    return IntervalRepresentation(
+        tuple(Interval(iv.left, right) for iv, right in zip(rep.x_intervals, x_rights)),
+        tuple(Interval(iv.left, right) for iv, right in zip(rep.y_intervals, y_rights)),
+    )
 
 
-def _power_representation(g: BipartiteGraph, rep: IntervalRepresentation, k: int) -> IntervalRepresentation:
-    """``power_representation`` on arguments that pass its checks."""
+def _check_power_representation(
+    g: BipartiteGraph, rep: IntervalRepresentation, k: int
+) -> tuple[list[int], list[int]]:
+    """The clamped right endpoints of ``power_representation``, X side then
+    Y side, on arguments that pass its checks; raises TheoremCounterexample
+    when the new intervals do not realize the k-power.
+
+    Each X vertex's row of intersecting new intervals is formed as a
+    bitset and compared with its row in the power.  The offending pair is
+    the lowest X index whose rows differ and the lowest Y index where they
+    do, the first mismatch in row-major order.
+    """
     power = bipartite_power(g, k)
-
-    def clamped(side: Side, intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:
-        return tuple(
-            Interval(iv.left, max(iv.left, _right_endpoint(power, rep, side, i, k)))
-            for i, iv in enumerate(intervals)
-        )
-
-    result = IntervalRepresentation(clamped(Side.X, rep.x_intervals), clamped(Side.Y, rep.y_intervals))
-
-    for i, ix in enumerate(result.x_intervals):
-        for j, iy in enumerate(result.y_intervals):
-            if ix.intersects(iy) != power.has_edge(i, j):
-                raise TheoremCounterexample(
-                    f"power representation fails for pair ({g.x_labels[i]}, {g.y_labels[j]}) at k={k}",
-                    {
-                        "kind": "power-representation",
-                        "k": k,
-                        "graph": graph_to_json(g),
-                        "intervals": intervals_tsv(rep, g.x_labels, g.y_labels),
-                        "offending_pair": [g.x_labels[i], g.y_labels[j]],
-                        "edge_in_power": power.has_edge(i, j),
-                    },
-                )
-    return result
+    x_reach, y_reach = _reach_lefts(power, rep)
+    for side, reach in ((Side.X, x_reach), (Side.Y, y_reach)):
+        if None in reach:
+            raise _no_reach(k, side, reach.index(None))
+    x_rights = [max(iv.left, r) for iv, r in zip(rep.x_intervals, x_reach)]
+    y_rights = [max(iv.left, r) for iv, r in zip(rep.y_intervals, y_reach)]
+    ys = [(1 << j, iv.left, right) for j, (iv, right) in enumerate(zip(rep.y_intervals, y_rights))]
+    for i, (iv, right, row) in enumerate(zip(rep.x_intervals, x_rights, power.x_adj)):
+        left = iv.left
+        differ = row ^ sum(bit for bit, y_left, y_right in ys if y_left <= right and left <= y_right)
+        if differ:
+            j = (differ & -differ).bit_length() - 1
+            raise TheoremCounterexample(
+                f"power representation fails for pair ({g.x_labels[i]}, {g.y_labels[j]}) at k={k}",
+                {
+                    "kind": "power-representation",
+                    "k": k,
+                    "graph": graph_to_json(g),
+                    "intervals": intervals_tsv(rep, g.x_labels, g.y_labels),
+                    "offending_pair": [g.x_labels[i], g.y_labels[j]],
+                    "edge_in_power": power.has_edge(i, j),
+                },
+            )
+    return x_rights, y_rights
 
 
 def intervals_to_graph(

@@ -6,9 +6,12 @@ ones of each row consecutive, with both the initial columns a_i and the
 final columns b_i non-decreasing down the rows.  For one fixed display this
 row condition is equivalent to the transposed column condition on c_j / d_j
 and to an R/C labelling of zeros in which everything above-and-right of an
-R is an R and everything below-and-left of a C is a C.  ``verify_mca``
-evaluates the row condition only and derives the columns and the labels
-from the row runs; the other two formulations are kept as independent
+R is an R and everything below-and-left of a C is a C.  Only the row
+condition is evaluated, by one kernel on the displayed rows held as integer
+bitsets (``_row_condition``): ``verify_mca`` derives the columns and the
+labels from the row runs, and the power check of ``matrix_power`` and of
+the t4 campaign reads a power's row bitsets directly.  The row condition
+on a 0/1 grid and the other two formulations are kept as independent
 oracles in the test suite.
 
 ``find_mca`` builds each component's forced row order instead of searching:
@@ -26,9 +29,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
+from typing import Sequence
 
-from .core import BipartiteGraph, bipartite_power, build_graph
+from .core import BipartiteGraph, _union, bipartite_power, build_graph
 from .errors import InputError, TheoremCounterexample
 
 
@@ -95,33 +101,62 @@ def matrix_to_graph(
     return build_graph(mat.n, mat.m, edges, x_labels, y_labels)
 
 
-def _check_nonzero(grid: tuple[tuple[int, ...], ...]) -> None:
-    n = len(grid)
-    m = len(grid[0]) if n else 0
-    if n == 0 or m == 0:
+def _column_shifts(col_perm: Sequence[int]) -> list[int]:
+    """The bit of each original column in a displayed row bitset: column
+    ``col_perm[p]`` is shown at display column p + 1, as bit p."""
+    shift = [0] * len(col_perm)
+    for p, j in enumerate(col_perm):
+        shift[j] = 1 << p
+    return shift
+
+
+def _shown_rows(mat: ArrangedMatrix) -> list[int]:
+    """The displayed rows of ``mat`` as bitsets, bit p being display column p + 1."""
+    shift = _column_shifts(mat.col_perm)
+    return [sum(compress(shift, mat.entries[i])) for i in mat.row_perm]
+
+
+def _refuse_zero_rows(shown: Sequence[int], m: int) -> None:
+    if not shown or not m:
         raise InputError("matrix must have at least one row and one column")
-    for i, row in enumerate(grid):
-        if not any(row):
-            raise InputError(f"row {i + 1} is all zeros; arrangements require non-zero rows")
-    for j, column in enumerate(zip(*grid)):
-        if not any(column):
-            raise InputError(f"column {j + 1} is all zeros; arrangements require non-zero columns")
+    if not all(shown):
+        raise InputError(f"row {shown.index(0) + 1} is all zeros; arrangements require non-zero rows")
 
 
-def _runs(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """First/last one positions (1-based) per row, or None if any row has a gap."""
-    first, last = [], []
-    for row in grid:
-        ones = [j for j, v in enumerate(row) if v]
-        if ones[-1] - ones[0] + 1 != len(ones):
-            return None
-        first.append(ones[0] + 1)
-        last.append(ones[-1] + 1)
-    return tuple(first), tuple(last)
+def _refuse_zero_lines(shown: Sequence[int], m: int) -> None:
+    """Input error unless the ``m``-column row bitsets ``shown`` have a row,
+    a column, and a one in every row and every column."""
+    _refuse_zero_rows(shown, m)
+    empty = ((1 << m) - 1) ^ reduce(or_, shown)
+    if empty:
+        column = (empty & -empty).bit_length()
+        raise InputError(f"column {column} is all zeros; arrangements require non-zero columns")
 
 
-def _monotone(values: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(values, values[1:]))
+def _row_condition(shown: Sequence[int]) -> bool:
+    """True iff the non-zero row bitsets ``shown`` (bit p = display column
+    p + 1) each hold consecutive ones, and the first one columns a_i and
+    the last one columns b_i are both non-decreasing down the rows.
+
+    Adding a row's lowest one to the row carries through its lowest run of
+    ones, so the sum shares a bit with the row iff another run lies above:
+    the ones of r are consecutive iff ``r & (r + (r & -r)) == 0``.  The run
+    is then a = the lowest one's position + 1 and b = ``r.bit_length()``.
+    """
+    first = last = 0
+    for r in shown:
+        low = r & -r
+        a, b = low.bit_length(), r.bit_length()
+        if r & (r + low) or a < first or b < last:
+            return False
+        first, last = a, b
+    return True
+
+
+def _runs(shown: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """First and last one columns (1-based) of the non-zero row bitsets
+    ``shown``, as ``_row_condition`` reads them."""
+    return tuple((r & -r).bit_length() for r in shown), tuple(r.bit_length() for r in shown)
 
 
 def row_intervals(mat: ArrangedMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -129,13 +164,12 @@ def row_intervals(mat: ArrangedMatrix) -> tuple[tuple[int, ...], tuple[int, ...]
     ones are consecutive; None otherwise.  A zero row is an input error, not
     a "not consecutive" verdict (zero columns are policed by verify_mca,
     whose column runs need every column to hold a one)."""
-    grid = mat.displayed
-    if not grid or not grid[0]:
-        raise InputError("matrix must have at least one row and one column")
-    for i, row in enumerate(grid):
-        if not any(row):
-            raise InputError(f"row {i + 1} is all zeros; arrangements require non-zero rows")
-    return _runs(grid)
+    shown = _shown_rows(mat)
+    _refuse_zero_rows(shown, mat.m)
+    # One row alone meets the row condition iff its ones are consecutive.
+    if not all(_row_condition((r,)) for r in shown):
+        return None
+    return _runs(shown)
 
 
 def label_zeros(
@@ -171,18 +205,18 @@ class McaCertificate:
 def verify_mca(mat: ArrangedMatrix) -> McaCertificate | None:
     """Certificate if the displayed arrangement is monotone consecutive, else None.
 
-    Only the row condition is evaluated on the grid.  When it holds, the
-    ones of column j are the rows with a_i <= j (a prefix, as a is
-    non-decreasing) that also have b_i >= j (a suffix, as b is): c_j is the
-    first row with b_i >= j and d_j the last row with a_i <= j.  No column
-    is empty, so both exist.  The R/C labels follow from the runs too.
+    Only the row condition is evaluated, on the displayed rows as bitsets.
+    When it holds, the ones of column j are the rows with a_i <= j (a
+    prefix, as a is non-decreasing) that also have b_i >= j (a suffix, as b
+    is): c_j is the first row with b_i >= j and d_j the last row with
+    a_i <= j.  No column is empty, so both exist.  The R/C labels follow
+    from the runs too.
     """
-    grid = mat.displayed
-    _check_nonzero(grid)
-    runs = _runs(grid)
-    if runs is None or not (_monotone(runs[0]) and _monotone(runs[1])):
+    shown = _shown_rows(mat)
+    _refuse_zero_lines(shown, mat.m)
+    if not _row_condition(shown):
         return None
-    a, b = runs
+    a, b = _runs(shown)
     columns = range(1, mat.m + 1)
     # a and b are sorted: count the rows with b_i < j and those with a_i <= j.
     c = tuple(bisect_left(b, j) + 1 for j in columns)
@@ -267,9 +301,10 @@ def find_mca(mat: ArrangedMatrix) -> tuple[ArrangedMatrix, McaCertificate] | Non
     """
     entries = mat.entries
     n, m = mat.n, mat.m
-    _check_nonzero(entries)
+    shift = _column_shifts(range(m))
+    bits = [sum(compress(shift, row)) for row in entries]
+    _refuse_zero_lines(bits, m)
 
-    bits = [sum(v << j for j, v in enumerate(row)) for row in entries]
     row_perm: list[int] = []
     while len(row_perm) < n:
         order = _forced_order(bits, [r for r in range(n) if r not in row_perm])
@@ -337,15 +372,27 @@ def matrix_power(
     """
     row_perm, col_perm = map(tuple, arrangement)
     base = ArrangedMatrix(_biadjacency(g), row_perm, col_perm)
-    if verify_mca(base) is None:
+    if not _arrangement_holds(g, base):
         raise InputError("matrix_power requires an arrangement that verifies on the input graph")
-    return _matrix_power(g, base, k)
+    _check_matrix_power(g, base, k)
+    return ArrangedMatrix(_biadjacency(bipartite_power(g, k)), row_perm, col_perm)
 
 
-def _matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> ArrangedMatrix:
-    """``matrix_power`` given ``g``'s matrix under an arrangement that verifies."""
-    out = ArrangedMatrix(_biadjacency(bipartite_power(g, k)), base.row_perm, base.col_perm)
-    if verify_mca(out) is None:
+def _arrangement_holds(g: BipartiteGraph, base: ArrangedMatrix) -> bool:
+    """``verify_mca``'s verdict on ``g``'s matrix shown under ``base``'s
+    permutations, read off ``g``'s row bitsets; a zero row or column is an
+    input error, as there."""
+    shift = _column_shifts(base.col_perm)
+    shown = [_union(shift, g.x_adj[i]) for i in base.row_perm]
+    _refuse_zero_lines(shown, base.m)
+    return _row_condition(shown)
+
+
+def _check_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> None:
+    """Raise the instance as a TheoremCounterexample unless ``g``'s k-power
+    stays monotone consecutive under ``base``, ``g``'s matrix under an
+    arrangement that verifies."""
+    if not _arrangement_holds(bipartite_power(g, k), base):
         raise TheoremCounterexample(
             f"power at k={k} broke a monotone consecutive arrangement",
             {
@@ -354,7 +401,6 @@ def _matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> ArrangedMa
                 "matrix": matrix_text(base),
             },
         )
-    return out
 
 
 # --- matrix text format ------------------------------------------------------

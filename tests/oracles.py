@@ -8,6 +8,8 @@ search, the row-order backtracker), the all-pairs distance table, and the
 kernels of the chordal-bipartite decision (the integer-keyed ordering, the
 edge-scanning block search, a doubly lexical ordering per block) are kept
 here too, as references that the fast paths must match result for result.
+So are the tuple-grid forms of the arrangement and interval power checks,
+which the bitset kernels replaced.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from itertools import permutations
 from typing import Iterator, Sequence
 
 from bipower import BipartiteGraph, CycleCertificate
-from bipower.errors import CapacityError
-from bipower.mca import ArrangedMatrix, McaCertificate, _check_nonzero, verify_mca
+from bipower.core import bipartite_power, graph_to_json
+from bipower.errors import CapacityError, InputError, TheoremCounterexample
+from bipower.intervals import Interval, IntervalRepresentation, intervals_tsv
+from bipower.mca import ArrangedMatrix, McaCertificate, matrix_text, verify_mca
 
 # The row-order backtracker is exponential, so it refuses larger matrices.
 BACKTRACK_SIZE_CAP = 12
@@ -298,7 +302,7 @@ def backtrack_mca(
     m = len(entries[0]) if n else 0
     if max(n, m) > size_cap:
         raise CapacityError(f"matrix is {n}x{m}, above the arrangement-search cap {size_cap}")
-    _check_nonzero(entries)
+    check_nonzero_grid(entries)
 
     col_rows = [[i for i in range(n) if entries[i][j]] for j in range(m)]
     total = [len(rows) for rows in col_rows]
@@ -491,3 +495,109 @@ def labels_closed(grid: tuple[tuple[int, ...], ...], labels: tuple[tuple[int, in
         if any(mark.get(cell) != label for cell in region):
             return False
     return True
+
+
+# --- the tuple-grid power checks ---------------------------------------------
+#
+# mca and intervals decide the t4 and t3 power checks on row bitsets.  These
+# are the forms they replaced: 0/1 grids of tuples, one cell at a time.
+
+
+def check_nonzero_grid(grid: tuple[tuple[int, ...], ...]) -> None:
+    """The input errors of ``verify_mca`` on a displayed grid: no row or no
+    column, then the first all-zero row, then the first all-zero column."""
+    n = len(grid)
+    m = len(grid[0]) if n else 0
+    if n == 0 or m == 0:
+        raise InputError("matrix must have at least one row and one column")
+    for i, row in enumerate(grid):
+        if not any(row):
+            raise InputError(f"row {i + 1} is all zeros; arrangements require non-zero rows")
+    for j, column in enumerate(zip(*grid)):
+        if not any(column):
+            raise InputError(f"column {j + 1} is all zeros; arrangements require non-zero columns")
+
+
+def grid_row_condition(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Row condition on a grid with no zero row: the first/last one columns
+    (1-based) of every row, when each row's ones are consecutive and both
+    sequences are non-decreasing; None otherwise."""
+    first, last = [], []
+    for row in grid:
+        ones = [j for j, v in enumerate(row) if v]
+        if ones[-1] - ones[0] + 1 != len(ones):
+            return None
+        first.append(ones[0] + 1)
+        last.append(ones[-1] + 1)
+    if any(x > y for x, y in zip(first, first[1:])) or any(x > y for x, y in zip(last, last[1:])):
+        return None
+    return tuple(first), tuple(last)
+
+
+def grid_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> ArrangedMatrix:
+    """Reference for ``mca._check_matrix_power``: the k-power's 0/1 grid,
+    read cell by cell from ``has_edge``, shown under ``base``'s permutations
+    and checked by ``grid_row_condition``.  Raises the same
+    TheoremCounterexample when the arrangement breaks."""
+    power = bipartite_power(g, k)
+    entries = tuple(tuple(int(power.has_edge(i, j)) for j in range(power.y_count)) for i in range(power.x_count))
+    out = ArrangedMatrix(entries, base.row_perm, base.col_perm)
+    check_nonzero_grid(out.displayed)
+    if grid_row_condition(out.displayed) is None:
+        raise TheoremCounterexample(
+            f"power at k={k} broke a monotone consecutive arrangement",
+            {"kind": "matrix-power", "k": k, "matrix": matrix_text(base)},
+        )
+    return out
+
+
+def pairwise_reach_lefts(
+    power: BipartiteGraph, rep: IntervalRepresentation
+) -> tuple[list[int | None], list[int | None]]:
+    """Reference for ``intervals._reach_lefts``: per X and per Y vertex, the
+    largest left endpoint over every opposite vertex adjacent in ``power``,
+    read from its row (X) or its column (Y); None where there is none."""
+
+    def largest(intervals: tuple[Interval, ...], reach: int) -> int | None:
+        return max((iv.left for u, iv in enumerate(intervals) if reach >> u & 1), default=None)
+
+    return (
+        [largest(rep.y_intervals, row) for row in power.x_adj],
+        [largest(rep.x_intervals, column) for column in power.y_adj],
+    )
+
+
+def pairwise_power_representation(
+    g: BipartiteGraph, rep: IntervalRepresentation, k: int
+) -> IntervalRepresentation:
+    """Reference for ``intervals._check_power_representation``: the right
+    endpoints of ``pairwise_reach_lefts`` clamped to the left endpoints, then
+    every cross pair tested with ``Interval.intersects`` in row-major order,
+    and the first mismatch raised with the same record."""
+    power = bipartite_power(g, k)
+
+    def clamped(intervals: tuple[Interval, ...], reach: list[int | None], side: str) -> tuple[Interval, ...]:
+        out = []
+        for v, (iv, right) in enumerate(zip(intervals, reach)):
+            if right is None:
+                raise InputError(f"no opposite-side vertex within distance {k} of {side}{v}")
+            out.append(Interval(iv.left, max(iv.left, right)))
+        return tuple(out)
+
+    x_reach, y_reach = pairwise_reach_lefts(power, rep)
+    result = IntervalRepresentation(clamped(rep.x_intervals, x_reach, "X"), clamped(rep.y_intervals, y_reach, "Y"))
+    for i, ix in enumerate(result.x_intervals):
+        for j, iy in enumerate(result.y_intervals):
+            if ix.intersects(iy) != power.has_edge(i, j):
+                raise TheoremCounterexample(
+                    f"power representation fails for pair ({g.x_labels[i]}, {g.y_labels[j]}) at k={k}",
+                    {
+                        "kind": "power-representation",
+                        "k": k,
+                        "graph": graph_to_json(g),
+                        "intervals": intervals_tsv(rep, g.x_labels, g.y_labels),
+                        "offending_pair": [g.x_labels[i], g.y_labels[j]],
+                        "edge_in_power": power.has_edge(i, j),
+                    },
+                )
+    return result

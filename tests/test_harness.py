@@ -201,7 +201,7 @@ class TestT3KRange:
     def test_ks_end_at_diameter_plus_two(self, monkeypatch, k_set):
         graphs: list[bp.BipartiteGraph] = []
         asked: list[list[int]] = []
-        make, represent = harness.intervals_to_graph, harness._power_representation
+        make, check = harness.intervals_to_graph, harness._check_power_representation
 
         def made(rep):
             graphs.append(make(rep))
@@ -210,10 +210,10 @@ class TestT3KRange:
 
         def recorded(g, rep, k):
             asked[-1].append(k)
-            return represent(g, rep, k)
+            return check(g, rep, k)
 
         monkeypatch.setattr(harness, "intervals_to_graph", made)
-        monkeypatch.setattr(harness, "_power_representation", recorded)
+        monkeypatch.setattr(harness, "_check_power_representation", recorded)
         campaign = Campaign(Theorem.T3, trials=300, seed=5, bounds=Bounds(max_x=6, max_y=6, k_set=k_set))
         parities, cut = set(), 0
         for index in range(campaign.trials):
@@ -231,8 +231,8 @@ class TestT3KRange:
 
 class TestInputCheckedOncePerTrial:
     """A t3 or t4 trial checks its graph and its representation or
-    arrangement once, and then builds each k's power from the checked
-    input."""
+    arrangement once, and then checks each k's power from the checked
+    input, on the power's row bitsets."""
 
     @staticmethod
     def counting(monkeypatch, module, name: str, calls: list[str]) -> None:
@@ -247,9 +247,11 @@ class TestInputCheckedOncePerTrial:
     def test_t3_trial(self, monkeypatch):
         calls: list[str] = []
         self.counting(monkeypatch, harness, "verify_representation", calls)
+        self.counting(monkeypatch, intervals, "verify_representation", calls)
         self.counting(monkeypatch, intervals, "is_connected", calls)
         self.counting(monkeypatch, harness, "is_connected", calls)
-        self.counting(monkeypatch, harness, "_power_representation", calls)
+        self.counting(monkeypatch, harness, "_check_power_representation", calls)
+        self.counting(monkeypatch, intervals, "_reach_lefts", calls)
         campaign = Campaign(Theorem.T3, trials=200, seed=7, bounds=Bounds(max_x=6, max_y=6))
         several = 0
         for index in range(campaign.trials):
@@ -258,29 +260,32 @@ class TestInputCheckedOncePerTrial:
             if outcome.skipped:
                 assert calls == ["is_connected"]
                 continue
-            ks = calls.count("_power_representation")
-            assert calls == ["is_connected", "verify_representation"] + ["_power_representation"] * ks
+            ks = calls.count("_check_power_representation")
+            assert calls == ["is_connected", "verify_representation"] + ["_check_power_representation", "_reach_lefts"] * ks
             several += ks > 1
         assert several > 0
 
     def test_t4_trial(self, monkeypatch):
         calls: list[str] = []
         for module in (harness, mca):
-            self.counting(monkeypatch, module, "verify_mca", calls)
-        self.counting(monkeypatch, mca, "_biadjacency", calls)
+            self.counting(monkeypatch, module, "_arrangement_holds", calls)
+            self.counting(monkeypatch, module, "_check_matrix_power", calls)
+        for name in ("_row_condition", "verify_mca", "_biadjacency"):
+            self.counting(monkeypatch, mca, name, calls)
         campaign = Campaign(Theorem.T4, trials=100, seed=7, bounds=Bounds(max_x=6, max_y=6))
         ks = len(campaign.k_set())
         assert ks > 1
         for index in range(campaign.trials):
             calls.clear()
             harness._trial_t4(campaign, index)
-            assert calls == ["verify_mca"] + ["_biadjacency", "verify_mca"] * ks
+            assert calls == (["_arrangement_holds", "_row_condition"]
+                             + ["_check_matrix_power", "_arrangement_holds", "_row_condition"] * ks)
 
     def test_failed_trial_check_is_a_defect(self, monkeypatch):
         # Each trial builds its graph from the input it checks, so a failed
         # check is a fault in bipower, not an input error.
         monkeypatch.setattr(harness, "verify_representation", lambda g, rep: False)
-        monkeypatch.setattr(harness, "verify_mca", lambda mat: None)
+        monkeypatch.setattr(harness, "_arrangement_holds", lambda g, mat: False)
         campaign = Campaign(Theorem.T3, trials=50, seed=7)
         with pytest.raises(AssertionError, match="representation it was built from"):
             for index in range(campaign.trials):

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bipower as bp
-from bipower.errors import InputError
+from bipower import intervals
+from bipower.errors import InputError, TheoremCounterexample
 from bipower.intervals import (
     Interval,
     IntervalRepresentation,
     intervals_tsv,
     parse_intervals_tsv,
 )
+from oracles import pairwise_power_representation, pairwise_reach_lefts
 
 
 class TestInterval:
@@ -239,3 +243,69 @@ class TestIntervalTsv:
     def test_graph_with_label_on_both_sides_rejected(self, sample_rep):
         with pytest.raises(InputError, match="both sides"):
             bp.intervals_to_graph(sample_rep, ("a", "b", "c", "d", "e", "f"), ("f", "g", "h", "i", "j"))
+
+
+class TestPowerCheckMatchesPairwiseOracle:
+    """The t3 power check reads the power's X rows only: right endpoints
+    from groups of left endpoints, and each X vertex's intersecting
+    intervals as one bitset (intervals._check_power_representation).  The
+    oracles loop over every opposite vertex and every cross pair with
+    Interval.intersects.  Endpoints, verdicts and records must be equal."""
+
+    @staticmethod
+    def _outcome(check, g, rep, k):
+        try:
+            return check(g, rep, k)
+        except TheoremCounterexample as exc:
+            return str(exc), exc.report
+        except InputError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _oracle_rights(g, rep, k):
+        out = pairwise_power_representation(g, rep, k)
+        return [iv.right for iv in out.x_intervals], [iv.right for iv in out.y_intervals]
+
+    def _same(self, g, rep, k):
+        want = self._outcome(self._oracle_rights, g, rep, k)
+        assert self._outcome(intervals._check_power_representation, g, rep, k) == want, (g, rep, k)
+        power = bp.bipartite_power(g, k)
+        reach = intervals._reach_lefts(power, rep)
+        assert reach == pairwise_reach_lefts(power, rep)
+        for v in g.vertices():
+            value = reach[v.side is bp.Side.Y][v.index]
+            if value is None:
+                with pytest.raises(InputError, match="no opposite-side vertex"):
+                    bp.raw_right_endpoint(g, rep, v, k)
+            else:
+                assert bp.raw_right_endpoint(g, rep, v, k).value == value
+        return want
+
+    def test_seeded_valid_representations(self):
+        rng = random.Random(303)
+        held = 0
+        for _ in range(500):
+            rep = bp.random_interval_representation(
+                rng.getrandbits(63), rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 12))
+            g = bp.intervals_to_graph(rep)
+            for k in (1, 3, 5, 7, 9):
+                held += isinstance(self._same(g, rep, k)[0], list)
+                if bp.is_connected(g):
+                    assert bp.power_representation(g, rep, k) == pairwise_power_representation(g, rep, k)
+        assert held > 1000
+
+    def test_mismatched_pairs_fail_alike(self):
+        # A representation checked against the graph of another one of the
+        # same sizes: most powers then disagree with the new intervals, and
+        # a vertex may have no opposite vertex within distance k.
+        rng = random.Random(404)
+        broke = refused = 0
+        for _ in range(500):
+            nx, ny, span = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 12)
+            rep = bp.random_interval_representation(rng.getrandbits(63), nx, ny, span)
+            g = bp.intervals_to_graph(bp.random_interval_representation(rng.getrandbits(63), nx, ny, span))
+            for k in (1, 3, 5):
+                want = self._same(g, rep, k)
+                broke += isinstance(want, tuple) and isinstance(want[1], dict)
+                refused += isinstance(want, str)
+        assert broke > 150 and refused > 200, (broke, refused)

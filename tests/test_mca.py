@@ -10,12 +10,16 @@ from pathlib import Path
 import pytest
 
 import bipower as bp
-from bipower.errors import InputError
+from bipower import mca
+from bipower.errors import InputError, TheoremCounterexample
 from bipower.mca import certificate_json, identity_arrangement, matrix_text, parse_matrix
 from conftest import block_diagonal, random_nonzero_matrix, shuffled, shuffled_staircase
 from oracles import (
     backtrack_mca,
+    check_nonzero_grid,
     column_runs,
+    grid_matrix_power,
+    grid_row_condition,
     labeling_exists,
     labels_closed,
     mca_exists,
@@ -462,17 +466,21 @@ class TestMatrixText:
 
 
 class TestFormulationEquivalence:
-    """verify_mca evaluates the row condition only.  Its verdict, column runs
-    and zero labels are checked against the column condition, the labelling
-    formulation and the closure check in oracles.py, which read the grid."""
+    """verify_mca evaluates the row condition only, on the displayed rows as
+    bitsets.  Its verdict and row runs are checked against the same
+    condition read off the grid, and its column runs and zero labels against
+    the column condition, the labelling formulation and the closure check
+    in oracles.py, which read the grid too."""
 
     @staticmethod
     def _agree(mat):
         grid = mat.displayed
         cert = bp.verify_mca(mat)
+        runs = grid_row_condition(grid)
         cols = column_runs(grid)
-        assert (cert is not None) == (cols is not None) == labeling_exists(grid), grid
+        assert (cert is not None) == (runs is not None) == (cols is not None) == labeling_exists(grid), grid
         if cert is not None:
+            assert (cert.a, cert.b) == runs, grid
             assert (cert.c, cert.d) == cols, grid
             assert cert.zero_labels == quadrant_labels(grid), grid
             assert labels_closed(grid, cert.zero_labels), grid
@@ -502,6 +510,51 @@ class TestFormulationEquivalence:
             for k in (3, 5, 7):
                 assert self._agree(bp.matrix_power(g, (mat.row_perm, mat.col_perm), k)) is not None
 
+    def test_agrees_with_oracles_on_shuffled_arrangements_up_to_12x12(self):
+        # Shuffled staircases shown under the arrangement find_mca gives
+        # them, with up to two neighbouring rows or columns then swapped:
+        # some swaps keep the display monotone consecutive, most break it.
+        rng = random.Random(1213)
+        certified = 0
+        for _ in range(400):
+            n, m = rng.randint(1, 12), rng.randint(1, 12)
+            arranged, _ = bp.find_mca(identity_arrangement(shuffled_staircase(rng, n, m, rng.randint(1, min(3, n)))))
+            rows, cols = list(arranged.row_perm), list(arranged.col_perm)
+            for _ in range(rng.randint(0, 2)):
+                line = rows if rng.random() < 0.5 else cols
+                if len(line) > 1:
+                    p = rng.randrange(len(line) - 1)
+                    line[p], line[p + 1] = line[p + 1], line[p]
+            certified += self._agree(arranged.rearranged(tuple(rows), tuple(cols))) is not None
+        assert 100 < certified < 300
+
+    def test_zero_lines_refused_as_on_the_grid(self):
+        # Every 3x3 matrix with an all-zero row or column, under random
+        # permutations: the message names the first such row, or else the
+        # first such column, of the display.
+        rng = random.Random(37)
+        refused = 0
+        for bits in range(1 << 9):
+            entries = tuple(tuple(bits >> (3 * i + j) & 1 for j in range(3)) for i in range(3))
+            rows, cols = [0, 1, 2], [0, 1, 2]
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            mat = bp.ArrangedMatrix(entries, tuple(rows), tuple(cols))
+            try:
+                check_nonzero_grid(mat.displayed)
+                continue
+            except InputError as exc:
+                want = str(exc)
+            refused += 1
+            for check in (bp.verify_mca, lambda mat: mca._arrangement_holds(bp.matrix_to_graph(mat), mat)):
+                with pytest.raises(InputError) as got:
+                    check(mat)
+                assert str(got.value) == want
+        assert refused > 200
+        for empty in (bp.ArrangedMatrix((), (), ()), bp.ArrangedMatrix(((), ()), (0, 1), ())):
+            with pytest.raises(InputError, match="at least one row and one column"):
+                bp.verify_mca(empty)
+
     def test_row_condition_implies_column_condition(self):
         rng = random.Random(556)
         hits = 0
@@ -517,3 +570,55 @@ class TestFormulationEquivalence:
                 hits += 1
                 assert bp.verify_mca(mat) is not None
         assert hits > 0
+
+
+class TestPowerCheckMatchesGridOracle:
+    """The t4 power check reads the power's row bitsets through one column
+    shift table (mca._check_matrix_power); oracles.grid_matrix_power builds
+    the power's 0/1 grid and checks its display.  Both must give the same
+    verdict and the same counterexample record, and matrix_power must return
+    the grid the oracle builds."""
+
+    @staticmethod
+    def _outcome(check, *args):
+        try:
+            check(*args)
+        except TheoremCounterexample as exc:
+            return str(exc), exc.report
+        except InputError as exc:
+            return str(exc)
+        return None
+
+    def test_random_graphs_under_random_arrangements(self):
+        rng = random.Random(4242)
+        held = broke = refused = 0
+        for t in range(1500):
+            if t % 2:
+                # A shuffled staircase under the arrangement find_mca gives it,
+                # with a neighbouring row pair maybe swapped.
+                entries = shuffled_staircase(rng, rng.randint(1, 8), rng.randint(1, 8))
+                arranged, _ = bp.find_mca(identity_arrangement(entries))
+                rows, cols = list(arranged.row_perm), list(arranged.col_perm)
+                if len(rows) > 1 and rng.random() < 0.5:
+                    p = rng.randrange(len(rows) - 1)
+                    rows[p], rows[p + 1] = rows[p + 1], rows[p]
+                g = bp.matrix_to_graph(arranged)
+            else:
+                g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 8), rng.randint(1, 8), rng.random())
+                rows, cols = list(range(g.x_count)), list(range(g.y_count))
+                rng.shuffle(rows)
+                rng.shuffle(cols)
+            base = bp.graph_to_matrix(g).rearranged(tuple(rows), tuple(cols))
+            verifies = self._outcome(grid_matrix_power, g, base, 1) is None
+            for k in (1, 3, 5, 7):
+                want = self._outcome(grid_matrix_power, g, base, k)
+                assert self._outcome(mca._check_matrix_power, g, base, k) == want, (base, k)
+                held += want is None
+                broke += isinstance(want, tuple)
+                refused += isinstance(want, str)
+                if verifies:
+                    assert bp.matrix_power(g, (rows, cols), k) == grid_matrix_power(g, base, k)
+                else:
+                    with pytest.raises(InputError):
+                        bp.matrix_power(g, (rows, cols), k)
+        assert held > 3000 and broke > 400 and refused > 1000, (held, broke, refused)
