@@ -60,7 +60,7 @@ def _load_intervals(path: str, g: core.BipartiteGraph):
     """The interval file's representation of ``g``: each interval goes to
     the vertex its label names, in the graph's index order."""
     from . import intervals
-    rep, x_labels, y_labels = intervals.parse_intervals_tsv(_read(path)).representation()
+    rep, x_labels, y_labels = intervals.parse_intervals_tsv(_read(path))
 
     def matched(side: str, labels, ivs, graph_labels) -> tuple:
         by_label, known = dict(zip(labels, ivs)), set(graph_labels)

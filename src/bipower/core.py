@@ -205,6 +205,19 @@ def build_graph(
         if not (0 <= xi < x_count and 0 <= yj < y_count):
             raise InputError(f"edge ({xi}, {yj}) out of range for {x_count}+{y_count} graph")
         rows[xi] |= 1 << yj
+    return _graph_from_rows(rows, y_count, x_labels, y_labels)
+
+
+def _graph_from_rows(
+    rows: Sequence[int],
+    y_count: int,
+    x_labels: tuple[str, ...] | None = None,
+    y_labels: tuple[str, ...] | None = None,
+) -> BipartiteGraph:
+    """Graph whose X vertex i has the row bitset ``rows[i]`` over
+    ``y_count`` Y vertices, each bit below ``1 << y_count``.  Labels default
+    and are checked as in ``build_graph``."""
+    x_count = len(rows)
     if x_labels is None:
         x_labels = tuple(f"x{i + 1}" for i in range(x_count))
     if y_labels is None:

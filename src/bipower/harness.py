@@ -22,6 +22,7 @@ from .core import (
     CycleCertificate,
     Side,
     VertexId,
+    _graph_from_rows,
     bipartite_power,
     build_graph,
     graph_to_json,
@@ -102,12 +103,14 @@ def gen_subdivided_cycle(segment_lengths: list[int] | tuple[int, ...]) -> tuple[
 def enumerate_bipartite(nx: int, ny: int) -> Iterator[BipartiteGraph]:
     """Stream all 2^(nx*ny) edge subsets in binary-counter order (bit t is the
     pair (t // ny, t % ny)); no isomorphism reduction."""
+    if nx < 0 or ny < 0:
+        raise InputError("side sizes must be non-negative")
     if nx * ny > ENUMERATION_CAP:
         raise CapacityError(f"enumeration capped at nx*ny <= {ENUMERATION_CAP}, got {nx * ny}")
-    pairs = [(t // ny, t % ny) for t in range(nx * ny)]
+    # Row i is the ny mask bits from bit i * ny up.
+    full = (1 << ny) - 1
     for mask in range(1 << (nx * ny)):
-        edges = [pairs[t] for t in range(nx * ny) if mask >> t & 1]
-        yield build_graph(nx, ny, edges)
+        yield _graph_from_rows([mask >> i * ny & full for i in range(nx)], ny)
 
 
 class Theorem(str, Enum):

@@ -8,27 +8,31 @@ right endpoints from distances; because the recomputed endpoint can land
 left of the left endpoint, it is clamped, and the result is validated
 against the actual power graph rather than trusted.
 
-The construction and its validation read the power's X row bitsets only:
-each right endpoint is an int taken from groups of left endpoints, and
-each X vertex's intersecting intervals form one bitset that is compared
-with its row.  The pairwise form, a loop over every opposite vertex and
-every cross pair, is kept as an independent oracle in the test suite.
+One kernel, ``_meeting_rows``, gives each X interval's row of met Y
+intervals as a bitset: verification compares its rows with the graph's,
+``intervals_to_graph`` builds the graph from them, and the power check
+compares the new intervals' rows with the power's.  Right endpoints are
+read off the power's X rows by groups of left endpoints, formed once per
+representation.  The pairwise forms are kept as oracles in the test suite.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from operator import xor
+from typing import Iterable
 
 from .core import (
     BipartiteGraph,
     Side,
     VertexId,
+    _graph_from_rows,
     _iter_bits,
     _require_odd_k,
     _union,
     bipartite_power,
-    build_graph,
     graph_to_json,
     is_connected,
 )
@@ -58,6 +62,18 @@ class IntervalRepresentation:
     def of(self, v: VertexId) -> Interval:
         return (self.x_intervals if v.side is Side.X else self.y_intervals)[v.index]
 
+    @cached_property
+    def _left_groups(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Per side, X then Y: (left endpoint, bitset of the vertices with
+        that left endpoint), largest left endpoint first."""
+        sides = []
+        for intervals in (self.x_intervals, self.y_intervals):
+            groups: dict[int, int] = {}
+            for v, iv in enumerate(intervals):
+                groups[iv.left] = groups.get(iv.left, 0) | 1 << v
+            sides.append(sorted(groups.items(), reverse=True))
+        return sides[0], sides[1]
+
 
 @dataclass(frozen=True)
 class RawEndpoint:
@@ -76,14 +92,21 @@ def _check_sizes(g: BipartiteGraph, rep: IntervalRepresentation) -> None:
         )
 
 
+def _meeting_rows(x_spans: Iterable[tuple[int, int]], y_spans: Iterable[tuple[int, int]]) -> list[int]:
+    """Per X span (left, right), the bitset of the Y spans it meets: bit j
+    is set iff the closed spans share a point (touching endpoints count)."""
+    ys = [(1 << j, left, right) for j, (left, right) in enumerate(y_spans)]
+    return [sum(bit for bit, y_left, y_right in ys if y_left <= right and left <= y_right) for left, right in x_spans]
+
+
+def _spans(intervals: tuple[Interval, ...]) -> list[tuple[int, int]]:
+    return [(iv.left, iv.right) for iv in intervals]
+
+
 def verify_representation(g: BipartiteGraph, rep: IntervalRepresentation) -> bool:
     """True iff for every cross pair, edge presence equals interval intersection."""
     _check_sizes(g, rep)
-    for i, ix in enumerate(rep.x_intervals):
-        for j, iy in enumerate(rep.y_intervals):
-            if ix.intersects(iy) != g.has_edge(i, j):
-                return False
-    return True
+    return _meeting_rows(_spans(rep.x_intervals), _spans(rep.y_intervals)) == list(g.x_adj)
 
 
 def canonicalize(
@@ -103,29 +126,13 @@ def canonicalize(
 
     x_perm = order(rep.x_intervals)
     y_perm = order(rep.y_intervals)
-    y_pos = {old: new for new, old in enumerate(y_perm)}
-    edges = [(new_i, y_pos[j]) for new_i, old_i in enumerate(x_perm) for j in _iter_bits(g.x_adj[old_i])]
-    g2 = build_graph(
-        g.x_count,
-        g.y_count,
-        edges,
-        tuple(g.x_labels[i] for i in x_perm),
-        tuple(g.y_labels[j] for j in y_perm),
-    )
     rep2 = IntervalRepresentation(
         tuple(rep.x_intervals[i] for i in x_perm),
         tuple(rep.y_intervals[j] for j in y_perm),
     )
+    # rep realizes g, so rep2 realizes g with both sides reindexed.
+    g2 = intervals_to_graph(rep2, tuple(g.x_labels[i] for i in x_perm), tuple(g.y_labels[j] for j in y_perm))
     return g2, rep2, (x_perm, y_perm)
-
-
-def _by_left(intervals: tuple[Interval, ...]) -> list[tuple[int, int]]:
-    """(left endpoint, bitset of the vertices with that left endpoint),
-    largest left endpoint first."""
-    groups: dict[int, int] = {}
-    for v, iv in enumerate(intervals):
-        groups[iv.left] = groups.get(iv.left, 0) | 1 << v
-    return sorted(groups.items(), reverse=True)
 
 
 def _reach_lefts(power: BipartiteGraph, rep: IntervalRepresentation) -> tuple[list[int | None], list[int | None]]:
@@ -139,11 +146,11 @@ def _reach_lefts(power: BipartiteGraph, rep: IntervalRepresentation) -> tuple[li
     reach that no larger one has reached.
     """
     x_rows = power.x_adj
-    y_groups = _by_left(rep.y_intervals)
+    x_groups, y_groups = rep._left_groups
     x_reach = [next((left for left, ys in y_groups if row & ys), None) for row in x_rows]
     y_reach: list[int | None] = [None] * power.y_count
     unreached = (1 << power.y_count) - 1
-    for left, xs in _by_left(rep.x_intervals):
+    for left, xs in x_groups:
         reached = _union(x_rows, xs) & unreached
         unreached ^= reached
         for j in _iter_bits(reached):
@@ -185,36 +192,32 @@ def power_representation(g: BipartiteGraph, rep: IntervalRepresentation, k: int)
     if not is_connected(g):
         raise InputError("power_representation requires a connected graph")
     _require_odd_k(k)
-    x_rights, y_rights = _check_power_representation(g, rep, k)
+    x_spans, y_spans = _check_power_representation(g, rep, k)
     return IntervalRepresentation(
-        tuple(Interval(iv.left, right) for iv, right in zip(rep.x_intervals, x_rights)),
-        tuple(Interval(iv.left, right) for iv, right in zip(rep.y_intervals, y_rights)),
+        tuple(Interval(*span) for span in x_spans), tuple(Interval(*span) for span in y_spans)
     )
 
 
 def _check_power_representation(
     g: BipartiteGraph, rep: IntervalRepresentation, k: int
-) -> tuple[list[int], list[int]]:
-    """The clamped right endpoints of ``power_representation``, X side then
-    Y side, on arguments that pass its checks; raises TheoremCounterexample
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The (left, right) spans of ``power_representation``, X side then Y
+    side, on arguments that pass its checks; raises TheoremCounterexample
     when the new intervals do not realize the k-power.
 
-    Each X vertex's row of intersecting new intervals is formed as a
-    bitset and compared with its row in the power.  The offending pair is
-    the lowest X index whose rows differ and the lowest Y index where they
-    do, the first mismatch in row-major order.
+    The new intervals' rows from ``_meeting_rows`` are compared with the
+    power's.  The offending pair is the lowest X index whose rows differ
+    and the lowest Y index where they do, the first mismatch in row-major
+    order.
     """
     power = bipartite_power(g, k)
     x_reach, y_reach = _reach_lefts(power, rep)
     for side, reach in ((Side.X, x_reach), (Side.Y, y_reach)):
         if None in reach:
             raise _no_reach(k, side, reach.index(None))
-    x_rights = [max(iv.left, r) for iv, r in zip(rep.x_intervals, x_reach)]
-    y_rights = [max(iv.left, r) for iv, r in zip(rep.y_intervals, y_reach)]
-    ys = [(1 << j, iv.left, right) for j, (iv, right) in enumerate(zip(rep.y_intervals, y_rights))]
-    for i, (iv, right, row) in enumerate(zip(rep.x_intervals, x_rights, power.x_adj)):
-        left = iv.left
-        differ = row ^ sum(bit for bit, y_left, y_right in ys if y_left <= right and left <= y_right)
+    x_spans = [(iv.left, max(iv.left, r)) for iv, r in zip(rep.x_intervals, x_reach)]
+    y_spans = [(iv.left, max(iv.left, r)) for iv, r in zip(rep.y_intervals, y_reach)]
+    for i, differ in enumerate(map(xor, power.x_adj, _meeting_rows(x_spans, y_spans))):
         if differ:
             j = (differ & -differ).bit_length() - 1
             raise TheoremCounterexample(
@@ -228,7 +231,7 @@ def _check_power_representation(
                     "edge_in_power": power.has_edge(i, j),
                 },
             )
-    return x_rights, y_rights
+    return x_spans, y_spans
 
 
 def intervals_to_graph(
@@ -237,13 +240,8 @@ def intervals_to_graph(
     y_labels: tuple[str, ...] | None = None,
 ) -> BipartiteGraph:
     """Graph realized by the representation: edge iff closed intervals intersect."""
-    edges = [
-        (i, j)
-        for i, ix in enumerate(rep.x_intervals)
-        for j, iy in enumerate(rep.y_intervals)
-        if ix.intersects(iy)
-    ]
-    return build_graph(len(rep.x_intervals), len(rep.y_intervals), edges, x_labels, y_labels)
+    rows = _meeting_rows(_spans(rep.x_intervals), _spans(rep.y_intervals))
+    return _graph_from_rows(rows, len(rep.y_intervals), x_labels, y_labels)
 
 
 def random_interval_representation(seed: int, nx: int, ny: int, span: int) -> IntervalRepresentation:
@@ -269,53 +267,17 @@ def random_interval_representation(seed: int, nx: int, ny: int, span: int) -> In
 #
 # One line per vertex: side <TAB> label <TAB> left <TAB> right, side in {X, Y},
 # integers in decimal.  Line order defines index order per side.  Lines
-# starting with '#' are comments and survive a parse/serialize round trip
-# verbatim.
+# starting with '#' are comments and, like blank lines, are skipped.
 
 
-@dataclass(frozen=True)
-class IntervalDocument:
-    """Parsed interval file: entries in file order plus verbatim comments."""
-
-    lines: tuple[tuple[str, ...], ...]  # ("#", raw) or ("entry", side, label, left, right)
-
-    def representation(self) -> tuple[IntervalRepresentation, tuple[str, ...], tuple[str, ...]]:
-        xs: list[Interval] = []
-        ys: list[Interval] = []
-        x_labels: list[str] = []
-        y_labels: list[str] = []
-        for line in self.lines:
-            if line[0] == "#":
-                continue
-            _, side, label, left, right = line
-            iv = Interval(int(left), int(right))
-            if side == "X":
-                xs.append(iv)
-                x_labels.append(label)
-            else:
-                ys.append(iv)
-                y_labels.append(label)
-        return IntervalRepresentation(tuple(xs), tuple(ys)), tuple(x_labels), tuple(y_labels)
-
-    def serialize(self) -> str:
-        out = []
-        for line in self.lines:
-            if line[0] == "#":
-                out.append(line[1])
-            else:
-                _, side, label, left, right = line
-                out.append(f"{side}\t{label}\t{left}\t{right}")
-        return "\n".join(out) + ("\n" if out else "")
-
-
-def parse_intervals_tsv(text: str) -> IntervalDocument:
-    lines: list[tuple[str, ...]] = []
+def parse_intervals_tsv(text: str) -> tuple[IntervalRepresentation, tuple[str, ...], tuple[str, ...]]:
+    """The representation an interval file gives, with its X and Y labels
+    in index order."""
+    intervals: dict[str, list[Interval]] = {"X": [], "Y": []}
+    labels: dict[str, list[str]] = {"X": [], "Y": []}
     side_of: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
-            lines.append(("#", raw))
-            continue
-        if not raw.strip():
+        if raw.startswith("#") or not raw.strip():
             continue
         parts = raw.split("\t")
         if len(parts) != 4:
@@ -334,8 +296,10 @@ def parse_intervals_tsv(text: str) -> IntervalDocument:
             raise InputError(f"interval TSV line {lineno}: endpoints must be integers") from None
         if lv > rv:
             raise InputError(f"interval TSV line {lineno}: left endpoint exceeds right")
-        lines.append(("entry", side, label, left, right))
-    return IntervalDocument(tuple(lines))
+        intervals[side].append(Interval(lv, rv))
+        labels[side].append(label)
+    rep = IntervalRepresentation(tuple(intervals["X"]), tuple(intervals["Y"]))
+    return rep, tuple(labels["X"]), tuple(labels["Y"])
 
 
 def intervals_tsv(

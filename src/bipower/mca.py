@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .core import BipartiteGraph, _union, bipartite_power, build_graph
+from .core import BipartiteGraph, _graph_from_rows, _union, bipartite_power
 from .errors import InputError, TheoremCounterexample
 
 
@@ -97,8 +97,7 @@ def matrix_to_graph(
     y_labels: tuple[str, ...] | None = None,
 ) -> BipartiteGraph:
     """Graph whose biadjacency matrix (in original orientation) is ``mat``."""
-    edges = [(i, j) for i, row in enumerate(mat.entries) for j, v in enumerate(row) if v]
-    return build_graph(mat.n, mat.m, edges, x_labels, y_labels)
+    return _graph_from_rows(_grid_bits(mat.entries, range(mat.m)), mat.m, x_labels, y_labels)
 
 
 def _column_shifts(col_perm: Sequence[int]) -> list[int]:
@@ -110,10 +109,15 @@ def _column_shifts(col_perm: Sequence[int]) -> list[int]:
     return shift
 
 
+def _grid_bits(rows: Iterable[Sequence[int]], col_perm: Sequence[int]) -> list[int]:
+    """Each 0/1 grid row as a bitset, column ``col_perm[p]`` being bit p."""
+    shift = _column_shifts(col_perm)
+    return [sum(compress(shift, row)) for row in rows]
+
+
 def _shown_rows(mat: ArrangedMatrix) -> list[int]:
     """The displayed rows of ``mat`` as bitsets, bit p being display column p + 1."""
-    shift = _column_shifts(mat.col_perm)
-    return [sum(compress(shift, mat.entries[i])) for i in mat.row_perm]
+    return _grid_bits((mat.entries[i] for i in mat.row_perm), mat.col_perm)
 
 
 def _refuse_zero_rows(shown: Sequence[int], m: int) -> None:
@@ -301,8 +305,7 @@ def find_mca(mat: ArrangedMatrix) -> tuple[ArrangedMatrix, McaCertificate] | Non
     """
     entries = mat.entries
     n, m = mat.n, mat.m
-    shift = _column_shifts(range(m))
-    bits = [sum(compress(shift, row)) for row in entries]
+    bits = _grid_bits(entries, range(m))
     _refuse_zero_lines(bits, m)
 
     row_perm: list[int] = []

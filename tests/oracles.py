@@ -18,7 +18,7 @@ from itertools import permutations
 from typing import Iterator, Sequence
 
 from bipower import BipartiteGraph, CycleCertificate
-from bipower.core import bipartite_power, graph_to_json
+from bipower.core import bipartite_power, build_graph, graph_to_json
 from bipower.errors import CapacityError, InputError, TheoremCounterexample
 from bipower.intervals import Interval, IntervalRepresentation, intervals_tsv
 from bipower.mca import ArrangedMatrix, McaCertificate, matrix_text, verify_mca
@@ -601,3 +601,47 @@ def pairwise_power_representation(
                     },
                 )
     return result
+
+
+def pairwise_verify_representation(g: BipartiteGraph, rep: IntervalRepresentation) -> bool:
+    """Reference for ``intervals.verify_representation`` on matching sizes:
+    every cross pair tested with ``Interval.intersects`` against the edge."""
+    return all(
+        ix.intersects(iy) == g.has_edge(i, j)
+        for i, ix in enumerate(rep.x_intervals)
+        for j, iy in enumerate(rep.y_intervals)
+    )
+
+
+def pairwise_intervals_to_graph(
+    rep: IntervalRepresentation,
+    x_labels: tuple[str, ...] | None = None,
+    y_labels: tuple[str, ...] | None = None,
+) -> BipartiteGraph:
+    """Reference for ``intervals.intervals_to_graph``: the edge list of every
+    intersecting cross pair, through ``build_graph``."""
+    edges = [
+        (i, j)
+        for i, ix in enumerate(rep.x_intervals)
+        for j, iy in enumerate(rep.y_intervals)
+        if ix.intersects(iy)
+    ]
+    return build_graph(len(rep.x_intervals), len(rep.y_intervals), edges, x_labels, y_labels)
+
+
+def reindexed_graph(g: BipartiteGraph, x_perm: Sequence[int], y_perm: Sequence[int]) -> BipartiteGraph:
+    """Reference for the graph ``intervals.canonicalize`` returns: ``g``'s
+    edges and labels moved so that new index p holds old index perm[p]."""
+    y_pos = {old: new for new, old in enumerate(y_perm)}
+    edges = [(new, y_pos[j]) for new, old in enumerate(x_perm) for j in range(g.y_count) if g.has_edge(old, j)]
+    return build_graph(
+        g.x_count, g.y_count, edges, tuple(g.x_labels[i] for i in x_perm), tuple(g.y_labels[j] for j in y_perm)
+    )
+
+
+def edge_list_enumeration(nx: int, ny: int) -> Iterator[BipartiteGraph]:
+    """Reference for ``harness.enumerate_bipartite``: bit t of the counter is
+    the edge (t // ny, t % ny), every subset built from its edge list."""
+    pairs = [(t // ny, t % ny) for t in range(nx * ny)]
+    for mask in range(1 << (nx * ny)):
+        yield build_graph(nx, ny, [pairs[t] for t in range(nx * ny) if mask >> t & 1])

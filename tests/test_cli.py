@@ -383,12 +383,6 @@ class TestOutputHandling:
         original = files["graph"].read_text()
         assert bp.graph_to_json(bp.graph_from_json(original)) == original
 
-    def test_round_trip_intervals_with_comments(self, tmp_path):
-        from bipower.intervals import parse_intervals_tsv
-
-        text = "# fixture note\nX\ta\t0\t2\nY\tb\t1\t3\n"
-        assert parse_intervals_tsv(text).serialize() == text
-
     def test_round_trip_matrix_bytes(self, files):
         from bipower.mca import parse_matrix
 

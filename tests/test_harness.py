@@ -17,6 +17,7 @@ from bipower.harness import (
     trial_seed,
 )
 from conftest import counted_searches, cycle_graph, fresh_copy
+from oracles import edge_list_enumeration
 
 
 class TestGenRandomBipartite:
@@ -97,6 +98,22 @@ class TestEnumerateBipartite:
     def test_cap(self):
         with pytest.raises(CapacityError):
             next(iter(bp.enumerate_bipartite(5, 4)))
+
+    @pytest.mark.parametrize("nx, ny", [(-1, 3), (3, -1), (-2, -2)])
+    def test_negative_side_refused(self, nx, ny):
+        with pytest.raises(InputError, match="side sizes must be non-negative"):
+            next(iter(bp.enumerate_bipartite(nx, ny)))
+
+    def test_graphs_match_edge_lists(self):
+        # Row bitsets cut from the counter give the graphs, labels included,
+        # that the counter's edge lists give.  A matrix keeps no column count
+        # without a row, so only graphs with both sides survive its round trip.
+        for nx in range(4):
+            for ny in range(4):
+                graphs = list(bp.enumerate_bipartite(nx, ny))
+                assert graphs == list(edge_list_enumeration(nx, ny))
+                if nx and ny:
+                    assert all(bp.matrix_to_graph(bp.graph_to_matrix(g)) == g for g in graphs)
 
 
 class TestCampaigns:

@@ -14,7 +14,13 @@ from bipower.intervals import (
     intervals_tsv,
     parse_intervals_tsv,
 )
-from oracles import pairwise_power_representation, pairwise_reach_lefts
+from oracles import (
+    pairwise_intervals_to_graph,
+    pairwise_power_representation,
+    pairwise_reach_lefts,
+    pairwise_verify_representation,
+    reindexed_graph,
+)
 
 
 class TestInterval:
@@ -213,16 +219,16 @@ class TestRandomRepresentation:
 class TestIntervalTsv:
     def test_canonical_round_trip(self, sample_graph, sample_rep):
         text = intervals_tsv(sample_rep, sample_graph.x_labels, sample_graph.y_labels)
-        doc = parse_intervals_tsv(text)
-        rep, x_labels, y_labels = doc.representation()
+        rep, x_labels, y_labels = parse_intervals_tsv(text)
         assert rep == sample_rep
         assert x_labels == sample_graph.x_labels
-        assert doc.serialize() == text
 
-    def test_comments_preserved_verbatim(self):
-        text = "# intervals for the 1+1 toy\nX\ta\t0\t1\n#trailing note\nY\tb\t1\t2\n"
-        doc = parse_intervals_tsv(text)
-        assert doc.serialize() == text
+    def test_comments_and_blank_lines_skipped(self):
+        plain = "X\ta\t0\t1\nY\tb\t1\t2\nX\tc\t3\t4\n"
+        noted = "# intervals for the 2+1 toy\n\nX\ta\t0\t1\n#X\tz\t0\t1\n  \nY\tb\t1\t2\n# note\nX\tc\t3\t4\n\n"
+        parsed = parse_intervals_tsv(noted)
+        assert parsed == parse_intervals_tsv(plain)
+        assert parsed[1:] == (("a", "c"), ("b",))
 
     def test_bad_side_rejected(self):
         with pytest.raises(InputError, match="line 1"):
@@ -262,12 +268,12 @@ class TestPowerCheckMatchesPairwiseOracle:
             return str(exc)
 
     @staticmethod
-    def _oracle_rights(g, rep, k):
+    def _oracle_spans(g, rep, k):
         out = pairwise_power_representation(g, rep, k)
-        return [iv.right for iv in out.x_intervals], [iv.right for iv in out.y_intervals]
+        return [(iv.left, iv.right) for iv in out.x_intervals], [(iv.left, iv.right) for iv in out.y_intervals]
 
     def _same(self, g, rep, k):
-        want = self._outcome(self._oracle_rights, g, rep, k)
+        want = self._outcome(self._oracle_spans, g, rep, k)
         assert self._outcome(intervals._check_power_representation, g, rep, k) == want, (g, rep, k)
         power = bp.bipartite_power(g, k)
         reach = intervals._reach_lefts(power, rep)
@@ -309,3 +315,64 @@ class TestPowerCheckMatchesPairwiseOracle:
                 broke += isinstance(want, tuple) and isinstance(want[1], dict)
                 refused += isinstance(want, str)
         assert broke > 150 and refused > 200, (broke, refused)
+
+
+class TestMeetingRowsMatchPairwiseOracle:
+    """Verification, building and the power check share one kernel
+    (intervals._meeting_rows).  The oracles test every cross pair with
+    Interval.intersects and build graphs from edge lists: the graphs, labels
+    included, and the verdicts must be equal."""
+
+    @staticmethod
+    def _same(rep, labels=(None, None)):
+        g = bp.intervals_to_graph(rep, *labels)
+        assert g == pairwise_intervals_to_graph(rep, *labels), rep
+        assert bp.verify_representation(g, rep)
+        return g
+
+    @staticmethod
+    def _flips_rejected(g, rep, cells):
+        # A graph one edge away from the realized one is never realized.
+        for i, j in cells:
+            rows = list(g.x_adj)
+            rows[i] ^= 1 << j
+            flipped = bp.BipartiteGraph(g.x_count, g.y_count, tuple(rows), g.x_labels, g.y_labels)
+            assert not pairwise_verify_representation(flipped, rep)
+            assert not bp.verify_representation(flipped, rep), (rep, i, j)
+
+    def test_every_small_representation(self):
+        # Every interval with endpoints in [0, 3], on up to 2+2 vertices.
+        spans = [Interval(a, b) for a in range(4) for b in range(a, 4)]
+        sides = [()] + [(iv,) for iv in spans] + [(a, b) for a in spans for b in spans]
+        for xs in sides:
+            for ys in sides:
+                rep = IntervalRepresentation(xs, ys)
+                cells = [(i, j) for i in range(len(xs)) for j in range(len(ys))]
+                self._flips_rejected(self._same(rep), rep, cells)
+
+    def test_seeded_volume_with_ties_and_empty_sides(self):
+        rng = random.Random(1414)
+        ties = empty = 0
+        for _ in range(400):
+            nx, ny = rng.randint(0, 16), rng.randint(0, 16)
+            # A small span forces equal and touching endpoints.
+            rep = bp.random_interval_representation(rng.getrandbits(63), nx, ny, rng.choice((1, 2, 4, 8, 40)))
+            labels = (tuple(f"a{i}" for i in range(nx)), tuple(f"b{j}" for j in range(ny))) if rng.random() < 0.5 else (None, None)
+            g = self._same(rep, labels)
+            cells = [(i, j) for i in range(nx) for j in range(ny)]
+            self._flips_rejected(g, rep, rng.sample(cells, min(len(cells), 12)))
+            ends = {iv.left for iv in rep.y_intervals} | {iv.right for iv in rep.y_intervals}
+            ties += any(iv.left in ends or iv.right in ends for iv in rep.x_intervals)
+            empty += not nx or not ny
+        assert ties > 300 and empty > 10, (ties, empty)
+
+    def test_canonicalize_reindexes_the_graph(self, sample_graph, sample_rep):
+        rng = random.Random(2323)
+        cases = [(sample_graph, sample_rep)]
+        for _ in range(300):
+            rep = bp.random_interval_representation(rng.getrandbits(63), rng.randint(0, 9), rng.randint(0, 9), rng.randint(1, 12))
+            cases.append((bp.intervals_to_graph(rep), rep))
+        for g, rep in cases:
+            g2, rep2, (x_perm, y_perm) = bp.canonicalize(g, rep)
+            assert g2 == reindexed_graph(g, x_perm, y_perm)
+            assert bp.verify_representation(g2, rep2)

@@ -79,6 +79,18 @@ def test_no_recursion_in_src():
     assert found == [], f"recursive calls in src: {found}"
 
 
+def test_no_pairwise_interval_tests_in_src():
+    # Intersection is answered by one row-bitset kernel in intervals; the
+    # pairwise form, Interval.intersects, serves the test oracles only.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "intersects"
+    ]
+    assert found == [], f"Interval.intersects called in src: {found}"
+
+
 def test_core_does_not_import_chordal_power():
     # core holds the graph, the search and the Γ test the search uses;
     # chordal_power builds on it, never the other way round.
