@@ -3,7 +3,8 @@
 Exit codes are stable for scripting:
   0  success / the checked property holds
   1  the property fails (certificate on stdout)
-  2  input or usage error
+  2  input or usage error, or a payload that cannot be written (a
+     counterexample report included)
   3  a closure property that should always hold was refuted (report on stdout)
   4  internal defect: bipower itself failed (traceback on stderr)
 """
@@ -34,22 +35,6 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-class _Out:
-    """Payload sink: stdout unless --output names a path."""
-
-    def __init__(self, output: str | None):
-        self.output = output
-
-    def emit(self, payload: str) -> None:
-        if self.output is None:
-            sys.stdout.write(payload)
-        else:
-            try:
-                Path(self.output).write_text(payload, encoding="utf-8")
-            except OSError as exc:
-                raise InputError(f"cannot write {self.output}: {exc}") from exc
 
 
 def _load_graph(path: str) -> core.BipartiteGraph:
@@ -184,96 +169,84 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_power(args, out: _Out) -> int:
+def _cmd_power(args) -> tuple[int, str]:
     g = _load_graph(args.graph)
-    out.emit(core.graph_to_json(core.bipartite_power(g, args.k)))
-    return EXIT_OK
+    return EXIT_OK, core.graph_to_json(core.bipartite_power(g, args.k))
 
 
-def _cmd_check_chordal(args, out: _Out) -> int:
+def _cmd_check_chordal(args) -> tuple[int, str]:
     from . import chordal_power
     fmt = args.format or "json"
     g = _load_graph(args.graph)
     cert = core.find_chordless_cycle(g, args.min_length)
     if cert is None:
-        out.emit(_verdict_payload({"chordal_bipartite": True}, fmt))
-        return EXIT_OK
-    out.emit(chordal_power.cycle_json(g, cert))
-    return EXIT_PROPERTY_FAILS
+        return EXIT_OK, _verdict_payload({"chordal_bipartite": True}, fmt)
+    return EXIT_PROPERTY_FAILS, chordal_power.cycle_json(g, cert)
 
 
-def _cmd_check_kchordal(args, out: _Out) -> int:
+def _cmd_check_kchordal(args) -> tuple[int, str]:
     from . import chordal_power
     fmt = args.format or "json"
     g = _load_graph(args.graph)
     k = args.kchordal_k
     verdict = chordal_power.is_k_chordal(g, k)
     if verdict.chordal:
-        out.emit(_verdict_payload({"k_chordal": True, "k": k}, fmt))
-        return EXIT_OK
-    out.emit(chordal_power.cycle_json(g, verdict.certificate))
-    return EXIT_PROPERTY_FAILS
+        return EXIT_OK, _verdict_payload({"k_chordal": True, "k": k}, fmt)
+    return EXIT_PROPERTY_FAILS, chordal_power.cycle_json(g, verdict.certificate)
 
 
-def _cmd_verify_intervals(args, out: _Out) -> int:
+def _cmd_verify_intervals(args) -> tuple[int, str]:
     from . import intervals
     fmt = args.format or "json"
     g = _load_graph(args.graph)
     ok = intervals.verify_representation(g, _load_intervals(args.intervals_file, g))
-    out.emit(_verdict_payload({"valid": ok}, fmt))
-    return EXIT_OK if ok else EXIT_PROPERTY_FAILS
+    return (EXIT_OK if ok else EXIT_PROPERTY_FAILS), _verdict_payload({"valid": ok}, fmt)
 
 
-def _cmd_power_intervals(args, out: _Out) -> int:
+def _cmd_power_intervals(args) -> tuple[int, str]:
     from . import intervals
     fmt = args.format or "tsv"
     g = _load_graph(args.graph)
     result = intervals.power_representation(g, _load_intervals(args.intervals_file, g), args.k)
-    out.emit(_intervals_payload(result, g.x_labels, g.y_labels, fmt))
-    return EXIT_OK
+    return EXIT_OK, _intervals_payload(result, g.x_labels, g.y_labels, fmt)
 
 
-def _cmd_mca_verify(args, out: _Out) -> int:
+def _cmd_mca_verify(args) -> tuple[int, str]:
     from . import mca
     fmt = args.format or "json"
     mat = mca.parse_matrix(_read(args.matrix))
     cert = mca.verify_mca(mat)
     if cert is None:
-        out.emit(_verdict_payload({"mca": False}, fmt))
-        return EXIT_PROPERTY_FAILS
-    out.emit(mca.certificate_json(cert))
-    return EXIT_OK
+        return EXIT_PROPERTY_FAILS, _verdict_payload({"mca": False}, fmt)
+    return EXIT_OK, mca.certificate_json(cert)
 
 
-def _cmd_mca_find(args, out: _Out) -> int:
+def _cmd_mca_find(args) -> tuple[int, str]:
     from . import mca
     fmt = args.format or "json"
     mat = mca.parse_matrix(_read(args.matrix))
     found = mca.find_mca(mat)
     if found is None:
-        out.emit(_verdict_payload({"mca": False}, fmt))
-        return EXIT_PROPERTY_FAILS
+        return EXIT_PROPERTY_FAILS, _verdict_payload({"mca": False}, fmt)
     arranged, cert = found
     obj = {
         "rows": list(arranged.row_perm),
         "cols": list(arranged.col_perm),
         "certificate": json.loads(mca.certificate_json(cert)),
     }
-    out.emit(json.dumps(obj, indent=2) + "\n")
-    return EXIT_OK
+    return EXIT_OK, json.dumps(obj, indent=2) + "\n"
 
 
-def _cmd_mca_power(args, out: _Out) -> int:
+def _cmd_mca_power(args) -> tuple[int, str]:
     from . import mca
     fmt = args.format or "text"
     mat = mca.parse_matrix(_read(args.matrix))
     g = mca.matrix_to_graph(mat)
     powered = mca.matrix_power(g, (mat.row_perm, mat.col_perm), args.k)
-    out.emit(_matrix_payload(powered, "json" if fmt == "json" else "text"))
-    return EXIT_OK
+    return EXIT_OK, _matrix_payload(powered, "json" if fmt == "json" else "text")
 
 
-def _cmd_classify_cycle(args, out: _Out) -> int:
+def _cmd_classify_cycle(args) -> tuple[int, str]:
     from . import chordal_power
     g = _load_graph(args.graph)
     cert = chordal_power.cycle_from_json(g, _read(args.cycle))
@@ -294,20 +267,18 @@ def _cmd_classify_cycle(args, out: _Out) -> int:
             for p, edge in enumerate(cls.edges)
         ],
     }
-    out.emit(json.dumps(obj, indent=2) + "\n")
-    return EXIT_OK
+    return EXIT_OK, json.dumps(obj, indent=2) + "\n"
 
 
-def _cmd_lift_cycle(args, out: _Out) -> int:
+def _cmd_lift_cycle(args) -> tuple[int, str]:
     from . import chordal_power
     g = _load_graph(args.graph)
     cert = chordal_power.cycle_from_json(g, _read(args.cycle))
     result = chordal_power.lift_chordless_cycle(g, args.k, cert)
-    out.emit(chordal_power.lift_json(g, result))
-    return EXIT_OK
+    return EXIT_OK, chordal_power.lift_json(g, result)
 
 
-def _cmd_fuzz(args, out: _Out) -> int:
+def _cmd_fuzz(args) -> tuple[int, str]:
     from . import harness
     if args.campaign is not None:
         campaign = harness.campaign_from_json(_read(args.campaign))
@@ -327,25 +298,20 @@ def _cmd_fuzz(args, out: _Out) -> int:
             ),
         )
     report = harness.run_campaign(campaign)
-    out.emit(harness.report_json(report))
-    return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
+    return (EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK), harness.report_json(report)
 
 
-def _cmd_gen(args, out: _Out) -> int:
+def _cmd_gen(args) -> tuple[int, str]:
     if args.theorem == "t3":
         from . import intervals
         rep = intervals.random_interval_representation(args.seed, args.max_x, args.max_y, args.span)
         g = intervals.intervals_to_graph(rep)
-        out.emit(intervals.intervals_tsv(rep, g.x_labels, g.y_labels))
-    elif args.theorem == "t4":
-        from . import harness, mca
-        mat = harness.gen_staircase_matrix(args.seed, args.max_x, args.max_y)
-        out.emit(mca.matrix_text(mat))
-    else:
-        from . import harness
-        g = harness.gen_random_bipartite(args.seed, args.max_x, args.max_y, 0.5)
-        out.emit(core.graph_to_json(g))
-    return EXIT_OK
+        return EXIT_OK, intervals.intervals_tsv(rep, g.x_labels, g.y_labels)
+    from . import harness
+    if args.theorem == "t4":
+        from . import mca
+        return EXIT_OK, mca.matrix_text(harness.gen_staircase_matrix(args.seed, args.max_x, args.max_y))
+    return EXIT_OK, core.graph_to_json(harness.gen_random_bipartite(args.seed, args.max_x, args.max_y, 0.5))
 
 
 _COMMANDS = {
@@ -365,18 +331,27 @@ _COMMANDS = {
 
 
 def dispatch(argv: list[str]) -> int:
+    """Run one verb and write its payload, once, to stdout or ``--output``;
+    the only place in the command line that writes a payload."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
-    out = _Out(args.output)
+    note = None
     try:
-        return _COMMANDS[args.verb](args, out)
-    except TheoremCounterexample as exc:
-        out.emit(json.dumps(exc.report, indent=2) + "\n")
-        print(f"counterexample: {exc}", file=sys.stderr)
-        return EXIT_COUNTEREXAMPLE
+        try:
+            code, payload = _COMMANDS[args.verb](args)
+        except TheoremCounterexample as exc:
+            code, payload = EXIT_COUNTEREXAMPLE, json.dumps(exc.report, indent=2) + "\n"
+            note = f"counterexample: {exc}"
+        if args.output is None:
+            sys.stdout.write(payload)
+        else:
+            try:
+                Path(args.output).write_text(payload, encoding="utf-8")
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc}") from exc
     except BipowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -385,6 +360,10 @@ def dispatch(argv: list[str]) -> int:
         import traceback
         traceback.print_exc()
         return EXIT_INTERNAL
+    if note is not None:
+        # After the write, so that a report that was lost ends in exit 2 alone.
+        print(note, file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -531,9 +531,9 @@ def _search_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertific
 def verify_chordless(g: BipartiteGraph, cert: CycleCertificate) -> bool:
     """True iff the certificate's vertex list is a chordless cycle of ``g``.
 
-    Checks even length >= 4, distinct valid vertices, every cyclically
-    consecutive pair an edge, and every other pair a non-edge.  Malformed
-    certificates simply verify false.
+    Checks even length >= 4 and distinct valid vertices, then that each
+    vertex's row, cut down to the cycle's vertices, holds exactly its two
+    cyclic neighbours.  Malformed certificates simply verify false.
     """
     verts = cert.vertices
     length = len(verts)
@@ -548,13 +548,10 @@ def verify_chordless(g: BipartiteGraph, cert: CycleCertificate) -> bool:
     if len(set(gids)) != length:
         return False
     adj = g.global_adj
-    for p in range(length):
-        for q in range(p + 1, length):
-            consecutive = q - p == 1 or (p == 0 and q == length - 1)
-            adjacent = bool(adj[gids[p]] >> gids[q] & 1)
-            if adjacent != consecutive:
-                return False
-    return True
+    on_cycle = sum(1 << u for u in gids)
+    return all(
+        adj[u] & on_cycle == (1 << gids[p - 1] | 1 << gids[(p + 1) % length]) for p, u in enumerate(gids)
+    )
 
 
 def is_connected(g: BipartiteGraph) -> bool:

@@ -14,7 +14,10 @@ class InputError(BipowerError):
 
 
 class CapacityError(BipowerError):
-    """An exhaustive enumeration exceeded ``harness.ENUMERATION_CAP`` (CLI exit 2)."""
+    """An exhaustive enumeration exceeded ``harness.ENUMERATION_CAP``.
+
+    Library-only: no command-line verb enumerates graphs.
+    """
 
 
 class TheoremCounterexample(BipowerError):

@@ -40,7 +40,10 @@ from .errors import InputError, TheoremCounterexample
 
 @dataclass(frozen=True)
 class ArrangedMatrix:
-    """0/1 grid plus row/column permutations (display position -> original index)."""
+    """0/1 grid plus row/column permutations (display position -> original index).
+
+    The column count is that of the rows, or, with no row, ``len(col_perm)``.
+    """
 
     entries: tuple[tuple[int, ...], ...]
     row_perm: tuple[int, ...]
@@ -48,7 +51,7 @@ class ArrangedMatrix:
 
     def __post_init__(self) -> None:
         n = len(self.entries)
-        m = len(self.entries[0]) if n else 0
+        m = len(self.entries[0]) if n else len(self.col_perm)
         if any(len(row) != m for row in self.entries):
             raise InputError("matrix rows have unequal lengths")
         if any(v not in (0, 1) for row in self.entries for v in row):
@@ -62,7 +65,7 @@ class ArrangedMatrix:
 
     @property
     def m(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.col_perm)
 
     @cached_property
     def displayed(self) -> tuple[tuple[int, ...], ...]:
@@ -88,7 +91,7 @@ def _biadjacency(g: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
 
 def graph_to_matrix(g: BipartiteGraph) -> ArrangedMatrix:
     """Biadjacency matrix: rows are X in index order, columns Y, identity perms."""
-    return identity_arrangement(_biadjacency(g))
+    return ArrangedMatrix(_biadjacency(g), tuple(range(g.x_count)), tuple(range(g.y_count)))
 
 
 def matrix_to_graph(
@@ -454,6 +457,8 @@ def parse_matrix(text: str) -> ArrangedMatrix:
             col_perm = values
         else:
             raise InputError(f"matrix text: unrecognized trailer {extra!r}")
+    if len(col_perm) != m:
+        raise InputError("permutations must be bijections of matching size")
     return ArrangedMatrix(tuple(entries), row_perm, col_perm)
 
 

@@ -9,7 +9,8 @@ kernels of the chordal-bipartite decision (the integer-keyed ordering, the
 edge-scanning block search, a doubly lexical ordering per block) are kept
 here too, as references that the fast paths must match result for result.
 So are the tuple-grid forms of the arrangement and interval power checks,
-which the bitset kernels replaced.
+which the bitset kernels replaced, and the pair-by-pair chordless-cycle
+check that the row-per-vertex one replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from bipower import BipartiteGraph, CycleCertificate
+from bipower import BipartiteGraph, CycleCertificate, Side
 from bipower.core import bipartite_power, build_graph, graph_to_json
 from bipower.errors import CapacityError, InputError, TheoremCounterexample
 from bipower.intervals import Interval, IntervalRepresentation, intervals_tsv
@@ -119,6 +120,32 @@ def induced_cycle_lengths(g: BipartiteGraph) -> set[int]:
 
 def has_induced_cycle(g: BipartiteGraph, min_length: int) -> bool:
     return any(length >= min_length for length in induced_cycle_lengths(g))
+
+
+def pairwise_verify_chordless(g: BipartiteGraph, cert: CycleCertificate) -> bool:
+    """``verify_chordless`` pair by pair: even length >= 4, distinct valid
+    vertices, every cyclically consecutive pair an edge and every other
+    pair a non-edge."""
+    verts = cert.vertices
+    length = len(verts)
+    if length < 4 or length % 2:
+        return False
+    gids = []
+    for v in verts:
+        bound = g.x_count if v.side is Side.X else g.y_count
+        if not 0 <= v.index < bound:
+            return False
+        gids.append(g.global_id(v))
+    if len(set(gids)) != length:
+        return False
+    adj = g.global_adj
+    for p in range(length):
+        for q in range(p + 1, length):
+            consecutive = q - p == 1 or (p == 0 and q == length - 1)
+            adjacent = bool(adj[gids[p]] >> gids[q] & 1)
+            if adjacent != consecutive:
+                return False
+    return True
 
 
 def unconfined_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate | None:

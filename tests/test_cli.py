@@ -88,6 +88,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "trailer" in err
 
+    @pytest.mark.parametrize("verb", [["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]])
+    def test_matrix_without_rows_is_exit_2(self, files, capsys, verb):
+        columns_only = files["tmp"] / "columns-only.mat"
+        columns_only.write_text("0 3\n")
+        code, out, err = run(capsys, *verb, str(columns_only))
+        assert code == 2 and out == ""
+        assert err == "error: matrix must have at least one row and one column\n"
+
     def test_output_into_missing_directory_is_exit_2(self, files, capsys):
         target = files["tmp"] / "missing" / "out.json"
         code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]), "--output", str(target))
@@ -169,13 +177,48 @@ class TestExitCodes:
 
     def test_internal_defect_is_exit_4(self, files, capsys, monkeypatch):
         # A defect in bipower itself must not read as "property fails" (1).
-        def broken(args, out):
+        def broken(args):
             raise RuntimeError("defect under test")
 
         monkeypatch.setitem(cli._COMMANDS, "power", broken)
         code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]))
         assert code == cli.EXIT_INTERNAL == 4 and out == ""
         assert err.startswith("Traceback") and err.rstrip().endswith("RuntimeError: defect under test")
+
+
+class TestCounterexampleReport:
+    """A refuted closure property ends in exit 3 with its report as the
+    payload, and a report that cannot be written in exit 2, never in a
+    traceback."""
+
+    REPORT = {"kind": "matrix-power", "k": 3, "matrix": "1 1\n1\n"}
+
+    @pytest.fixture
+    def refuting(self, monkeypatch):
+        def refute(args):
+            raise bp.TheoremCounterexample("power broke the arrangement", self.REPORT)
+
+        monkeypatch.setitem(cli._COMMANDS, "power", refute)
+
+    def test_report_on_stdout(self, files, capsys, refuting):
+        code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]))
+        assert code == cli.EXIT_COUNTEREXAMPLE == 3
+        assert out == json.dumps(self.REPORT, indent=2) + "\n"
+        assert err == "counterexample: power broke the arrangement\n"
+
+    def test_report_in_output_file(self, files, capsys, refuting):
+        target = files["tmp"] / "report.json"
+        code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]), "--output", str(target))
+        assert code == 3 and out == ""
+        assert err == "counterexample: power broke the arrangement\n"
+        assert target.read_text() == json.dumps(self.REPORT, indent=2) + "\n"
+
+    def test_unwritable_report_is_exit_2(self, files, capsys, refuting):
+        target = files["tmp"] / "missing" / "report.json"
+        code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]), "--output", str(target))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
 
 
 class TestVerbs:

@@ -19,6 +19,7 @@ from conftest import (
     cycle_vertex,
     fresh_copy,
     plant_cycle,
+    random_tree,
 )
 from oracles import (
     cycle_bearing_per_block,
@@ -27,6 +28,7 @@ from oracles import (
     has_induced_cycle,
     induced_cycle_lengths,
     lex_keyed_ordering,
+    pairwise_verify_chordless,
     path_distance,
     tarjan_blocks,
     unconfined_chordless_cycle,
@@ -671,6 +673,58 @@ class TestVerifyChordless:
         g = cycle_graph(4)
         verts = (bp.x_vertex(0), bp.y_vertex(0), bp.x_vertex(9), bp.y_vertex(1))
         assert not bp.verify_chordless(g, bp.CycleCertificate(verts))
+
+
+class TestVerifyChordlessMatchesPairwiseOracle:
+    @staticmethod
+    def certificates(rng: random.Random, g: bp.BipartiteGraph, found: bp.CycleCertificate):
+        """The found cycle, turned and reversed, shuffled, and broken: odd
+        or short, an index out of range or negative, a vertex repeated."""
+        verts = list(found.vertices)
+        turn = rng.randrange(len(verts))
+        yield verts[turn:] + verts[:turn]
+        yield verts[::-1]
+        for _ in range(3):
+            yield rng.sample(verts, len(verts))
+        yield verts[:-1]
+        yield verts[:rng.randint(0, 3)]
+        at = rng.randrange(len(verts))
+        side = verts[at].side
+        bound = g.x_count if side is bp.Side.X else g.y_count
+        for index in (bound, bound + rng.randint(1, 5), -1, -rng.randint(2, 5)):
+            yield verts[:at] + [bp.VertexId(side, index)] + verts[at + 1:]
+        yield verts[:at] + [verts[at - 2]] + verts[at + 1:]
+        yield verts[:-2] + verts[:2]
+        yield [bp.VertexId(rng.choice(list(bp.Side)), rng.randrange(-1, 9)) for _ in range(rng.randint(0, 10))]
+
+    @staticmethod
+    def with_chord(rng: random.Random, g: bp.BipartiteGraph, found: bp.CycleCertificate) -> bp.BipartiteGraph:
+        """``g`` plus one chord of the found cycle, between an X and a Y
+        vertex an odd number >= 3 of steps apart on it."""
+        verts = found.vertices
+        p = rng.randrange(len(verts))
+        q = (p + rng.randrange(3, len(verts) - 2, 2)) % len(verts)
+        x, y = sorted((verts[p], verts[q]), key=lambda v: v.side is bp.Side.Y)
+        return bp.build_graph(g.x_count, g.y_count, [*g.edges(), (x.index, y.index)])
+
+    def test_seeded_volume(self):
+        rng = random.Random(531)
+        outcomes = []
+        for trial in range(400):
+            g = plant_cycle(random_tree(rng, rng.randint(2, 12)), 2 * rng.randint(3, 8), rng, rng.randint(0, 1))
+            if trial % 2:
+                g = bp.gen_random_bipartite(rng.getrandbits(32), rng.randint(3, 9), rng.randint(3, 9), rng.random())
+            found = core.find_chordless_cycle(g, 6)
+            if found is None:
+                continue
+            checks = [(g, verts) for verts in [found.vertices, *self.certificates(rng, g, found)]]
+            checks.append((self.with_chord(rng, g, found), found.vertices))
+            for host, verts in checks:
+                cert = bp.CycleCertificate(tuple(verts))
+                verdict = bp.verify_chordless(host, cert)
+                assert verdict == pairwise_verify_chordless(host, cert), (host, verts)
+                outcomes.append(verdict)
+        assert len(outcomes) > 3000 and 0.1 < sum(outcomes) / len(outcomes) < 0.9
 
 
 class TestConnectivity:

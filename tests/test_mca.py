@@ -82,7 +82,16 @@ class TestGraphMatrixBridge:
         for _ in range(200):
             g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(0, 7), rng.randint(0, 7), rng.random())
             want = tuple(tuple(int(g.has_edge(i, j)) for j in range(g.y_count)) for i in range(g.x_count))
-            assert bp.graph_to_matrix(g) == identity_arrangement(want)
+            assert bp.graph_to_matrix(g) == bp.ArrangedMatrix(want, tuple(range(g.x_count)), tuple(range(g.y_count)))
+
+    def test_y_side_kept_without_x_vertex(self):
+        g = bp.build_graph(0, 3, [])
+        mat = bp.graph_to_matrix(g)
+        assert (mat.n, mat.m) == (0, 3)
+        assert matrix_text(mat) == "0 3\n"
+        assert bp.matrix_to_graph(parse_matrix(matrix_text(mat))) == g
+        with pytest.raises(InputError, match="bijections of matching size"):
+            parse_matrix("0 3\ncols: 0 1\n")
 
 
 class TestRowIntervals:

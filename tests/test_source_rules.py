@@ -91,6 +91,65 @@ def test_no_pairwise_interval_tests_in_src():
     assert found == [], f"Interval.intersects called in src: {found}"
 
 
+def payload_writes(source: str) -> list[str]:
+    """``function:line`` of each place outside ``dispatch`` that refers to
+    ``sys.stdout`` or calls ``write_text``, and of each ``print`` anywhere
+    that does not pass ``file=sys.stderr``."""
+
+    def is_stream(node: ast.AST, name: str) -> bool:
+        return (
+            isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        )
+
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        where = f"{owner}:{getattr(node, 'lineno', 0)}"
+        if owner != "dispatch":
+            if is_stream(node, "stdout"):
+                found.append(where)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "write_text":
+                found.append(where)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            if not any(kw.arg == "file" and is_stream(kw.value, "stderr") for kw in node.keywords):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_payload_writes_rule_sees_stray_writers():
+    source = textwrap.dedent("""
+        import sys
+        def _cmd_power(args):
+            sys.stdout.write("x")
+            Path(args.output).write_text("x")
+            print("x")
+            print("x", file=sys.stdout)
+            print("x", file=sys.stderr)
+        def dispatch(argv):
+            sys.stdout.write("x")
+            Path(argv[0]).write_text("x")
+            print("x")
+            print("x", file=sys.stderr)
+    """)
+    assert payload_writes(source) == [
+        "_cmd_power:4", "_cmd_power:5", "_cmd_power:6", "_cmd_power:7", "_cmd_power:7", "dispatch:12",
+    ]
+
+
+def test_only_dispatch_writes_the_cli_payload():
+    # One writer: each verb returns its exit code and payload, and dispatch
+    # writes the payload once, so a failed write cannot escape as a traceback.
+    found = payload_writes((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert found == [], f"payload written outside dispatch in cli.py: {found}"
+
+
 def test_core_does_not_import_chordal_power():
     # core holds the graph, the search and the Γ test the search uses;
     # chordal_power builds on it, never the other way round.
