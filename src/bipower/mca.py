@@ -19,7 +19,11 @@ the matrices with an MCA are those of proper interval bigraphs (Hell &
 Huang, J. Graph Theory 46, 2004), and a connected one has one row order up
 to reversal and identical rows, as the strong ordering of a bipartite
 permutation graph (Spinrad, Brandstädt & Stewart, Discrete Appl. Math. 18,
-1987).
+1987).  It works on the rows as bitsets throughout: each greedy step is one
+scan of the unplaced rows, and the column order comes from one pass over
+the placed rows.  The cells are checked once, when a matrix is built; the
+arrangement it returns is derived with ``rearranged``, which checks only
+the permutations, and ``verify_mca`` checks it before it is returned.
 
 Display coordinates in certificates are 1-based; storage is 0-based.
 """
@@ -30,7 +34,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -38,11 +42,16 @@ from .core import BipartiteGraph, _graph_from_rows, _union, bipartite_power
 from .errors import InputError, TheoremCounterexample
 
 
+_INT = frozenset((int,))
+_BITS = frozenset((0, 1))
+
+
 @dataclass(frozen=True)
 class ArrangedMatrix:
     """0/1 grid plus row/column permutations (display position -> original index).
 
     The column count is that of the rows, or, with no row, ``len(col_perm)``.
+    Every entry must be the int 0 or 1; a bool or a float is refused.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -50,14 +59,15 @@ class ArrangedMatrix:
     col_perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
-        m = len(self.entries[0]) if n else len(self.col_perm)
-        if any(len(row) != m for row in self.entries):
+        entries = self.entries
+        n = len(entries)
+        m = len(entries[0]) if n else len(self.col_perm)
+        if [*map(len, entries)].count(m) != n:
             raise InputError("matrix rows have unequal lengths")
-        if any(v not in (0, 1) for row in self.entries for v in row):
+        cells = [*chain.from_iterable(entries)]
+        if not ({*map(type, cells)} <= _INT and {*cells} <= _BITS):
             raise InputError("matrix entries must be 0 or 1")
-        if sorted(self.row_perm) != list(range(n)) or sorted(self.col_perm) != list(range(m)):
-            raise InputError("permutations must be bijections of matching size")
+        _check_permutations(n, m, self.row_perm, self.col_perm)
 
     @property
     def n(self) -> int:
@@ -74,7 +84,29 @@ class ArrangedMatrix:
         )
 
     def rearranged(self, row_perm: tuple[int, ...], col_perm: tuple[int, ...]) -> ArrangedMatrix:
-        return ArrangedMatrix(self.entries, row_perm, col_perm)
+        """The same entries under other permutations.
+
+        The permutations are checked as the constructor checks them; the
+        cells, already checked when this matrix was built, are not checked
+        again.  The fields are set in field order, as ``__init__`` sets
+        them, so the instance keeps the class's shared-key ``__dict__``.
+        """
+        entries = self.entries
+        n = len(entries)
+        _check_permutations(n, len(entries[0]) if n else len(col_perm), row_perm, col_perm)
+        derived = object.__new__(ArrangedMatrix)
+        object.__setattr__(derived, "entries", entries)
+        object.__setattr__(derived, "row_perm", row_perm)
+        object.__setattr__(derived, "col_perm", col_perm)
+        return derived
+
+
+def _check_permutations(n: int, m: int, row_perm: Sequence[int], col_perm: Sequence[int]) -> None:
+    """Input error unless ``row_perm`` orders range(n) and ``col_perm``
+    range(m).  An identity, which most matrices carry, needs no sort."""
+    rows, cols = (*range(n),), (*range(m),)
+    if row_perm != rows and sorted(row_perm) != [*rows] or col_perm != cols and sorted(col_perm) != [*cols]:
+        raise InputError("permutations must be bijections of matching size")
 
 
 def identity_arrangement(entries: tuple[tuple[int, ...], ...]) -> ArrangedMatrix:
@@ -190,12 +222,15 @@ def label_zeros(
     everything above-and-right of an R is an R and everything below-and-left
     of a C is a C.
     """
-    m = mat.m
-    return tuple(
-        (i, j, "C" if j < first else "R")
-        for i, (first, last) in enumerate(zip(a, b), start=1)
-        for j in (*range(1, first), *range(last + 1, m + 1))
-    )
+    after = mat.m + 1
+    labels: list[tuple[int, int, str]] = []
+    add = labels.append
+    for i, (first, last) in enumerate(zip(a, b), start=1):
+        for j in range(1, first):
+            add((i, j, "C"))
+        for j in range(last + 1, after):
+            add((i, j, "R"))
+    return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -254,13 +289,15 @@ def boundary_maps(cert: McaCertificate) -> BoundaryMaps:
 
 def _forced_order(bits: list[int], left: list[int]) -> list[int] | None:
     """The forced row order of the next component among the unplaced rows
-    ``left``: the first start row whose greedy extension passes; None if no
-    start passes, when no component of ``left`` has an MCA.
+    ``left`` (ascending): the first start row whose greedy extension passes;
+    None if no start passes, when no component of ``left`` has an MCA.
 
     Start rows are tried in ascending index, skipping a row with an identical
     lower-index row.  The order grows greedily: next comes the unplaced row
     with the most started columns, then the fewest new ones, then the lowest
-    index, until no unplaced row holds a started column.  A start fails on a
+    index, until no unplaced row holds a started column.  One scan of the
+    unplaced rows finds it, skipping those that share no started column and
+    keeping the first best, which is the lowest index.  A start fails on a
     reopened column (a started column the previous row lacks) or when two
     column runs strictly nest; with consecutive column runs, no strict
     nesting is exactly the condition for monotone a and b.
@@ -274,21 +311,30 @@ def _forced_order(bits: list[int], left: list[int]) -> list[int] | None:
         started = prev = bits[start]
         opened = [started]  # opened[p]: the columns started by the first p + 1 rows
         rest = [r for r in left if r != start]
+        rows = [bits[r] for r in rest]
         while True:
-            # max keeps the first of equal keys, which is the lowest index.
-            nxt = max(rest, default=None,
-                      key=lambda r: ((bits[r] & started).bit_count(), -(bits[r] & ~started).bit_count()))
-            if nxt is None or not bits[nxt] & started:
+            pick, most, fewest = -1, 1, 0
+            for at, row in enumerate(rows):
+                shared = (row & started).bit_count()
+                if shared < most:
+                    continue
+                new = row.bit_count() - shared
+                if shared > most or pick < 0 or new < fewest:
+                    pick, most, fewest = at, shared, new
+            if pick < 0:
                 return order
-            row = bits[nxt]
+            row = rows.pop(pick)
             if row & started & ~prev:
                 break  # a started column that the previous row lacks reopens
             closing = prev & ~row
-            # A closing column started after the oldest one going on nests in it.
-            if closing and closing & ~next(cols for cols in opened if cols & row):
-                break
-            order.append(nxt)
-            rest.remove(nxt)
+            if closing:
+                # A closing column started after the oldest one going on nests in it.
+                for cols in opened:
+                    if cols & row:
+                        break
+                if closing & ~cols:
+                    break
+            order.append(rest.pop(pick))
             prev = row
             started |= row
             opened.append(started)
@@ -304,11 +350,14 @@ def find_mca(mat: ArrangedMatrix) -> tuple[ArrangedMatrix, McaCertificate] | Non
     contiguous in every MCA, so the components take their forced orders one
     after another, by first row.  Columns are sorted by (first row, last row,
     original index), the only candidate display up to identical columns.
-    ``verify_mca`` checks the result before it is returned.
+    One pass over the placed rows' bitsets gives each column its display
+    rows as one int, whose lowest set bit is its first row and whose
+    ``bit_length`` is its last.  The candidate is ``mat.rearranged``, so
+    the cells are checked once, when ``mat`` was built; ``verify_mca``
+    checks the result before it is returned.
     """
-    entries = mat.entries
     n, m = mat.n, mat.m
-    bits = _grid_bits(entries, range(m))
+    bits = _grid_bits(mat.entries, range(m))
     _refuse_zero_lines(bits, m)
 
     row_perm: list[int] = []
@@ -317,13 +366,16 @@ def find_mca(mat: ArrangedMatrix) -> tuple[ArrangedMatrix, McaCertificate] | Non
         if order is None:
             return None
         row_perm += order
-    shown = [entries[r] for r in row_perm]
 
-    def span(j: int) -> tuple[int, int, int]:
-        holding = [pos for pos, row in enumerate(shown) if row[j]]
-        return holding[0], holding[-1], j
-
-    candidate = ArrangedMatrix(entries, tuple(row_perm), tuple(sorted(range(m), key=span)))
+    held = [0] * m  # held[j]: the display rows holding column j, row p as bit p
+    for p, r in enumerate(row_perm):
+        row = bits[r]
+        while row:
+            low = row & -row
+            held[low.bit_length() - 1] |= 1 << p
+            row ^= low
+    col_perm = sorted(range(m), key=lambda j: ((held[j] & -held[j]).bit_length(), held[j].bit_length(), j))
+    candidate = mat.rearranged(tuple(row_perm), tuple(col_perm))
     cert = verify_mca(candidate)
     if cert is None:
         raise AssertionError("the forced row order does not verify as monotone consecutive")
@@ -414,6 +466,7 @@ def _check_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> None
 # First line "n m"; then n lines of m characters from {0,1}; then optional
 # "rows: ..." / "cols: ..." lines giving display -> original permutations,
 # 0-based, space-separated.  Identity permutations are omitted when writing.
+# Blank lines are skipped, so with m = 0 the n rows are blank or absent.
 
 
 def matrix_text(mat: ArrangedMatrix) -> str:
@@ -435,17 +488,19 @@ def parse_matrix(text: str) -> ArrangedMatrix:
     if len(head) != 2 or not all(p.isdecimal() for p in head):
         raise InputError(f"matrix text line 1: expected 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
-    if len(lines) < 1 + n:
-        raise InputError(f"matrix text: expected {n} entry rows, found {len(lines) - 1}")
+    # With no column the n entry rows are blank, and the filter above dropped them.
+    body = lines[1:] if m else [""] * n + lines[1:]
+    if len(body) < n:
+        raise InputError(f"matrix text: expected {n} entry rows, found {len(body)}")
     entries = []
     for i in range(n):
-        row = lines[1 + i]
+        row = body[i]
         if len(row) != m or any(ch not in "01" for ch in row):
             raise InputError(f"matrix text line {i + 2}: expected {m} characters from {{0,1}}")
         entries.append(tuple(int(ch) for ch in row))
     row_perm = tuple(range(n))
     col_perm = tuple(range(m))
-    for extra in lines[1 + n :]:
+    for extra in body[n:]:
         key, _, rest = extra.partition(":")
         try:
             values = tuple(int(p) for p in rest.split())

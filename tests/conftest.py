@@ -4,6 +4,8 @@ import contextlib
 import inspect
 import random
 import sys
+from functools import partial
+from itertools import islice
 from typing import Iterator
 
 import pytest
@@ -163,13 +165,17 @@ def band_with_extra_edges(rng: random.Random, n: int, count: int) -> bp.Bipartit
 
 
 def random_nonzero_matrix(rng: random.Random, max_n: int, max_m: int) -> tuple[tuple[int, ...], ...]:
-    """Uniform 0/1 entries, redrawn until no row or column is all zero."""
+    """Uniform 0/1 entries, redrawn until no row or column is all zero.
+
+    Each cell is the first draw of ``rng.getrandbits(2)`` below 2, which is
+    what ``rng.randint(0, 1)`` draws, so the matrices are those of a
+    cell-by-cell ``randint`` loop at a fraction of its cost.
+    """
+    bits = filter((2).__gt__, iter(partial(rng.getrandbits, 2), None))
     while True:
         n, m = rng.randint(1, max_n), rng.randint(1, max_m)
-        entries = tuple(tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(n))
-        if all(any(row) for row in entries) and all(
-            any(entries[i][j] for i in range(n)) for j in range(m)
-        ):
+        entries = tuple(tuple(islice(bits, m)) for _ in range(n))
+        if all(map(any, entries)) and all(map(any, zip(*entries))):
             return entries
 
 

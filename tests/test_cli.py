@@ -96,6 +96,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: matrix must have at least one row and one column\n"
 
+    @pytest.mark.parametrize("verb", [["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]])
+    def test_matrix_without_columns_is_exit_2(self, files, capsys, verb):
+        rows_only = files["tmp"] / "rows-only.mat"
+        rows_only.write_text(matrix_text(bp.graph_to_matrix(bp.build_graph(3, 0, []))))
+        code, out, err = run(capsys, *verb, str(rows_only))
+        assert code == 2 and out == ""
+        assert err == "error: matrix must have at least one row and one column\n"
+
     def test_output_into_missing_directory_is_exit_2(self, files, capsys):
         target = files["tmp"] / "missing" / "out.json"
         code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]), "--output", str(target))

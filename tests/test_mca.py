@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,25 @@ STAIRCASE_LABELS = tuple(
 )
 
 
+def randint_nonzero_matrix(rng: random.Random, max_n: int, max_m: int) -> tuple[tuple[int, ...], ...]:
+    """conftest.random_nonzero_matrix's cell-by-cell ``randint`` form."""
+    while True:
+        n, m = rng.randint(1, max_n), rng.randint(1, max_m)
+        entries = tuple(tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(n))
+        if all(any(row) for row in entries) and all(
+            any(entries[i][j] for i in range(n)) for j in range(m)
+        ):
+            return entries
+
+
+def test_random_nonzero_matrix_draws_as_randint():
+    for max_n, max_m in ((5, 5), (1, 3), (7, 2)):
+        fast, slow = random.Random(2718), random.Random(2718)
+        for _ in range(2000):
+            assert random_nonzero_matrix(fast, max_n, max_m) == randint_nonzero_matrix(slow, max_n, max_m)
+        assert fast.getstate() == slow.getstate()
+
+
 class TestGraphMatrixBridge:
     def test_single_edge(self):
         g = bp.build_graph(1, 1, [(0, 0)])
@@ -92,6 +112,80 @@ class TestGraphMatrixBridge:
         assert bp.matrix_to_graph(parse_matrix(matrix_text(mat))) == g
         with pytest.raises(InputError, match="bijections of matching size"):
             parse_matrix("0 3\ncols: 0 1\n")
+
+    def test_x_side_kept_without_y_vertex(self):
+        g = bp.build_graph(3, 0, [])
+        mat = bp.graph_to_matrix(g)
+        assert (mat.n, mat.m) == (3, 0)
+        assert matrix_text(mat) == "3 0\n\n\n\n"
+        assert parse_matrix(matrix_text(mat)) == mat
+        assert bp.matrix_to_graph(parse_matrix(matrix_text(mat))) == g
+        assert parse_matrix("2 0\nrows: 1 0\n").row_perm == (1, 0)
+        with pytest.raises(InputError, match="bijections of matching size"):
+            parse_matrix("3 0\ncols: 0\n")
+
+
+class TestEntries:
+    @pytest.mark.parametrize(
+        "entries",
+        [((1, True), (0, 1.0)), ((True,),), ((1.0,),), ((0, False),), ((1, 2),), ((1, "1"),), ((1, [1]),)],
+    )
+    def test_only_the_ints_0_and_1(self, entries):
+        with pytest.raises(InputError, match="matrix entries must be 0 or 1"):
+            bp.ArrangedMatrix(entries, tuple(range(len(entries))), tuple(range(len(entries[0]))))
+
+    def test_unequal_rows_refused(self):
+        with pytest.raises(InputError, match="unequal lengths"):
+            identity_arrangement(((1, 0), (1,)))
+
+
+class TestDerivedMatrix:
+    """rearranged checks the permutations but not the cells again, which
+    were checked when the matrix it derives from was built."""
+
+    def test_refuses_non_bijections(self, staircase_matrix):
+        rows, cols = tuple(range(6)), tuple(range(7))
+        for row_perm, col_perm in [
+            ((0, 0, 1, 2, 3, 4), cols), (rows[:5], cols), ((*rows, 6), cols),
+            (rows, (1, 2, 3, 4, 5, 6, 7)), (rows, cols[:6]), (rows, (0, 1, 2, 3, 4, 5, 5)),
+        ]:
+            with pytest.raises(InputError, match="^permutations must be bijections of matching size$"):
+                staircase_matrix.rearranged(row_perm, col_perm)
+
+    def test_same_as_constructed(self, staircase_matrix):
+        rng = random.Random(44)
+        for _ in range(50):
+            rows, cols = list(range(6)), list(range(7))
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            derived = staircase_matrix.rearranged(tuple(rows), tuple(cols))
+            built = bp.ArrangedMatrix(staircase_matrix.entries, tuple(rows), tuple(cols))
+            assert derived == built and built == derived
+            assert hash(derived) == hash(built)
+            assert repr(derived) == repr(built)
+            assert derived.displayed == built.displayed
+            assert derived.__dict__ == built.__dict__
+
+    def test_find_mca_shares_the_entries(self, staircase_matrix):
+        mat = identity_arrangement(shuffled(random.Random(3), staircase_matrix.entries))
+        assert bp.find_mca(mat)[0].entries is mat.entries
+
+    def test_no_larger_than_constructed(self, staircase_matrix):
+        # A derived matrix must keep the class's shared-key instance dict.
+        perms = [(tuple(range(6))[::-1], tuple(range(7))[::-1])] * 2000
+
+        def traced_bytes(build) -> int:
+            tracemalloc.start()
+            try:
+                kept = [build(rows, cols) for rows, cols in perms]
+                assert len(kept) == len(perms)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        built = traced_bytes(lambda rows, cols: bp.ArrangedMatrix(staircase_matrix.entries, rows, cols))
+        derived = traced_bytes(staircase_matrix.rearranged)
+        assert derived <= built, (derived, built)
 
 
 class TestRowIntervals:
