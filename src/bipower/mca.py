@@ -88,14 +88,15 @@ class ArrangedMatrix:
 
         The permutations are checked as the constructor checks them; the
         cells, already checked when this matrix was built, are not checked
-        again.  The fields are set in field order, as ``__init__`` sets
-        them, so the instance keeps the class's shared-key ``__dict__``.
+        again; ``find_mca`` builds its candidate here, and skipping that
+        pass is about a tenth of its throughput up to 12x12.  The fields
+        are set in field order, as ``__init__`` sets them, so the instance
+        keeps the class's shared-key ``__dict__``.  The shape is this
+        matrix's, also with no row.
         """
-        entries = self.entries
-        n = len(entries)
-        _check_permutations(n, len(entries[0]) if n else len(col_perm), row_perm, col_perm)
+        _check_permutations(self.n, self.m, row_perm, col_perm)
         derived = object.__new__(ArrangedMatrix)
-        object.__setattr__(derived, "entries", entries)
+        object.__setattr__(derived, "entries", self.entries)
         object.__setattr__(derived, "row_perm", row_perm)
         object.__setattr__(derived, "col_perm", col_perm)
         return derived
@@ -466,7 +467,8 @@ def _check_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> None
 # First line "n m"; then n lines of m characters from {0,1}; then optional
 # "rows: ..." / "cols: ..." lines giving display -> original permutations,
 # 0-based, space-separated.  Identity permutations are omitted when writing.
-# Blank lines are skipped, so with m = 0 the n rows are blank or absent.
+# Blank lines are skipped elsewhere, but with m = 0 the n entry rows are
+# blank lines, and the text must hold them.
 
 
 def matrix_text(mat: ArrangedMatrix) -> str:
@@ -481,15 +483,22 @@ def matrix_text(mat: ArrangedMatrix) -> str:
 
 
 def parse_matrix(text: str) -> ArrangedMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    raw = text.splitlines()
+    lines = [ln for ln in raw if ln.strip()]
     if not lines:
         raise InputError("matrix text is empty")
     head = lines[0].split()
     if len(head) != 2 or not all(p.isdecimal() for p in head):
         raise InputError(f"matrix text line 1: expected 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
-    # With no column the n entry rows are blank, and the filter above dropped them.
-    body = lines[1:] if m else [""] * n + lines[1:]
+    body = lines[1:]
+    if not m:
+        # With no column the n entry rows are the blank lines after the
+        # header, which the filter above dropped; the text must still hold them.
+        blank = len(raw) - len(lines) - raw.index(lines[0])
+        if blank < n:
+            raise InputError(f"matrix text: expected {n} entry rows, found {blank}")
+        body = [""] * n + body
     if len(body) < n:
         raise InputError(f"matrix text: expected {n} entry rows, found {len(body)}")
     entries = []

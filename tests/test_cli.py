@@ -104,6 +104,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: matrix must have at least one row and one column\n"
 
+    @pytest.mark.parametrize("verb", [["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]])
+    def test_rows_missing_without_columns_is_exit_2(self, files, capsys, verb):
+        header_only = files["tmp"] / "header-only.mat"
+        header_only.write_text(f"{10**12} 0\n")
+        code, out, err = run(capsys, *verb, str(header_only))
+        assert code == 2 and out == ""
+        assert err == f"error: matrix text: expected {10**12} entry rows, found 0\n"
+
     def test_output_into_missing_directory_is_exit_2(self, files, capsys):
         target = files["tmp"] / "missing" / "out.json"
         code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]), "--output", str(target))

@@ -120,9 +120,19 @@ class TestGraphMatrixBridge:
         assert matrix_text(mat) == "3 0\n\n\n\n"
         assert parse_matrix(matrix_text(mat)) == mat
         assert bp.matrix_to_graph(parse_matrix(matrix_text(mat))) == g
-        assert parse_matrix("2 0\nrows: 1 0\n").row_perm == (1, 0)
+        assert parse_matrix("2 0\n\n\nrows: 1 0\n").row_perm == (1, 0)
         with pytest.raises(InputError, match="bijections of matching size"):
-            parse_matrix("3 0\ncols: 0\n")
+            parse_matrix("3 0\n\n\n\ncols: 0\n")
+
+    @pytest.mark.parametrize(
+        "text, found",
+        [("3 0\n", 0), ("3 0\n\n\n", 2), ("\n\n\n3 0\n\nrows: 0 1 2\n", 1), (f"{10**12} 0\n", 0)],
+    )
+    def test_rows_without_columns_are_held_by_the_text(self, text, found):
+        # The header alone must not set the size: each of the n rows is a line.
+        n = text.split()[0]
+        with pytest.raises(InputError, match=f"^matrix text: expected {n} entry rows, found {found}$"):
+            parse_matrix(text)
 
 
 class TestEntries:
@@ -151,6 +161,12 @@ class TestDerivedMatrix:
         ]:
             with pytest.raises(InputError, match="^permutations must be bijections of matching size$"):
                 staircase_matrix.rearranged(row_perm, col_perm)
+
+    def test_keeps_the_shape_without_rows(self):
+        rowless = bp.ArrangedMatrix((), (), (0, 1, 2))
+        assert rowless.rearranged((), (2, 0, 1)).m == 3
+        with pytest.raises(InputError, match="^permutations must be bijections of matching size$"):
+            rowless.rearranged((), (0,))
 
     def test_same_as_constructed(self, staircase_matrix):
         rng = random.Random(44)
