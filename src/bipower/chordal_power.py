@@ -19,7 +19,6 @@ from .core import (
     _bfs_layers,
     _require_odd_k,
     bipartite_power,
-    doubly_lexical_ordering,  # re-exported
     find_chordless_cycle,
     graph_to_json,
     verify_chordless,

@@ -8,8 +8,10 @@ row condition is equivalent to the transposed column condition on c_j / d_j
 and to an R/C labelling of zeros in which everything above-and-right of an
 R is an R and everything below-and-left of a C is a C.  Only the row
 condition is evaluated, by one kernel on the displayed rows held as integer
-bitsets (``_row_condition``): ``verify_mca`` derives the columns and the
-labels from the row runs, and the power check of ``matrix_power`` and of
+bitsets (``_row_condition``), and one certificate kernel on a display's
+lines held as bitsets (``_certificate_runs``) adds the runs across them:
+``verify_mca`` runs it on the displayed rows, ``find_mca`` on the displayed
+columns it already holds, and the power check of ``matrix_power`` and of
 the t4 campaign reads a power's row bitsets directly.  The row condition
 on a 0/1 grid and the other two formulations are kept as independent
 oracles in the test suite.
@@ -21,9 +23,9 @@ to reversal and identical rows, as the strong ordering of a bipartite
 permutation graph (Spinrad, Brandstädt & Stewart, Discrete Appl. Math. 18,
 1987).  It works on the rows as bitsets throughout: each greedy step is one
 scan of the unplaced rows, and the column order comes from one pass over
-the placed rows.  The cells are checked once, when a matrix is built; the
-arrangement it returns is derived with ``rearranged``, which checks only
-the permutations, and ``verify_mca`` checks it before it is returned.
+the placed rows.  The arrangement it returns is built by the constructor
+on the same entries, and is certified on its displayed columns, as the row
+condition of the transpose, before it is returned.
 
 Display coordinates in certificates are 1-based; storage is 0-based.
 """
@@ -67,7 +69,11 @@ class ArrangedMatrix:
         cells = [*chain.from_iterable(entries)]
         if not ({*map(type, cells)} <= _INT and {*cells} <= _BITS):
             raise InputError("matrix entries must be 0 or 1")
-        _check_permutations(n, m, self.row_perm, self.col_perm)
+        # An identity, which most matrices carry, needs no sort.
+        rows, cols = (*range(n),), (*range(m),)
+        row_perm, col_perm = self.row_perm, self.col_perm
+        if row_perm != rows and sorted(row_perm) != [*rows] or col_perm != cols and sorted(col_perm) != [*cols]:
+            raise InputError("permutations must be bijections of matching size")
 
     @property
     def n(self) -> int:
@@ -82,32 +88,6 @@ class ArrangedMatrix:
         return tuple(
             tuple(self.entries[oi][oj] for oj in self.col_perm) for oi in self.row_perm
         )
-
-    def rearranged(self, row_perm: tuple[int, ...], col_perm: tuple[int, ...]) -> ArrangedMatrix:
-        """The same entries under other permutations.
-
-        The permutations are checked as the constructor checks them; the
-        cells, already checked when this matrix was built, are not checked
-        again; ``find_mca`` builds its candidate here, and skipping that
-        pass is about a tenth of its throughput up to 12x12.  The fields
-        are set in field order, as ``__init__`` sets them, so the instance
-        keeps the class's shared-key ``__dict__``.  The shape is this
-        matrix's, also with no row.
-        """
-        _check_permutations(self.n, self.m, row_perm, col_perm)
-        derived = object.__new__(ArrangedMatrix)
-        object.__setattr__(derived, "entries", self.entries)
-        object.__setattr__(derived, "row_perm", row_perm)
-        object.__setattr__(derived, "col_perm", col_perm)
-        return derived
-
-
-def _check_permutations(n: int, m: int, row_perm: Sequence[int], col_perm: Sequence[int]) -> None:
-    """Input error unless ``row_perm`` orders range(n) and ``col_perm``
-    range(m).  An identity, which most matrices carry, needs no sort."""
-    rows, cols = (*range(n),), (*range(m),)
-    if row_perm != rows and sorted(row_perm) != [*rows] or col_perm != cols and sorted(col_perm) != [*cols]:
-        raise InputError("permutations must be bijections of matching size")
 
 
 def identity_arrangement(entries: tuple[tuple[int, ...], ...]) -> ArrangedMatrix:
@@ -245,25 +225,39 @@ class McaCertificate:
     zero_labels: tuple[tuple[int, int, str], ...]
 
 
+def _certificate_runs(lines: Sequence[int], width: int) -> tuple[tuple[int, ...], ...] | None:
+    """The runs of a display's non-zero lines and the runs across them, if
+    the lines meet the row condition; None if not.
+
+    ``lines`` are bitsets of ``width`` positions, each position holding a
+    one in some line.  For the displayed rows this gives (a, b, c, d): when
+    the row condition holds, the ones of column j are the rows with
+    a_i <= j (a prefix, as a is non-decreasing) that also have b_i >= j (a
+    suffix, as b is), so c_j is the first row with b_i >= j and d_j the last
+    row with a_i <= j.  The column condition is the row condition of the
+    transpose, so the displayed columns give (c, d, a, b).
+    """
+    if not _row_condition(lines):
+        return None
+    first, last = _runs(lines)
+    across = range(1, width + 1)
+    # first and last are sorted: count the lines with last < j and those with first <= j.
+    first_across = tuple(bisect_left(last, j) + 1 for j in across)
+    return first, last, first_across, tuple(bisect_right(first, j) for j in across)
+
+
 def verify_mca(mat: ArrangedMatrix) -> McaCertificate | None:
     """Certificate if the displayed arrangement is monotone consecutive, else None.
 
-    Only the row condition is evaluated, on the displayed rows as bitsets.
-    When it holds, the ones of column j are the rows with a_i <= j (a
-    prefix, as a is non-decreasing) that also have b_i >= j (a suffix, as b
-    is): c_j is the first row with b_i >= j and d_j the last row with
-    a_i <= j.  No column is empty, so both exist.  The R/C labels follow
-    from the runs too.
+    Only the row condition is evaluated, on the displayed rows as bitsets;
+    the column runs and the R/C labels follow from the row runs.
     """
     shown = _shown_rows(mat)
     _refuse_zero_lines(shown, mat.m)
-    if not _row_condition(shown):
+    runs = _certificate_runs(shown, mat.m)
+    if runs is None:
         return None
-    a, b = _runs(shown)
-    columns = range(1, mat.m + 1)
-    # a and b are sorted: count the rows with b_i < j and those with a_i <= j.
-    c = tuple(bisect_left(b, j) + 1 for j in columns)
-    d = tuple(bisect_right(a, j) for j in columns)
+    a, b, c, d = runs
     return McaCertificate(a, b, c, d, label_zeros(mat, a, b))
 
 
@@ -353,9 +347,10 @@ def find_mca(mat: ArrangedMatrix) -> tuple[ArrangedMatrix, McaCertificate] | Non
     original index), the only candidate display up to identical columns.
     One pass over the placed rows' bitsets gives each column its display
     rows as one int, whose lowest set bit is its first row and whose
-    ``bit_length`` is its last.  The candidate is ``mat.rearranged``, so
-    the cells are checked once, when ``mat`` was built; ``verify_mca``
-    checks the result before it is returned.
+    ``bit_length`` is its last.  Those ints, in display order, are the
+    display's columns as bitsets, and the certificate kernel checks them
+    before the arrangement, built by the constructor on ``mat.entries``, is
+    returned.
     """
     n, m = mat.n, mat.m
     bits = _grid_bits(mat.entries, range(m))
@@ -376,11 +371,12 @@ def find_mca(mat: ArrangedMatrix) -> tuple[ArrangedMatrix, McaCertificate] | Non
             held[low.bit_length() - 1] |= 1 << p
             row ^= low
     col_perm = sorted(range(m), key=lambda j: ((held[j] & -held[j]).bit_length(), held[j].bit_length(), j))
-    candidate = mat.rearranged(tuple(row_perm), tuple(col_perm))
-    cert = verify_mca(candidate)
-    if cert is None:
+    runs = _certificate_runs([held[j] for j in col_perm], n)
+    if runs is None:
         raise AssertionError("the forced row order does not verify as monotone consecutive")
-    return candidate, cert
+    c, d, a, b = runs
+    arranged = ArrangedMatrix(mat.entries, tuple(row_perm), tuple(col_perm))
+    return arranged, McaCertificate(a, b, c, d, label_zeros(arranged, a, b))
 
 
 def greedy_distance(mat: ArrangedMatrix, cert: McaCertificate, row: int, col: int) -> int:
@@ -466,9 +462,11 @@ def _check_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> None
 #
 # First line "n m"; then n lines of m characters from {0,1}; then optional
 # "rows: ..." / "cols: ..." lines giving display -> original permutations,
-# 0-based, space-separated.  Identity permutations are omitted when writing.
-# Blank lines are skipped elsewhere, but with m = 0 the n entry rows are
-# blank lines, and the text must hold them.
+# 0-based, space-separated.  Identity permutations are omitted when writing,
+# but a matrix with no row always lists its columns.  Blank lines are skipped
+# elsewhere, but with m = 0 the n entry rows are blank lines, and the text
+# must hold them; so the header alone never sets the size of what is built.
+# Messages cite a line by its number in the text, blank lines counted.
 
 
 def matrix_text(mat: ArrangedMatrix) -> str:
@@ -477,39 +475,36 @@ def matrix_text(mat: ArrangedMatrix) -> str:
     out.extend("".join(str(v) for v in row) for row in mat.entries)
     if mat.row_perm != tuple(range(n)):
         out.append("rows: " + " ".join(str(i) for i in mat.row_perm))
-    if mat.col_perm != tuple(range(m)):
-        out.append("cols: " + " ".join(str(j) for j in mat.col_perm))
+    if not n or mat.col_perm != tuple(range(m)):
+        out.append(" ".join(["cols:", *map(str, mat.col_perm)]))
     return "\n".join(out) + "\n"
 
 
 def parse_matrix(text: str) -> ArrangedMatrix:
     raw = text.splitlines()
-    lines = [ln for ln in raw if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(raw, start=1) if ln.strip()]
     if not lines:
         raise InputError("matrix text is empty")
-    head = lines[0].split()
-    if len(head) != 2 or not all(p.isdecimal() for p in head):
-        raise InputError(f"matrix text line 1: expected 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    body = lines[1:]
+    (head_no, head), *body = lines
+    size = head.split()
+    if len(size) != 2 or not all(p.isdecimal() for p in size):
+        raise InputError(f"matrix text line {head_no}: expected 'n m', got {head!r}")
+    n, m = int(size[0]), int(size[1])
+    rows, trailers = body, body[n:]
     if not m:
         # With no column the n entry rows are the blank lines after the
         # header, which the filter above dropped; the text must still hold them.
-        blank = len(raw) - len(lines) - raw.index(lines[0])
-        if blank < n:
-            raise InputError(f"matrix text: expected {n} entry rows, found {blank}")
-        body = [""] * n + body
-    if len(body) < n:
-        raise InputError(f"matrix text: expected {n} entry rows, found {len(body)}")
+        after = enumerate(raw[head_no:], start=head_no + 1)
+        rows, trailers = [(no, "") for no, ln in after if not ln.strip()], body
+    if len(rows) < n:
+        raise InputError(f"matrix text: expected {n} entry rows, found {len(rows)}")
     entries = []
-    for i in range(n):
-        row = body[i]
+    for no, row in rows[:n]:
         if len(row) != m or any(ch not in "01" for ch in row):
-            raise InputError(f"matrix text line {i + 2}: expected {m} characters from {{0,1}}")
+            raise InputError(f"matrix text line {no}: expected {m} characters from {{0,1}}")
         entries.append(tuple(int(ch) for ch in row))
-    row_perm = tuple(range(n))
-    col_perm = tuple(range(m))
-    for extra in body[n:]:
+    row_perm, col_perm = tuple(range(n)), None
+    for _, extra in trailers:
         key, _, rest = extra.partition(":")
         try:
             values = tuple(int(p) for p in rest.split())
@@ -521,6 +516,11 @@ def parse_matrix(text: str) -> ArrangedMatrix:
             col_perm = values
         else:
             raise InputError(f"matrix text: unrecognized trailer {extra!r}")
+    if col_perm is None:
+        # A matrix with no row holds its column count on this line alone.
+        if not n and m:
+            raise InputError("matrix text: a matrix with no row must list its columns on a 'cols:' line")
+        col_perm = tuple(range(m))
     if len(col_perm) != m:
         raise InputError("permutations must be bijections of matching size")
     return ArrangedMatrix(tuple(entries), row_perm, col_perm)

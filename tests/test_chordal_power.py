@@ -18,9 +18,9 @@ from bipower.chordal_power import (
     LiftMethod,
     cycle_from_json,
     cycle_json,
-    doubly_lexical_ordering,
     lift_json,
 )
+from bipower.core import doubly_lexical_ordering
 from bipower.errors import InputError
 from bipower.intervals import intervals_to_graph, random_interval_representation
 from bipower.mca import matrix_to_graph

@@ -91,10 +91,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("verb", [["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]])
     def test_matrix_without_rows_is_exit_2(self, files, capsys, verb):
         columns_only = files["tmp"] / "columns-only.mat"
-        columns_only.write_text("0 3\n")
+        columns_only.write_text(matrix_text(bp.graph_to_matrix(bp.build_graph(0, 3, []))))
         code, out, err = run(capsys, *verb, str(columns_only))
         assert code == 2 and out == ""
         assert err == "error: matrix must have at least one row and one column\n"
+
+    @pytest.mark.parametrize("verb", [["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]])
+    @pytest.mark.parametrize("m", [3, 10**15])
+    def test_columns_missing_without_rows_is_exit_2(self, files, capsys, verb, m):
+        header_only = files["tmp"] / "header-only.mat"
+        header_only.write_text(f"0 {m}\n")
+        code, out, err = run(capsys, *verb, str(header_only))
+        assert code == 2 and out == ""
+        assert err == "error: matrix text: a matrix with no row must list its columns on a 'cols:' line\n"
 
     @pytest.mark.parametrize("verb", [["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]])
     def test_matrix_without_columns_is_exit_2(self, files, capsys, verb):

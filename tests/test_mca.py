@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -108,7 +107,8 @@ class TestGraphMatrixBridge:
         g = bp.build_graph(0, 3, [])
         mat = bp.graph_to_matrix(g)
         assert (mat.n, mat.m) == (0, 3)
-        assert matrix_text(mat) == "0 3\n"
+        assert matrix_text(mat) == "0 3\ncols: 0 1 2\n"
+        assert parse_matrix(matrix_text(mat)) == mat
         assert bp.matrix_to_graph(parse_matrix(matrix_text(mat))) == g
         with pytest.raises(InputError, match="bijections of matching size"):
             parse_matrix("0 3\ncols: 0 1\n")
@@ -134,6 +134,19 @@ class TestGraphMatrixBridge:
         with pytest.raises(InputError, match=f"^matrix text: expected {n} entry rows, found {found}$"):
             parse_matrix(text)
 
+    @pytest.mark.parametrize("text", ["0 3\n", f"0 {10**15}\n", f"\n0 {10**15}\nrows:\n"])
+    def test_columns_without_rows_are_held_by_the_text(self, text):
+        # The header alone must not set the size: each column is listed.
+        with pytest.raises(InputError, match="^matrix text: a matrix with no row must list its columns"):
+            parse_matrix(text)
+        with pytest.raises(InputError, match="^permutations must be bijections of matching size$"):
+            parse_matrix(text + "cols: 0 1\n")
+
+    def test_empty_matrix_round_trip(self):
+        mat = bp.graph_to_matrix(bp.build_graph(0, 0, []))
+        assert matrix_text(mat) == "0 0\ncols:\n"
+        assert parse_matrix(matrix_text(mat)) == mat == parse_matrix("0 0\n")
+
 
 class TestEntries:
     @pytest.mark.parametrize(
@@ -150,8 +163,9 @@ class TestEntries:
 
 
 class TestDerivedMatrix:
-    """rearranged checks the permutations but not the cells again, which
-    were checked when the matrix it derives from was built."""
+    """A matrix under other permutations is built by the constructor, which
+    checks the permutations against the shape; find_mca's arrangement shares
+    the entries of the matrix it was given."""
 
     def test_refuses_non_bijections(self, staircase_matrix):
         rows, cols = tuple(range(6)), tuple(range(7))
@@ -160,48 +174,19 @@ class TestDerivedMatrix:
             (rows, (1, 2, 3, 4, 5, 6, 7)), (rows, cols[:6]), (rows, (0, 1, 2, 3, 4, 5, 5)),
         ]:
             with pytest.raises(InputError, match="^permutations must be bijections of matching size$"):
-                staircase_matrix.rearranged(row_perm, col_perm)
+                bp.ArrangedMatrix(staircase_matrix.entries, row_perm, col_perm)
 
     def test_keeps_the_shape_without_rows(self):
-        rowless = bp.ArrangedMatrix((), (), (0, 1, 2))
-        assert rowless.rearranged((), (2, 0, 1)).m == 3
+        # With no row, the column count is that of col_perm.
+        rowless = bp.ArrangedMatrix((), (), (2, 0, 1))
+        assert (rowless.n, rowless.m) == (0, 3)
+        assert parse_matrix(matrix_text(rowless)) == rowless
         with pytest.raises(InputError, match="^permutations must be bijections of matching size$"):
-            rowless.rearranged((), (0,))
-
-    def test_same_as_constructed(self, staircase_matrix):
-        rng = random.Random(44)
-        for _ in range(50):
-            rows, cols = list(range(6)), list(range(7))
-            rng.shuffle(rows)
-            rng.shuffle(cols)
-            derived = staircase_matrix.rearranged(tuple(rows), tuple(cols))
-            built = bp.ArrangedMatrix(staircase_matrix.entries, tuple(rows), tuple(cols))
-            assert derived == built and built == derived
-            assert hash(derived) == hash(built)
-            assert repr(derived) == repr(built)
-            assert derived.displayed == built.displayed
-            assert derived.__dict__ == built.__dict__
+            bp.ArrangedMatrix((), (), (0, 2))
 
     def test_find_mca_shares_the_entries(self, staircase_matrix):
         mat = identity_arrangement(shuffled(random.Random(3), staircase_matrix.entries))
         assert bp.find_mca(mat)[0].entries is mat.entries
-
-    def test_no_larger_than_constructed(self, staircase_matrix):
-        # A derived matrix must keep the class's shared-key instance dict.
-        perms = [(tuple(range(6))[::-1], tuple(range(7))[::-1])] * 2000
-
-        def traced_bytes(build) -> int:
-            tracemalloc.start()
-            try:
-                kept = [build(rows, cols) for rows, cols in perms]
-                assert len(kept) == len(perms)
-                return tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-
-        built = traced_bytes(lambda rows, cols: bp.ArrangedMatrix(staircase_matrix.entries, rows, cols))
-        derived = traced_bytes(staircase_matrix.rearranged)
-        assert derived <= built, (derived, built)
 
 
 class TestRowIntervals:
@@ -241,7 +226,7 @@ class TestVerifyMca:
         assert cert is not None and cert.a == (1, 2)
 
     def test_displayed_view_drives_verdict(self, staircase_matrix):
-        shuffled = staircase_matrix.rearranged((3, 0, 1, 2, 4, 5), tuple(range(7)))
+        shuffled = bp.ArrangedMatrix(staircase_matrix.entries, (3, 0, 1, 2, 4, 5), tuple(range(7)))
         assert bp.verify_mca(shuffled) is None
 
 
@@ -327,9 +312,9 @@ class TestFindMca:
         assert elapsed < 0.1, f"took {elapsed:.3f}s"
 
     def test_unverified_order_raises(self, staircase_matrix, monkeypatch):
-        # The forced order is checked, not trusted: a verifier that rejects
-        # it must surface as a defect, not as "no arrangement".
-        monkeypatch.setattr(bp.mca, "verify_mca", lambda mat: None)
+        # The forced order is checked, not trusted: a certificate kernel that
+        # rejects its columns must surface as a defect, not as "no arrangement".
+        monkeypatch.setattr(bp.mca, "_certificate_runs", lambda lines, width: None)
         with pytest.raises(AssertionError, match="does not verify"):
             bp.find_mca(staircase_matrix)
 
@@ -346,6 +331,52 @@ class TestFindMca:
         elapsed = time.perf_counter() - start
         assert found is not None and bp.verify_mca(found[0]) == found[1]
         assert elapsed < 0.1, f"took {elapsed:.3f}s"
+
+    def test_certificate_verifies_beyond_the_backtracker(self):
+        # 13x13 to 24x24, past what oracles.backtrack_mca can check: shuffled
+        # staircases, and block-diagonal displays of two to four staircases
+        # with up to two random rows added across the blocks, which may join
+        # them or leave no arrangement.  The certificate find_mca builds on
+        # the display's columns must be the one verify_mca builds on its
+        # rows, and match the runs and labels read off the grid.
+        rng = random.Random(1324)
+        found = 0
+        for t in range(300):
+            added = 0
+            if t % 2:
+                n = rng.randint(13, 24)
+                entries = shuffled_staircase(rng, n, rng.randint(13, 24), rng.randint(1, min(4, n)))
+            else:
+                parts = rng.randint(2, 4)
+                heights = self._split(rng, rng.randint(13, 22), parts)
+                widths = self._split(rng, rng.randint(13, 24), parts)
+                blocks = [shuffled_staircase(rng, h, w, rng.randint(1, min(2, h))) for h, w in zip(heights, widths)]
+                rows = list(block_diagonal(blocks))
+                for _ in range(rng.randint(0, 2)):
+                    extra = tuple(int(rng.random() < 0.2) for _ in rows[0])
+                    if any(extra):
+                        rows.append(extra)
+                        added += 1
+                entries = shuffled(rng, rows)
+            result = bp.find_mca(identity_arrangement(entries))
+            if result is None:
+                assert added, entries
+                continue
+            arranged, cert = result
+            grid = arranged.displayed
+            assert arranged.entries is entries
+            assert bp.verify_mca(arranged) == cert, entries
+            assert (cert.a, cert.b) == grid_row_condition(grid), entries
+            assert (cert.c, cert.d) == column_runs(grid), entries
+            assert cert.zero_labels == quadrant_labels(grid), entries
+            found += 1
+        assert 200 < found < 300, found
+
+    @staticmethod
+    def _split(rng: random.Random, total: int, parts: int) -> list[int]:
+        """``total`` cut into ``parts`` positive sizes at random."""
+        cuts = sorted(rng.sample(range(1, total), parts - 1))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
 
     def test_exhaustive_3x3_against_both_oracles(self):
         for bits in range(1 << 9):
@@ -566,7 +597,7 @@ class TestMatrixText:
         assert matrix_text(parse_matrix(text)) == text
 
     def test_permutations_round_trip(self, staircase_matrix):
-        mat = staircase_matrix.rearranged((5, 4, 3, 2, 1, 0), (6, 5, 4, 3, 2, 1, 0))
+        mat = bp.ArrangedMatrix(staircase_matrix.entries, (5, 4, 3, 2, 1, 0), (6, 5, 4, 3, 2, 1, 0))
         text = matrix_text(mat)
         assert "rows: 5 4 3 2 1 0" in text
         assert matrix_text(parse_matrix(text)) == text
@@ -574,6 +605,20 @@ class TestMatrixText:
     def test_bad_char_cites_line(self):
         with pytest.raises(InputError, match="line 2"):
             parse_matrix("1 2\nab\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("2 2\n\n10\n0x\n", 4), ("2 2\n10\n\n0x\n", 4), ("\n2 2\n10\n  \n\n01x\n", 6), ("1 1\n\n\n2\n", 4)],
+    )
+    def test_bad_row_cites_its_line_in_the_text(self, text, line):
+        # Blank lines are skipped, but they are counted in the line number.
+        with pytest.raises(InputError, match=f"^matrix text line {line}: expected \\d+ characters"):
+            parse_matrix(text)
+
+    @pytest.mark.parametrize("text, line", [("\n\n2 x\n", 3), ("2 x\n", 1), (" \n\t\n1\n", 3)])
+    def test_bad_header_cites_its_line_in_the_text(self, text, line):
+        with pytest.raises(InputError, match=f"^matrix text line {line}: expected 'n m'"):
+            parse_matrix(text)
 
     def test_certificate_json_shape(self, staircase_matrix):
         cert = bp.verify_mca(staircase_matrix)
@@ -644,7 +689,7 @@ class TestFormulationEquivalence:
                 if len(line) > 1:
                     p = rng.randrange(len(line) - 1)
                     line[p], line[p + 1] = line[p + 1], line[p]
-            certified += self._agree(arranged.rearranged(tuple(rows), tuple(cols))) is not None
+            certified += self._agree(bp.ArrangedMatrix(arranged.entries, tuple(rows), tuple(cols))) is not None
         assert 100 < certified < 300
 
     def test_zero_lines_refused_as_on_the_grid(self):
@@ -727,7 +772,7 @@ class TestPowerCheckMatchesGridOracle:
                 rows, cols = list(range(g.x_count)), list(range(g.y_count))
                 rng.shuffle(rows)
                 rng.shuffle(cols)
-            base = bp.graph_to_matrix(g).rearranged(tuple(rows), tuple(cols))
+            base = bp.ArrangedMatrix(bp.graph_to_matrix(g).entries, tuple(rows), tuple(cols))
             verifies = self._outcome(grid_matrix_power, g, base, 1) is None
             for k in (1, 3, 5, 7):
                 want = self._outcome(grid_matrix_power, g, base, k)

@@ -91,6 +91,44 @@ def test_no_pairwise_interval_tests_in_src():
     assert found == [], f"Interval.intersects called in src: {found}"
 
 
+def constructor_bypasses(source: str) -> list[str]:
+    """``object.<name>:line`` of each call of ``object.__new__`` or
+    ``object.__setattr__``, which build or fill an instance without its
+    constructor."""
+    return [
+        f"object.{node.func.attr}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("__new__", "__setattr__")
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+    ]
+
+
+def test_constructor_bypasses_rule_sees_them():
+    source = textwrap.dedent("""
+        class Frozen:
+            def copy(self):
+                other = object.__new__(Frozen)
+                object.__setattr__(other, "x", self.x)
+                return other
+
+            def __new__(cls):
+                return super().__new__(cls)
+    """)
+    assert constructor_bypasses(source) == ["object.__new__:4", "object.__setattr__:5"]
+
+
+def test_no_constructor_bypass_in_src():
+    # Each type has one construction path, its constructor, which checks
+    # what it is given; nothing builds an instance around it.
+    found = [
+        f"{path.name}:{hit}"
+        for path in sorted(SRC.glob("*.py"))
+        for hit in constructor_bypasses(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [], f"constructor bypassed in src: {found}"
+
+
 def payload_writes(source: str) -> list[str]:
     """``function:line`` of each place outside ``dispatch`` that refers to
     ``sys.stdout`` or calls ``write_text``, and of each ``print`` anywhere
