@@ -148,16 +148,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cycle")
 
     p = add("fuzz", "run a counterexample-hunting campaign")
-    p.add_argument("campaign", nargs="?", help="campaign JSON file (flags override nothing when given)")
+    p.add_argument("campaign", nargs="?", help="campaign JSON file (flags are ignored when a file is given)")
     p.add_argument("--theorem", choices=_THEOREMS)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-x", type=int, default=6)
-    p.add_argument("--max-y", type=int, default=6)
-    p.add_argument("--span", type=int, default=12)
-    p.add_argument("-k", type=int, action="append", default=None,
+    # Named after the fields of harness.Bounds; a flag left out takes its default there.
+    p.add_argument("--max-x", type=int)
+    p.add_argument("--max-y", type=int)
+    p.add_argument("--span", type=int)
+    p.add_argument("-k", type=int, action="append", dest="k_set", metavar="K",
                    help="odd power to test; repeat to build a set (default per campaign)")
-    p.add_argument("--kchordal-k", type=int, default=4)
+    p.add_argument("--kchordal-k", type=int, dest="k_chordal_k", metavar="KCHORDAL_K")
 
     p = add("gen", "emit one deterministic instance of a campaign's input kind")
     p.add_argument("--theorem", choices=_THEOREMS, required=True)
@@ -279,24 +280,17 @@ def _cmd_lift_cycle(args) -> tuple[int, str]:
 
 
 def _cmd_fuzz(args) -> tuple[int, str]:
+    from dataclasses import fields
+
     from . import harness
     if args.campaign is not None:
         campaign = harness.campaign_from_json(_read(args.campaign))
     else:
         if args.theorem is None:
             raise InputError("fuzz needs either a campaign JSON file or --theorem")
-        campaign = harness.Campaign(
-            theorem=harness.Theorem(args.theorem),
-            trials=args.trials,
-            seed=args.seed,
-            bounds=harness.Bounds(
-                max_x=args.max_x,
-                max_y=args.max_y,
-                span=args.span,
-                k_set=tuple(args.k) if args.k else (),
-                k_chordal_k=args.kchordal_k,
-            ),
-        )
+        given = {f.name: getattr(args, f.name) for f in fields(harness.Bounds)}
+        bounds = {name: tuple(v) if name == "k_set" else v for name, v in given.items() if v is not None}
+        campaign = harness.Campaign(harness.Theorem(args.theorem), args.trials, args.seed, harness.Bounds(**bounds))
     report = harness.run_campaign(campaign)
     return (EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK), harness.report_json(report)
 

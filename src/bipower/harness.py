@@ -12,8 +12,9 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from functools import partial
 from typing import Iterator
 
 from .chordal_power import is_k_chordal, strongly_closed_check
@@ -29,7 +30,7 @@ from .core import (
     is_connected,
 )
 from .errors import CapacityError, InputError, TheoremCounterexample
-from .intervals import _check_power_representation, intervals_to_graph, random_interval_representation, verify_representation
+from .intervals import _check_power_representation, intervals_to_graph, random_interval_representation
 from .mca import ArrangedMatrix, _arrangement_holds, _check_matrix_power, identity_arrangement, matrix_to_graph
 
 ENUMERATION_CAP = 16  # max nx * ny for exhaustive edge-subset streaming
@@ -128,14 +129,6 @@ class Theorem(str, Enum):
     KCHORDAL = "kchordal"
 
 
-_DEFAULT_K_SETS = {
-    Theorem.T3: (),  # derived per instance: all odd k up to diameter + 2
-    Theorem.T4: (3, 5, 7),
-    Theorem.T5: (1, 3, 5),
-    Theorem.KCHORDAL: (1, 3, 5),
-}
-
-
 @dataclass(frozen=True)
 class Bounds:
     max_x: int = 6
@@ -143,6 +136,10 @@ class Bounds:
     span: int = 12
     k_set: tuple[int, ...] = ()
     k_chordal_k: int = 4
+
+
+# The integer bounds and the least value each may take, in checking order.
+_BOUND_LEAST = (("max_x", 1), ("max_y", 1), ("span", 1), ("k_chordal_k", 4))
 
 
 def _is_int(value: object) -> bool:
@@ -153,8 +150,8 @@ def _is_int(value: object) -> bool:
 @dataclass(frozen=True)
 class Campaign:
     theorem: Theorem
-    trials: int
-    seed: int
+    trials: int = 1
+    seed: int = 0
     bounds: Bounds = field(default_factory=Bounds)
     parallelism: int = 1
 
@@ -169,15 +166,13 @@ class Campaign:
             )
         if any(not _is_int(k) or k < 1 or k % 2 == 0 for k in self.bounds.k_set):
             raise InputError(f"k_set may contain only odd naturals, got {list(self.bounds.k_set)!r}")
-        for name in ("max_x", "max_y", "span"):
+        for name, least in _BOUND_LEAST:
             value = getattr(self.bounds, name)
-            if not _is_int(value) or value < 1:
-                raise InputError(f"campaign bound {name} must be an integer >= 1, got {value!r}")
-        if not _is_int(self.bounds.k_chordal_k) or self.bounds.k_chordal_k < 4:
-            raise InputError(f"campaign bound k_chordal_k must be an integer >= 4, got {self.bounds.k_chordal_k!r}")
+            if not _is_int(value) or value < least:
+                raise InputError(f"campaign bound {name} must be an integer >= {least}, got {value!r}")
 
     def k_set(self) -> tuple[int, ...]:
-        return self.bounds.k_set or _DEFAULT_K_SETS[self.theorem]
+        return self.bounds.k_set or _TRIALS[self.theorem][1]
 
 
 @dataclass(frozen=True)
@@ -209,8 +204,6 @@ def _trial_t3(campaign: Campaign, index: int) -> TrialOutcome:
     g = intervals_to_graph(rep)
     if not is_connected(g):
         return TrialOutcome(True, ())
-    if not verify_representation(g, rep):
-        raise AssertionError("an interval graph disagrees with the representation it was built from")
     records = []
     # The powers stop changing at the largest cross-side distance D, and the
     # diameter is D or D + 1, so odd k <= diameter + 2 is odd k <= D + 2.
@@ -286,17 +279,13 @@ def _trial_kchordal(campaign: Campaign, index: int) -> TrialOutcome:
     return TrialOutcome(False, tuple(records))
 
 
-_TRIAL_BODIES = {
-    Theorem.T3: _trial_t3,
-    Theorem.T4: _trial_t4,
-    Theorem.T5: _trial_t5,
-    Theorem.KCHORDAL: _trial_kchordal,
+# Each theorem's trial body and the k_set it runs when the bounds give none.
+_TRIALS = {
+    Theorem.T3: (_trial_t3, ()),  # derived per instance: all odd k up to diameter + 2
+    Theorem.T4: (_trial_t4, (3, 5, 7)),
+    Theorem.T5: (_trial_t5, (1, 3, 5)),
+    Theorem.KCHORDAL: (_trial_kchordal, (1, 3, 5)),
 }
-
-
-def _run_one(args: tuple[Campaign, int]) -> TrialOutcome:
-    campaign, index = args
-    return _TRIAL_BODIES[campaign.theorem](campaign, index)
 
 
 def run_campaign(campaign: Campaign) -> FuzzReport:
@@ -306,14 +295,14 @@ def run_campaign(campaign: Campaign) -> FuzzReport:
     instance so a single CLI invocation can re-check it.
     """
     start = time.perf_counter()
-    jobs = [(campaign, i) for i in range(campaign.trials)]
+    trial = partial(_TRIALS[campaign.theorem][0], campaign)
     if campaign.parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel campaigns pay its import
 
         with ProcessPoolExecutor(max_workers=campaign.parallelism) as pool:
-            outcomes = list(pool.map(_run_one, jobs, chunksize=64))
+            outcomes = list(pool.map(trial, range(campaign.trials), chunksize=64))
     else:
-        outcomes = [_run_one(job) for job in jobs]
+        outcomes = list(map(trial, range(campaign.trials)))
     skipped = sum(1 for o in outcomes if o.skipped)
     counterexamples = tuple(rec for o in outcomes for rec in o.records)
     return FuzzReport(
@@ -337,13 +326,7 @@ def campaign_echo(campaign: Campaign) -> dict:
         "theorem": campaign.theorem.value,
         "trials": campaign.trials,
         "seed": campaign.seed,
-        "bounds": {
-            "max_x": campaign.bounds.max_x,
-            "max_y": campaign.bounds.max_y,
-            "span": campaign.bounds.span,
-            "k_set": list(campaign.k_set()),
-            "k_chordal_k": campaign.bounds.k_chordal_k,
-        },
+        "bounds": {**asdict(campaign.bounds), "k_set": list(campaign.k_set())},
     }
 
 
@@ -359,29 +342,37 @@ def report_json(report: FuzzReport, include_wall_time: bool = True) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _refuse_unknown_keys(obj: dict, schema: type, where: str) -> None:
+    """Refuse the first key of ``obj`` that names no field of ``schema``: a
+    misspelt key would otherwise run the campaign at its default."""
+    names = {f.name for f in fields(schema)}
+    unknown = next((key for key in obj if key not in names), None)
+    if unknown is not None:
+        raise InputError(f"{where} has an unknown key {json.dumps(unknown)}")
+
+
 def campaign_from_json(text: str) -> Campaign:
+    """The campaign a JSON file describes: the fields of ``Campaign``, with
+    ``bounds`` holding those of ``Bounds``; a key left out takes the
+    field's default."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"campaign JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise InputError("campaign JSON must be an object")
+    _refuse_unknown_keys(obj, Campaign, "campaign JSON")
+    raw_bounds = obj.get("bounds", {})
+    if isinstance(raw_bounds, dict):
+        _refuse_unknown_keys(raw_bounds, Bounds, 'campaign JSON "bounds"')
     try:
         theorem = Theorem(obj["theorem"])
     except (KeyError, ValueError):
         raise InputError("campaign JSON needs a theorem in {t3, t4, t5, kchordal}") from None
-    raw_bounds = obj.get("bounds", {})
     if not isinstance(raw_bounds, dict):
         raise InputError('campaign JSON "bounds" must be an object')
     k_set = raw_bounds.get("k_set", [])
     if not isinstance(k_set, list):
         raise InputError('campaign JSON "k_set" must be an array')
-    given = {name: raw_bounds[name] for name in ("max_x", "max_y", "span", "k_chordal_k") if name in raw_bounds}
-    bounds = Bounds(k_set=tuple(k_set), **given)
-    return Campaign(
-        theorem=theorem,
-        trials=obj.get("trials", 1),
-        seed=obj.get("seed", 0),
-        bounds=bounds,
-        parallelism=obj.get("parallelism", 1),
-    )
+    bounds = Bounds(**{**raw_bounds, "k_set": tuple(k_set)})
+    return Campaign(**{**obj, "theorem": theorem, "bounds": bounds})

@@ -191,6 +191,8 @@ class TestExitCodes:
             ('{"theorem": "t4", "trials": "a"}', "trials"),
             ('{"theorem": "t4", "bounds": {"k_chordal_k": "x"}}', "k_chordal_k"),
             ('{"theorem": "t4", "seed": 1.7}', "seed"),
+            ('{"theorem": "t5", "trails": 10000, "bounds": {"max_x": 12}}', "trails"),
+            ('{"theorem": "t5", "trials": 10000, "bounds": {"max-x": 12}}', "max-x"),
         ],
     )
     def test_malformed_campaign_json_is_exit_2(self, files, capsys, text, word):
@@ -418,6 +420,19 @@ class TestVerbs:
         code, out, _ = run(capsys, "fuzz", str(campaign))
         assert code == 0
         assert json.loads(out)["campaign"]["theorem"] == "t5"
+
+    @pytest.mark.parametrize("theorem", ["t3", "t4", "t5", "kchordal"])
+    def test_fuzz_flags_and_file_give_one_report(self, capsys, tmp_path, theorem):
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({"theorem": theorem, "trials": 12, "seed": 6}))
+        reports = []
+        for argv in (["--theorem", theorem, "--trials", "12", "--seed", "6"], [str(campaign)]):
+            code, out, err = run(capsys, "fuzz", *argv)
+            assert code == 0 and err == ""
+            report = json.loads(out)
+            del report["wall_time"]
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     def test_gen_each_kind(self, files, capsys, tmp_path):
         code, out, _ = run(capsys, "gen", "--theorem", "t3", "--seed", "4", "--max-x", "3", "--max-y", "3")
@@ -671,23 +686,34 @@ def starts_pool(data: bytes) -> bool:
     return type(parallelism) is int and parallelism > 1
 
 
+@st.composite
+def with_unknown_key(draw, objects: st.SearchStrategy):
+    """An object from ``objects`` that now and then holds a key its schema
+    does not name."""
+    obj = draw(objects)
+    if isinstance(obj, dict) and draw(one_in(8)):
+        obj[draw(st.sampled_from(("trails", "max-x", "kset", "")))] = draw(json_values)
+    return obj
+
+
 def campaign_files() -> st.SearchStrategy:
-    """Campaign JSON with small bounds and any field wrong or missing.  A
-    valid parallelism above 1 would start a process pool, so none is drawn."""
-    bounds = json_objects({
+    """Campaign JSON with small bounds, any field wrong or missing, and now
+    and then an unknown key.  A valid parallelism above 1 would start a
+    process pool, so none is drawn."""
+    bounds = with_unknown_key(json_objects({
         "max_x": st.integers(-1, 5),
         "max_y": st.integers(-1, 5),
         "span": st.integers(-1, 12),
         "k_set": st.lists(st.integers(-1, 7), max_size=3),
         "k_chordal_k": st.integers(2, 8),
-    })
-    campaign = json_objects({
+    }))
+    campaign = with_unknown_key(json_objects({
         "theorem": st.sampled_from(("t3", "t4", "t5", "kchordal", "t6")),
         "trials": st.integers(-1, 3),
         "seed": st.integers(-5, 5),
         "bounds": bounds,
         "parallelism": st.sampled_from((1, 0, -1, MAX_PARALLELISM + 1, 2.0, "2", True)),
-    })
+    }))
     return json_files(campaign).filter(lambda data: not starts_pool(data))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 
 import pytest
@@ -71,3 +72,14 @@ def test_theorem_choices_match_the_harness(verb):
     verbs = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
     choices = next(action.choices for action in verbs.choices[verb]._actions if action.dest == "theorem")
     assert choices == [t.value for t in harness.Theorem]
+
+
+def test_fuzz_flags_match_the_bounds():
+    # One flag per campaign bound, named after its field and with no default
+    # of its own, so that the defaults live in harness.Bounds alone.
+    parser = build_parser()
+    verbs = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    actions = verbs.choices["fuzz"]._actions
+    for f in dataclasses.fields(harness.Bounds):
+        flags = [action for action in actions if action.dest == f.name]
+        assert len(flags) == 1 and flags[0].default is None, f.name
