@@ -62,7 +62,9 @@ def _load_intervals(path: str, g: core.BipartiteGraph):
     )
 
 
-def _intervals_payload(rep, x_labels, y_labels, fmt: str) -> str:
+# Each payload helper holds its payload's default form, and takes the other
+# form only when --format names it; a verb passes args.format as it is.
+def _intervals_payload(rep, x_labels, y_labels, fmt: str | None) -> str:
     from . import intervals
     if fmt == "json":
         obj = {
@@ -73,7 +75,7 @@ def _intervals_payload(rep, x_labels, y_labels, fmt: str) -> str:
     return intervals.intervals_tsv(rep, x_labels, y_labels)
 
 
-def _matrix_payload(mat, fmt: str) -> str:
+def _matrix_payload(mat, fmt: str | None) -> str:
     from . import mca
     if fmt == "json":
         obj = {
@@ -87,7 +89,7 @@ def _matrix_payload(mat, fmt: str) -> str:
     return mca.matrix_text(mat)
 
 
-def _verdict_payload(obj: dict, fmt: str) -> str:
+def _verdict_payload(obj: dict, fmt: str | None) -> str:
     if fmt == "text":
         return "".join(f"{key}: {value}\n" for key, value in obj.items())
     return json.dumps(obj, indent=2) + "\n"
@@ -98,56 +100,59 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb: str, help_text: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(verb, help=help_text, **kwargs)
+    def add(verb: str, help_text: str, run) -> argparse.ArgumentParser:
+        """Declare a verb: its parser, the options every verb takes, and the
+        function ``dispatch`` runs for it."""
+        p = sub.add_parser(verb, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--output", help="write the payload here instead of stdout")
         p.add_argument("--format", choices=["json", "text"], default=None,
                        help="force JSON everywhere, or plain text where supported")
         return p
 
-    p = add("power", "odd bipartite power of a graph")
+    p = add("power", "odd bipartite power of a graph", _cmd_power)
     p.add_argument("-k", type=int, required=True, help="odd power")
     p.add_argument("graph", help="graph JSON file")
 
-    p = add("check-chordal", "is the graph chordal bipartite?")
+    p = add("check-chordal", "is the graph chordal bipartite?", _cmd_check_chordal)
     p.add_argument("--min-length", type=int, default=6,
                    help="report a chordless cycle of at least this even length (default 6)")
     p.add_argument("graph")
 
-    p = add("check-kchordal", "has the graph no chordless cycle with more than K vertices?")
+    p = add("check-kchordal", "has the graph no chordless cycle with more than K vertices?", _cmd_check_kchordal)
     p.add_argument("--kchordal-k", type=int, required=True, help="cycle-length threshold K >= 4")
     p.add_argument("graph")
 
-    p = add("verify-intervals", "does the interval file represent the graph?")
+    p = add("verify-intervals", "does the interval file represent the graph?", _cmd_verify_intervals)
     p.add_argument("graph")
     p.add_argument("intervals_file", metavar="intervals", help="interval TSV file")
 
-    p = add("power-intervals", "interval representation of the k-th power")
+    p = add("power-intervals", "interval representation of the k-th power", _cmd_power_intervals)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("graph")
     p.add_argument("intervals_file", metavar="intervals")
 
-    p = add("mca-verify", "is the displayed arrangement monotone consecutive?")
+    p = add("mca-verify", "is the displayed arrangement monotone consecutive?", _cmd_mca_verify)
     p.add_argument("matrix", help="matrix text file")
 
-    p = add("mca-find", "search row/column permutations for a monotone consecutive arrangement")
+    p = add("mca-find", "search row/column permutations for a monotone consecutive arrangement", _cmd_mca_find)
     p.add_argument("matrix")
 
-    p = add("mca-power", "power the matrix's graph and re-verify the unchanged arrangement")
+    p = add("mca-power", "power the matrix's graph and re-verify the unchanged arrangement", _cmd_mca_power)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("matrix")
 
-    p = add("classify-cycle", "distance-classify the edges of a cycle claimed in the (k+2) power")
+    p = add("classify-cycle", "distance-classify the edges of a cycle claimed in the (k+2) power", _cmd_classify_cycle)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("graph")
     p.add_argument("cycle", help="cycle JSON file")
 
-    p = add("lift-cycle", "lift a (k+2)-power chordless cycle down to the k-power")
+    p = add("lift-cycle", "lift a (k+2)-power chordless cycle down to the k-power", _cmd_lift_cycle)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("graph")
     p.add_argument("cycle")
 
-    p = add("fuzz", "run a counterexample-hunting campaign")
+    p = add("fuzz", "run a counterexample-hunting campaign", _cmd_fuzz)
     p.add_argument("campaign", nargs="?", help="campaign JSON file (flags are ignored when a file is given)")
     p.add_argument("--theorem", choices=_THEOREMS)
     p.add_argument("--trials", type=int, default=1000)
@@ -160,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="odd power to test; repeat to build a set (default per campaign)")
     p.add_argument("--kchordal-k", type=int, dest="k_chordal_k", metavar="KCHORDAL_K")
 
-    p = add("gen", "emit one deterministic instance of a campaign's input kind")
+    p = add("gen", "emit one deterministic instance of a campaign's input kind", _cmd_gen)
     p.add_argument("--theorem", choices=_THEOREMS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-x", type=int, default=6, help="x side / row count")
@@ -177,58 +182,52 @@ def _cmd_power(args) -> tuple[int, str]:
 
 def _cmd_check_chordal(args) -> tuple[int, str]:
     from . import chordal_power
-    fmt = args.format or "json"
     g = _load_graph(args.graph)
     cert = core.find_chordless_cycle(g, args.min_length)
     if cert is None:
-        return EXIT_OK, _verdict_payload({"chordal_bipartite": True}, fmt)
+        return EXIT_OK, _verdict_payload({"chordal_bipartite": True}, args.format)
     return EXIT_PROPERTY_FAILS, chordal_power.cycle_json(g, cert)
 
 
 def _cmd_check_kchordal(args) -> tuple[int, str]:
     from . import chordal_power
-    fmt = args.format or "json"
     g = _load_graph(args.graph)
     k = args.kchordal_k
     verdict = chordal_power.is_k_chordal(g, k)
     if verdict.chordal:
-        return EXIT_OK, _verdict_payload({"k_chordal": True, "k": k}, fmt)
+        return EXIT_OK, _verdict_payload({"k_chordal": True, "k": k}, args.format)
     return EXIT_PROPERTY_FAILS, chordal_power.cycle_json(g, verdict.certificate)
 
 
 def _cmd_verify_intervals(args) -> tuple[int, str]:
     from . import intervals
-    fmt = args.format or "json"
     g = _load_graph(args.graph)
     ok = intervals.verify_representation(g, _load_intervals(args.intervals_file, g))
-    return (EXIT_OK if ok else EXIT_PROPERTY_FAILS), _verdict_payload({"valid": ok}, fmt)
+    return (EXIT_OK if ok else EXIT_PROPERTY_FAILS), _verdict_payload({"valid": ok}, args.format)
 
 
 def _cmd_power_intervals(args) -> tuple[int, str]:
     from . import intervals
-    fmt = args.format or "tsv"
     g = _load_graph(args.graph)
     result = intervals.power_representation(g, _load_intervals(args.intervals_file, g), args.k)
-    return EXIT_OK, _intervals_payload(result, g.x_labels, g.y_labels, fmt)
+    return EXIT_OK, _intervals_payload(result, g.x_labels, g.y_labels, args.format)
 
 
 def _cmd_mca_verify(args) -> tuple[int, str]:
     from . import mca
-    fmt = args.format or "json"
     mat = mca.parse_matrix(_read(args.matrix))
     cert = mca.verify_mca(mat)
     if cert is None:
-        return EXIT_PROPERTY_FAILS, _verdict_payload({"mca": False}, fmt)
+        return EXIT_PROPERTY_FAILS, _verdict_payload({"mca": False}, args.format)
     return EXIT_OK, mca.certificate_json(cert)
 
 
 def _cmd_mca_find(args) -> tuple[int, str]:
     from . import mca
-    fmt = args.format or "json"
     mat = mca.parse_matrix(_read(args.matrix))
     found = mca.find_mca(mat)
     if found is None:
-        return EXIT_PROPERTY_FAILS, _verdict_payload({"mca": False}, fmt)
+        return EXIT_PROPERTY_FAILS, _verdict_payload({"mca": False}, args.format)
     arranged, cert = found
     obj = {
         "rows": list(arranged.row_perm),
@@ -240,11 +239,10 @@ def _cmd_mca_find(args) -> tuple[int, str]:
 
 def _cmd_mca_power(args) -> tuple[int, str]:
     from . import mca
-    fmt = args.format or "text"
     mat = mca.parse_matrix(_read(args.matrix))
     g = mca.matrix_to_graph(mat)
     powered = mca.matrix_power(g, (mat.row_perm, mat.col_perm), args.k)
-    return EXIT_OK, _matrix_payload(powered, "json" if fmt == "json" else "text")
+    return EXIT_OK, _matrix_payload(powered, args.format)
 
 
 def _cmd_classify_cycle(args) -> tuple[int, str]:
@@ -300,28 +298,11 @@ def _cmd_gen(args) -> tuple[int, str]:
         from . import intervals
         rep = intervals.random_interval_representation(args.seed, args.max_x, args.max_y, args.span)
         g = intervals.intervals_to_graph(rep)
-        return EXIT_OK, intervals.intervals_tsv(rep, g.x_labels, g.y_labels)
+        return EXIT_OK, _intervals_payload(rep, g.x_labels, g.y_labels, args.format)
     from . import harness
     if args.theorem == "t4":
-        from . import mca
-        return EXIT_OK, mca.matrix_text(harness.gen_staircase_matrix(args.seed, args.max_x, args.max_y))
+        return EXIT_OK, _matrix_payload(harness.gen_staircase_matrix(args.seed, args.max_x, args.max_y), args.format)
     return EXIT_OK, core.graph_to_json(harness.gen_random_bipartite(args.seed, args.max_x, args.max_y, 0.5))
-
-
-_COMMANDS = {
-    "power": _cmd_power,
-    "check-chordal": _cmd_check_chordal,
-    "check-kchordal": _cmd_check_kchordal,
-    "verify-intervals": _cmd_verify_intervals,
-    "power-intervals": _cmd_power_intervals,
-    "mca-verify": _cmd_mca_verify,
-    "mca-find": _cmd_mca_find,
-    "mca-power": _cmd_mca_power,
-    "classify-cycle": _cmd_classify_cycle,
-    "lift-cycle": _cmd_lift_cycle,
-    "fuzz": _cmd_fuzz,
-    "gen": _cmd_gen,
-}
 
 
 def dispatch(argv: list[str]) -> int:
@@ -335,7 +316,7 @@ def dispatch(argv: list[str]) -> int:
     note = None
     try:
         try:
-            code, payload = _COMMANDS[args.verb](args)
+            code, payload = args.run(args)
         except TheoremCounterexample as exc:
             code, payload = EXIT_COUNTEREXAMPLE, json.dumps(exc.report, indent=2) + "\n"
             note = f"counterexample: {exc}"

@@ -166,6 +166,9 @@ class Campaign:
             )
         if any(not _is_int(k) or k < 1 or k % 2 == 0 for k in self.bounds.k_set):
             raise InputError(f"k_set may contain only odd naturals, got {list(self.bounds.k_set)!r}")
+        repeated = [k for t, k in enumerate(self.bounds.k_set) if k in self.bounds.k_set[:t]]
+        if repeated:
+            raise InputError(f"k_set may contain each k once, but repeats {repeated[0]}")
         for name, least in _BOUND_LEAST:
             value = getattr(self.bounds, name)
             if not _is_int(value) or value < least:

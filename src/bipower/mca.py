@@ -503,19 +503,19 @@ def parse_matrix(text: str) -> ArrangedMatrix:
         if len(row) != m or any(ch not in "01" for ch in row):
             raise InputError(f"matrix text line {no}: expected {m} characters from {{0,1}}")
         entries.append(tuple(int(ch) for ch in row))
-    row_perm, col_perm = tuple(range(n)), None
-    for _, extra in trailers:
+    perms = {}
+    for no, extra in trailers:
         key, _, rest = extra.partition(":")
         try:
             values = tuple(int(p) for p in rest.split())
         except ValueError:
             raise InputError(f"matrix text: trailer {extra!r} must list integer indices") from None
-        if key == "rows":
-            row_perm = values
-        elif key == "cols":
-            col_perm = values
-        else:
+        if key not in ("rows", "cols"):
             raise InputError(f"matrix text: unrecognized trailer {extra!r}")
+        if key in perms:
+            raise InputError(f"matrix text line {no}: a second '{key}:' trailer; each trailer appears at most once")
+        perms[key] = values
+    row_perm, col_perm = perms.get("rows", tuple(range(n))), perms.get("cols")
     if col_perm is None:
         # A matrix with no row holds its column count on this line alone.
         if not n and m:

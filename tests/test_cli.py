@@ -14,8 +14,8 @@ from bipower import chordal_power, cli, core
 from bipower.chordal_power import cycle_json
 from bipower.cli import dispatch
 from bipower.harness import MAX_PARALLELISM
-from bipower.intervals import intervals_tsv
-from bipower.mca import matrix_text
+from bipower.intervals import intervals_tsv, parse_intervals_tsv
+from bipower.mca import matrix_text, parse_matrix
 from conftest import cycle_graph, frames_to_spare
 
 
@@ -35,6 +35,8 @@ def files(tmp_path, sample_graph, sample_rep, staircase_matrix):
     paths["c18"].write_text(bp.graph_to_json(g18))
     paths["corners"] = tmp_path / "corners.json"
     paths["corners"].write_text(cycle_json(g18, corners))
+    paths["anti"] = tmp_path / "anti.mat"
+    paths["anti"].write_text("2 2\n01\n10\n")
     paths["tmp"] = tmp_path
     return paths
 
@@ -87,6 +89,16 @@ class TestExitCodes:
         code, out, err = run(capsys, "mca-verify", str(bad))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "trailer" in err
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_repeated_matrix_trailer_is_exit_2(self, files, capsys, key):
+        # Neither line may win over the other without a word.
+        repeated = files["tmp"] / "repeated-trailer.mat"
+        repeated.write_text(f"2 2\n10\n01\n{key}: 1 0\n\n{key}: 0 1\n")
+        for verb in (["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]):
+            code, out, err = run(capsys, *verb, str(repeated))
+            assert code == 2 and out == ""
+            assert err == f"error: matrix text line 6: a second '{key}:' trailer; each trailer appears at most once\n"
 
     @pytest.mark.parametrize("verb", [["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]])
     def test_matrix_without_rows_is_exit_2(self, files, capsys, verb):
@@ -193,12 +205,18 @@ class TestExitCodes:
             ('{"theorem": "t4", "seed": 1.7}', "seed"),
             ('{"theorem": "t5", "trails": 10000, "bounds": {"max_x": 12}}', "trails"),
             ('{"theorem": "t5", "trials": 10000, "bounds": {"max-x": 12}}', "max-x"),
+            ('{"theorem": "t5", "trials": 10, "bounds": {"k_set": [1, 1, 3]}}', "repeats 1"),
+            (["--theorem", "t5", "--trials", "10", "-k", "1", "-k", "1", "-k", "3"], "repeats 1"),
         ],
     )
     def test_malformed_campaign_json_is_exit_2(self, files, capsys, text, word):
-        campaign = files["tmp"] / "bad-campaign.json"
-        campaign.write_text(text)
-        code, out, err = run(capsys, "fuzz", str(campaign))
+        # A list is the same campaign given as fuzz flags in place of a file.
+        argv = text
+        if isinstance(text, str):
+            campaign = files["tmp"] / "bad-campaign.json"
+            campaign.write_text(text)
+            argv = [str(campaign)]
+        code, out, err = run(capsys, "fuzz", *argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and word in err
 
@@ -207,7 +225,7 @@ class TestExitCodes:
         def broken(args):
             raise RuntimeError("defect under test")
 
-        monkeypatch.setitem(cli._COMMANDS, "power", broken)
+        monkeypatch.setattr(cli, "_cmd_power", broken)
         code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]))
         assert code == cli.EXIT_INTERNAL == 4 and out == ""
         assert err.startswith("Traceback") and err.rstrip().endswith("RuntimeError: defect under test")
@@ -225,7 +243,7 @@ class TestCounterexampleReport:
         def refute(args):
             raise bp.TheoremCounterexample("power broke the arrangement", self.REPORT)
 
-        monkeypatch.setitem(cli._COMMANDS, "power", refute)
+        monkeypatch.setattr(cli, "_cmd_power", refute)
 
     def test_report_on_stdout(self, files, capsys, refuting):
         code, out, err = run(capsys, "power", "-k", "3", str(files["graph"]))
@@ -452,6 +470,68 @@ class TestVerbs:
         _, first, _ = run(capsys, "gen", "--theorem", "t5", "--seed", "8")
         _, second, _ = run(capsys, "gen", "--theorem", "t5", "--seed", "8")
         assert first == second
+
+
+def loaded(out: str):
+    """A JSON payload as an object, a fuzz report's timing left out."""
+    obj = json.loads(out)
+    obj.pop("wall_time", None)
+    return obj
+
+
+class TestPayloadForms:
+    """Every verb prints JSON under --format json. Under --format text it
+    prints the text form its payload has, the same payload in other words:
+    verdict lines, interval TSV or matrix text. A payload with no text form
+    stays JSON. With no --format, a verdict is JSON and the other two text."""
+
+    # Each call on the fixtures ("@name" is a fixture path) and its payload's form.
+    CALLS = [
+        (["power", "-k", "3", "@graph"], "json"),
+        (["check-chordal", "@graph"], "verdict"),
+        (["check-chordal", "@c6"], "json"),
+        (["check-kchordal", "--kchordal-k", "6", "@graph"], "verdict"),
+        (["check-kchordal", "--kchordal-k", "4", "@c6"], "json"),
+        (["verify-intervals", "@graph", "@intervals"], "verdict"),
+        (["power-intervals", "-k", "3", "@graph", "@intervals"], "tsv"),
+        (["mca-verify", "@matrix"], "json"),
+        (["mca-verify", "@anti"], "verdict"),
+        (["mca-find", "@anti"], "json"),
+        (["mca-power", "-k", "3", "@matrix"], "matrix"),
+        (["classify-cycle", "-k", "1", "@c18", "@corners"], "json"),
+        (["lift-cycle", "-k", "1", "@c18", "@corners"], "json"),
+        (["fuzz", "--theorem", "t4", "--trials", "5"], "json"),
+        (["gen", "--theorem", "t3", "--seed", "4"], "tsv"),
+        (["gen", "--theorem", "t4", "--seed", "4"], "matrix"),
+        (["gen", "--theorem", "t5", "--seed", "4"], "json"),
+    ]
+
+    @pytest.mark.parametrize("argv, form", CALLS, ids=[" ".join(argv[:3]) for argv, _ in CALLS])
+    def test_json_and_text_forms(self, files, capsys, argv, form):
+        argv = [str(files[a[1:]]) if a.startswith("@") else a for a in argv]
+        code, as_json, _ = run(capsys, *argv, "--format", "json")
+        obj = json.loads(as_json)
+        text_code, as_text, _ = run(capsys, *argv, "--format", "text")
+        default_code, default, _ = run(capsys, *argv)
+        assert code == text_code == default_code
+        if form == "verdict":
+            assert as_text == "".join(f"{key}: {value}\n" for key, value in obj.items())
+            assert default == as_json
+        elif form == "tsv":
+            rep, x_labels, y_labels = parse_intervals_tsv(as_text)
+            assert obj == {
+                side: [{"label": lab, "left": iv.left, "right": iv.right} for lab, iv in zip(labels, ivs)]
+                for side, labels, ivs in (("x", x_labels, rep.x_intervals), ("y", y_labels, rep.y_intervals))
+            }
+            assert default == as_text
+        elif form == "matrix":
+            mat = parse_matrix(as_text)
+            entries = ["".join(map(str, row)) for row in mat.entries]
+            assert obj == {"n": mat.n, "m": mat.m, "entries": entries, "rows": list(mat.row_perm),
+                           "cols": list(mat.col_perm)}
+            assert default == as_text
+        else:
+            assert loaded(as_text) == loaded(default) == loaded(as_json)
 
 
 class TestOutputHandling:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -66,20 +67,30 @@ def test_unknown_name_raises_attribute_error():
         from bipower import no_such_name  # noqa: F401
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The command line's verbs and their parsers."""
+    parser = build_parser()
+    return next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction)).choices
+
+
 @pytest.mark.parametrize("verb", ["fuzz", "gen"])
 def test_theorem_choices_match_the_harness(verb):
-    parser = build_parser()
-    verbs = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    choices = next(action.choices for action in verbs.choices[verb]._actions if action.dest == "theorem")
+    choices = next(action.choices for action in subcommands()[verb]._actions if action.dest == "theorem")
     assert choices == [t.value for t in harness.Theorem]
+
+
+def test_readme_shows_every_verb():
+    # The README's "Command line" block shows each verb the parser has, and no other.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = {line.split()[1] for line in block.splitlines() if line.startswith("bipower ")}
+    assert shown == set(subcommands())
 
 
 def test_fuzz_flags_match_the_bounds():
     # One flag per campaign bound, named after its field and with no default
     # of its own, so that the defaults live in harness.Bounds alone.
-    parser = build_parser()
-    verbs = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    actions = verbs.choices["fuzz"]._actions
+    actions = subcommands()["fuzz"]._actions
     for f in dataclasses.fields(harness.Bounds):
         flags = [action for action in actions if action.dest == f.name]
         assert len(flags) == 1 and flags[0].default is None, f.name

@@ -148,6 +148,11 @@ class TestCampaigns:
         with pytest.raises(InputError):
             Campaign(Theorem.T5, trials=1, seed=0, bounds=Bounds(k_set=(2,)))
 
+    def test_repeated_k_in_k_set_rejected(self):
+        # A repeated k would run, and record its counterexamples, twice a trial.
+        with pytest.raises(InputError, match="^k_set may contain each k once, but repeats 3$"):
+            Campaign(Theorem.T5, trials=10, bounds=Bounds(k_set=(1, 3, 5, 3)))
+
     @pytest.mark.parametrize("bound", ["max_x", "max_y", "span"])
     def test_side_and_span_bounds_validated(self, bound):
         with pytest.raises(InputError, match=bound):

@@ -620,6 +620,14 @@ class TestMatrixText:
         with pytest.raises(InputError, match=f"^matrix text line {line}: expected 'n m'"):
             parse_matrix(text)
 
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    @pytest.mark.parametrize("first, second", [("0 1", "1 0"), ("1 0", "0 1"), ("1 0", "1 0")])
+    def test_repeated_trailer_cites_its_line_in_the_text(self, key, first, second):
+        # Neither line may win over the other: the text is refused.
+        text = f"2 2\n10\n01\n{key}: {first}\n\n{key}: {second}\n"
+        with pytest.raises(InputError, match=f"^matrix text line 6: a second '{key}:' trailer"):
+            parse_matrix(text)
+
     def test_certificate_json_shape(self, staircase_matrix):
         cert = bp.verify_mca(staircase_matrix)
         import json
