@@ -14,6 +14,7 @@ table is kept.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -126,14 +127,26 @@ class BipartiteGraph:
 
     @cached_property
     def _ordering(self) -> tuple[list[int], list[int], list[int]]:
-        """This graph's ``doubly_lexical_ordering``, built once: the Γ
-        decision and every block scan of the cycle search read it."""
-        return _doubly_lexical(self.x_adj, self.y_count)
+        """This graph's doubly lexical ordering on its twin-free core, built
+        once by ``_twin_free_ordering``: the row classes and the column
+        classes in display order, as bitsets of X and of Y indices, and the
+        core's shown rows.  Twins, vertices with equal neighbourhoods, are
+        never the two rows or the two columns of one Γ, so the Γ decision
+        and every block scan of the cycle search read the core alone."""
+        return _twin_free_ordering(self.x_adj, self.y_count)
 
     @cached_property
     def _is_gamma_free(self) -> bool:
-        """True iff this graph is chordal bipartite: its doubly lexical
-        ordering is Γ-free (module-level ``_gamma_free``)."""
+        """True iff this graph is chordal bipartite: the core of its doubly
+        lexical ordering is Γ-free (module-level ``_gamma_free``).
+
+        A chordless cycle of length 2n >= 6 holds n X vertices whose rows
+        are non-empty and pairwise distinct, since a twin of one would be a
+        chord.  So a graph with fewer than three distinct non-empty rows is
+        answered without building its ordering.
+        """
+        if len(set(self.x_adj) - {0}) < 3:
+            return True
         return _gamma_free(self._ordering[2])
 
     @property
@@ -206,6 +219,14 @@ def build_graph(
             raise InputError(f"edge ({xi}, {yj}) out of range for {x_count}+{y_count} graph")
         rows[xi] |= 1 << yj
     return _graph_from_rows(rows, y_count, x_labels, y_labels)
+
+
+def _read_int(token: str, signed: bool = False) -> int | None:
+    """The integer that ``token`` spells in the one decimal form the line
+    formats write, else None: ASCII digits with no leading zero, after a
+    ``-`` only where ``signed`` and never before ``0``.  No sign ``+``, no
+    ``_``, no blank and no digit of another script is read."""
+    return int(token) if re.fullmatch("0|-?[1-9][0-9]*" if signed else "0|[1-9][0-9]*", token) else None
 
 
 def _graph_from_rows(
@@ -307,16 +328,38 @@ class CycleCertificate:
         return CycleCertificate(self.vertices, k)
 
 
-def _doubly_lexical(x_rows: Sequence[int], y_count: int) -> tuple[list[int], list[int], list[int]]:
-    """``doubly_lexical_ordering`` of the matrix whose rows are the bitsets
-    ``x_rows`` over ``y_count`` columns.  Rows and columns are held once as
-    '0'/'1' strings, and a sort key is one read in the other side's display
-    order: equal-length 0/1 strings compare as the integers they spell."""
-    if not x_rows or not y_count:  # no cell to sort by
-        return list(range(len(x_rows))), list(range(y_count)), [0] * len(x_rows)
-    x_strs = [format(row, f"0{y_count}b")[::-1] for row in x_rows]
-    y_strs = ["".join(col) for col in zip(*x_strs)]
-    rows, cols = list(range(len(x_rows))), list(range(y_count))
+def _twin_free_ordering(x_rows: Sequence[int], y_count: int) -> tuple[list[int], list[int], list[int]]:
+    """A doubly lexical ordering of the matrix whose rows are the bitsets
+    ``x_rows`` over ``y_count`` columns, built on its twin-free core.
+
+    Rows fall into classes of equal bitsets, and columns into classes of
+    equal columns; the core keeps one row and one column per class, each
+    side in order of the classes' lowest members.  The core's rows and
+    columns are held once as '0'/'1' strings and stably sorted in turn,
+    each keyed by its string read in the other side's display order, until
+    a sort moves nothing (a row sort only once the columns have been
+    sorted).  Each sort can only increase the row-major reading of the
+    core, and strictly does so whenever it moves something, so the loop
+    ends, and its fixpoint is doubly lexical.  Returns the row classes and
+    the column classes in display order, as bitsets of X and of Y indices,
+    and the core's rows as shown, each a bitset whose high bit is the first
+    shown column class.
+    """
+    row_class: dict[int, int] = {}  # row bitset -> its class, a bitset of X indices
+    for i, row in enumerate(x_rows):
+        row_class[row] = row_class.get(row, 0) | 1 << i
+    col_class: dict[str, int] = {}  # column over the core's rows -> its class
+    if y_count:
+        distinct = [format(row, f"0{y_count}b")[::-1] for row in row_class]
+        for j, col in enumerate(zip(*distinct) if distinct else [()] * y_count):
+            key = "".join(col)
+            col_class[key] = col_class.get(key, 0) | 1 << j
+    row_classes, col_classes = list(row_class.values()), list(col_class.values())
+    if not row_classes or not col_classes:  # no cell to sort by
+        return row_classes, col_classes, [0] * len(row_classes)
+    y_strs = list(col_class)
+    x_strs = ["".join(row) for row in zip(*y_strs)]
+    rows, cols = list(range(len(x_strs))), list(range(len(y_strs)))
     cols_sorted = False  # whether cols were sorted under the current row order
     while True:
         pick = itemgetter(*cols)
@@ -325,15 +368,16 @@ def _doubly_lexical(x_rows: Sequence[int], y_count: int) -> tuple[list[int], lis
         if new_rows == rows and cols_sorted:
             # The columns were sorted under this very row order, so a
             # stable sort of them again would move nothing.
-            return rows, cols, [int(row_key[i], 2) for i in rows]
+            break
         rows = new_rows
         pick = itemgetter(*rows)
         col_key = ["".join(pick(s)) for s in y_strs]
         new_cols = sorted(cols, key=col_key.__getitem__, reverse=True)
         if new_cols == cols:
             # The rows were just sorted under these very columns.
-            return rows, cols, [int(row_key[i], 2) for i in rows]
+            break
         cols, cols_sorted = new_cols, True
+    return [row_classes[i] for i in rows], [col_classes[j] for j in cols], [int(row_key[i], 2) for i in rows]
 
 
 def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], list[int]]:
@@ -342,15 +386,19 @@ def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], li
 
     Doubly lexical here means rows and columns both in decreasing
     lexicographic order, first column / first row most significant; each
-    shown row is a bitset whose high bit is the first shown column.  Rows
-    and columns are stably sorted in turn until a sort moves nothing (a row
-    sort only once the columns have been sorted).  Each sort can only
-    increase the row-major reading of the matrix, and strictly does so
-    whenever it moves something, so the loop ends, and its fixpoint is
-    doubly lexical.  The ordering is built once
-    per graph and kept on it; each call returns fresh copies of its lists.
+    shown row is a bitset whose high bit is the first shown column.  This
+    is the ordering of the twin-free core that the graph keeps, with each
+    class expanded to its members in index order.  Equal rows, and equal
+    columns, sit together in any doubly lexical order, and two rows first
+    differ at the first shown member of a column class; so the expansion
+    is the ordering that the same sorts give on the whole matrix.  Only
+    tests call it; each call builds fresh lists.
     """
-    return tuple(map(list, g._ordering))
+    row_classes, col_classes, _ = g._ordering
+    rows = [i for cls in row_classes for i in _iter_bits(cls)]
+    cols = [j for cls in col_classes for j in _iter_bits(cls)]
+    shown = [sum(1 << (len(cols) - 1 - p) for p, j in enumerate(cols) if g.x_adj[i] >> j & 1) for i in rows]
+    return rows, cols, shown
 
 
 def _gamma_free(shown: Sequence[int]) -> bool:
@@ -418,13 +466,18 @@ def _biconnected_blocks(adj: Sequence[int]) -> Iterator[int]:
 
 
 def _block_restriction(g: BipartiteGraph, block: int) -> list[int]:
-    """The rows of ``g``'s doubly lexical ordering that belong to ``block``,
-    in shown order, masked to the block's shown columns."""
-    rows, cols, shown = g._ordering
+    """The core rows of ``g``'s doubly lexical ordering whose class meets
+    ``block``, in shown order, masked to the column classes that meet it.
+
+    Members of one class have equal rows, and equal columns, within any
+    block too; so this is the block's restriction of the whole ordering
+    with its twins dropped, and it has a Γ iff that restriction has one.
+    """
+    row_classes, col_classes, shown = g._ordering
     y_bits = block >> g.x_count
-    top = g.y_count - 1
-    mask = sum(1 << (top - p) for p, j in enumerate(cols) if y_bits >> j & 1)
-    return [row & mask for i, row in zip(rows, shown) if block >> i & 1]
+    top = len(col_classes) - 1
+    mask = sum(1 << (top - p) for p, cls in enumerate(col_classes) if cls & y_bits)
+    return [row & mask for cls, row in zip(row_classes, shown) if cls & block]
 
 
 def _cycle_bearing_vertices(g: BipartiteGraph, min_length: int) -> int:

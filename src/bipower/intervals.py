@@ -30,6 +30,7 @@ from .core import (
     VertexId,
     _graph_from_rows,
     _iter_bits,
+    _read_int,
     _require_odd_k,
     _union,
     bipartite_power,
@@ -266,8 +267,9 @@ def random_interval_representation(seed: int, nx: int, ny: int, span: int) -> In
 # --- interval TSV format -----------------------------------------------------
 #
 # One line per vertex: side <TAB> label <TAB> left <TAB> right, side in {X, Y},
-# integers in decimal.  Line order defines index order per side.  Lines
-# starting with '#' are comments and, like blank lines, are skipped.
+# integers in ASCII decimal, 0 or -?[1-9][0-9]* (``core._read_int``).  Line
+# order defines index order per side.  Lines starting with '#' are comments
+# and, like blank lines, are skipped.
 
 
 def parse_intervals_tsv(text: str) -> tuple[IntervalRepresentation, tuple[str, ...], tuple[str, ...]]:
@@ -290,10 +292,9 @@ def parse_intervals_tsv(text: str) -> tuple[IntervalRepresentation, tuple[str, .
         if label in side_of:
             raise InputError(f"interval TSV line {lineno}: label {label!r} is used on both sides")
         side_of[label] = side
-        try:
-            lv, rv = int(left), int(right)
-        except ValueError:
-            raise InputError(f"interval TSV line {lineno}: endpoints must be integers") from None
+        lv, rv = _read_int(left, signed=True), _read_int(right, signed=True)
+        if lv is None or rv is None:
+            raise InputError(f"interval TSV line {lineno}: endpoints must be integers")
         if lv > rv:
             raise InputError(f"interval TSV line {lineno}: left endpoint exceeds right")
         intervals[side].append(Interval(lv, rv))

@@ -40,7 +40,7 @@ from itertools import chain, compress
 from operator import or_
 from typing import Iterable, Sequence
 
-from .core import BipartiteGraph, _graph_from_rows, _union, bipartite_power
+from .core import BipartiteGraph, _graph_from_rows, _read_int, _union, bipartite_power
 from .errors import InputError, TheoremCounterexample
 
 
@@ -462,11 +462,13 @@ def _check_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> None
 #
 # First line "n m"; then n lines of m characters from {0,1}; then optional
 # "rows: ..." / "cols: ..." lines giving display -> original permutations,
-# 0-based, space-separated.  Identity permutations are omitted when writing,
-# but a matrix with no row always lists its columns.  Blank lines are skipped
-# elsewhere, but with m = 0 the n entry rows are blank lines, and the text
-# must hold them; so the header alone never sets the size of what is built.
-# Messages cite a line by its number in the text, blank lines counted.
+# 0-based, space-separated.  Every number, the header's too, is 0 or
+# [1-9][0-9]* in ASCII digits (``core._read_int``).  Identity permutations
+# are omitted when writing, but a matrix with no row always lists its
+# columns.  Blank lines are skipped elsewhere, but with m = 0 the n entry
+# rows are blank lines, and the text must hold them; so the header alone
+# never sets the size of what is built.  Messages cite a line by its number
+# in the text, blank lines counted.
 
 
 def matrix_text(mat: ArrangedMatrix) -> str:
@@ -486,10 +488,10 @@ def parse_matrix(text: str) -> ArrangedMatrix:
     if not lines:
         raise InputError("matrix text is empty")
     (head_no, head), *body = lines
-    size = head.split()
-    if len(size) != 2 or not all(p.isdecimal() for p in size):
+    size = [_read_int(p) for p in head.split()]
+    if len(size) != 2 or None in size:
         raise InputError(f"matrix text line {head_no}: expected 'n m', got {head!r}")
-    n, m = int(size[0]), int(size[1])
+    n, m = size
     rows, trailers = body, body[n:]
     if not m:
         # With no column the n entry rows are the blank lines after the
@@ -506,10 +508,9 @@ def parse_matrix(text: str) -> ArrangedMatrix:
     perms = {}
     for no, extra in trailers:
         key, _, rest = extra.partition(":")
-        try:
-            values = tuple(int(p) for p in rest.split())
-        except ValueError:
-            raise InputError(f"matrix text: trailer {extra!r} must list integer indices") from None
+        values = tuple(_read_int(p) for p in rest.split())
+        if None in values:
+            raise InputError(f"matrix text: trailer {extra!r} must list integer indices")
         if key not in ("rows", "cols"):
             raise InputError(f"matrix text: unrecognized trailer {extra!r}")
         if key in perms:

@@ -203,10 +203,11 @@ def _lex_keys(bits: list[list[int]], order: list[int]) -> list[int]:
 
 
 def lex_keyed_ordering(x_rows: Sequence[int], y_count: int) -> tuple[list[int], list[int], list[int]]:
-    """Reference for ``core._doubly_lexical``, which sorts by '0'/'1' string
-    keys: the same alternating stable sorts on integer keys rebuilt from
-    each row's and column's bit positions.  Both must return the same row
-    order, column order and shown rows."""
+    """Reference for ``core.doubly_lexical_ordering``, which sorts the
+    twin-free core by '0'/'1' string keys: the same alternating stable sorts
+    on the whole matrix, on integer keys rebuilt from each row's and
+    column's bit positions.  Both must return the same row order, column
+    order and shown rows."""
     x_bits = [_bits(row) for row in x_rows]
     y_bits: list[list[int]] = [[] for _ in range(y_count)]
     for i, row in enumerate(x_bits):

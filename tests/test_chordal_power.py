@@ -157,13 +157,13 @@ class TestDoublyLexicalDecision:
         gamma = [b for b in big if not core._gamma_free(core._block_restriction(g, b))]
         assert len(big) >= 2 and [b.bit_count() for b in gamma] == [12]
         built = []
-        original = core._doubly_lexical
+        original = core._twin_free_ordering
 
         def counted(x_rows, y_count):
             built.append(x_rows)
             return original(x_rows, y_count)
 
-        monkeypatch.setattr(core, "_doubly_lexical", counted)
+        monkeypatch.setattr(core, "_twin_free_ordering", counted)
         verdict = bp.is_chordal_bipartite(fresh_copy(g))
         assert not verdict.chordal and len(verdict.certificate) == 12
         assert built == [g.x_adj]

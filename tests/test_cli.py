@@ -90,6 +90,43 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "trailer" in err
 
+    # Each number has one spelling, the one written: ASCII digits, no
+    # leading zero, no sign "+", no "_", no blank, no other script's digits.
+    @pytest.mark.parametrize("text", [
+        "2 2\n11\n11\nrows: 0_1 +0\n",
+        "2 2\n11\n11\nrows: 1 +0\n",
+        "2 2\n11\n11\ncols: 01 0\n",
+        "2 2\n11\n11\ncols: 1 \u0660\n",
+    ])
+    def test_other_spelling_of_a_trailer_index_is_exit_2(self, files, capsys, text):
+        bad = files["tmp"] / "spelt-trailer.mat"
+        bad.write_text(text, encoding="utf-8")
+        for verb in (["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]):
+            code, out, err = run(capsys, *verb, str(bad))
+            assert code == 2 and out == ""
+            assert err == f"error: matrix text: trailer {text.splitlines()[-1]!r} must list integer indices\n"
+
+    @pytest.mark.parametrize("head", ["\uff12 1", "2 1_0", "+2 1", "02 1", "2 \u0661", "-0 1"])
+    def test_other_spelling_of_the_matrix_header_is_exit_2(self, files, capsys, head):
+        bad = files["tmp"] / "spelt-header.mat"
+        bad.write_text(f"{head}\n1\n1\n", encoding="utf-8")
+        for verb in (["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]):
+            code, out, err = run(capsys, *verb, str(bad))
+            assert code == 2 and out == ""
+            assert err == f"error: matrix text line 1: expected 'n m', got {head!r}\n"
+
+    @pytest.mark.parametrize("token", ["1_0", " 12", "12 ", "+4", "\u0663", "\uff12", "-0", "07", "--1"])
+    def test_other_spelling_of_an_interval_endpoint_is_exit_2(self, files, capsys, token):
+        lines = files["intervals"].read_text().splitlines()
+        side, label, left, right = lines[0].split("\t")
+        for first in ([side, label, token, "99"], [side, label, "-99", token]):
+            bad = files["tmp"] / "spelt-endpoint.tsv"
+            bad.write_text("\n".join(["\t".join(first), *lines[1:]]) + "\n", encoding="utf-8")
+            for verb in (["verify-intervals"], ["power-intervals", "-k", "3"]):
+                code, out, err = run(capsys, *verb, str(files["graph"]), str(bad))
+                assert code == 2 and out == ""
+                assert err == "error: interval TSV line 1: endpoints must be integers\n"
+
     @pytest.mark.parametrize("key", ["rows", "cols"])
     def test_repeated_matrix_trailer_is_exit_2(self, files, capsys, key):
         # Neither line may win over the other without a word.

@@ -568,15 +568,20 @@ def seeded_block_graphs(rng: random.Random, count: int, side: int) -> list[bp.Bi
 
 
 class TestOrderingMatchesIntegerKeys:
-    """The string-keyed ordering must return the integer-keyed one's row
-    order, column order and shown rows."""
+    """The ordering built on the twin-free core, with each class expanded
+    to its members in index order, must return the row order, column order
+    and shown rows of the integer-keyed sorts on the whole matrix."""
+
+    @staticmethod
+    def ordering(rows: list[int], m: int) -> tuple[list[int], list[int], list[int]]:
+        return core.doubly_lexical_ordering(core._graph_from_rows(rows, m))
 
     def test_every_matrix_up_to_4x4(self):
         for n in range(5):
             for m in range(5):
                 for mask in range(1 << (n * m)):
                     rows = [mask >> (i * m) & ((1 << m) - 1) for i in range(n)]
-                    assert core._doubly_lexical(rows, m) == lex_keyed_ordering(rows, m)
+                    assert self.ordering(rows, m) == lex_keyed_ordering(rows, m)
 
     def test_seeded_volume_up_to_14x14(self):
         rng = random.Random(1414)
@@ -585,7 +590,45 @@ class TestOrderingMatchesIntegerKeys:
         for t, (n, m) in enumerate(shapes):
             density = 0.0 if t % 50 == 1 else 0.1 + 0.8 * (t % 9) / 8
             rows = [sum(1 << j for j in range(m) if rng.random() < density) for _ in range(n)]
-            assert core._doubly_lexical(rows, m) == lex_keyed_ordering(rows, m)
+            assert self.ordering(rows, m) == lex_keyed_ordering(rows, m)
+
+    def test_seeded_volume_with_repeated_rows_and_columns(self):
+        # Each matrix copies a few distinct rows and a few distinct columns
+        # to random places, so most of its rows and columns have twins.
+        rng = random.Random(2121)
+        twins = 0
+        for t in range(1500):
+            n, m = rng.randint(1, 16), rng.randint(1, 16)
+            kinds = rng.randint(1, 4)
+            density = 0.1 + 0.8 * (t % 9) / 8
+            base = [[rng.random() < density for _ in range(kinds)] for _ in range(rng.randint(1, 4))]
+            row_kind = [rng.randrange(len(base)) for _ in range(n)]
+            col_kind = [rng.randrange(kinds) for _ in range(m)]
+            rows = [sum(1 << j for j in range(m) if base[row_kind[i]][col_kind[j]]) for i in range(n)]
+            row_classes, col_classes, _ = core._graph_from_rows(rows, m)._ordering
+            twins += len(row_classes) < n and len(col_classes) < m
+            assert self.ordering(rows, m) == lex_keyed_ordering(rows, m)
+        assert twins > 1000
+
+
+class TestFewDistinctRows:
+    """A power with fewer than three distinct non-empty rows is answered
+    chordal without building an ordering: a chordless cycle of length 2n >=
+    6 has n X vertices with non-empty, pairwise distinct rows."""
+
+    def test_saturated_powers_against_brute_force(self):
+        rng = random.Random(3377)
+        early = late = 0
+        for _ in range(300):
+            g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 7), rng.randint(1, 7), rng.random())
+            for k in (3, 5, 7):
+                p = fresh_copy(bp.bipartite_power(g, k))
+                few = len(set(p.x_adj) - {0}) < 3
+                assert bp.is_chordal_bipartite(p).chordal == (not has_induced_cycle(p, 6))
+                assert ("_ordering" in p.__dict__) != few
+                early += few
+                late += not few
+        assert early > 600 and late > 20
 
 
 class TestBlocksMatchHopcroftTarjan:
@@ -636,7 +679,7 @@ class TestRestrictionScan:
             for block in tarjan_blocks(g.global_adj):
                 if block.bit_count() < 6:
                     continue
-                if has_gamma(core._block_restriction(g, block), g.y_count):
+                if has_gamma(core._block_restriction(g, block), len(g._ordering[1])):
                     kept += 1
                     continue
                 xs = [i for i in range(nx) if block >> i & 1]

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 import bipower as bp
-from bipower import core, harness, intervals, mca
+from bipower import chordal_power, cli, core, harness, intervals, mca
 from bipower.errors import CapacityError, InputError
 from bipower.harness import (
     MAX_PARALLELISM,
@@ -355,13 +356,13 @@ class TestEachLevelDecidedOnce:
         """Rows of every doubly lexical ordering built: a graph's Γ decision
         reads the one ordering of its own rows."""
         calls: list[object] = []
-        original = core._doubly_lexical
+        original = core._twin_free_ordering
 
         def counted(x_rows, y_count):
             calls.append(x_rows)
             return original(x_rows, y_count)
 
-        monkeypatch.setattr(core, "_doubly_lexical", counted)
+        monkeypatch.setattr(core, "_twin_free_ordering", counted)
         return calls
 
     @staticmethod
@@ -380,16 +381,23 @@ class TestEachLevelDecidedOnce:
         assert self.whole_graph_decisions(calls, made[-1]) == [0, 1, 2, 3]
 
     def test_t5_campaign_decides_each_level_once(self, monkeypatch):
+        # A level with fewer than three distinct non-empty rows has no
+        # chordless cycle of length 6 or more and is answered unordered;
+        # every other level is ordered exactly once.
         made = self.trial_graphs(monkeypatch)
         calls = self.gamma_calls(monkeypatch)
         campaign = Campaign(Theorem.T5, trials=80, seed=8, bounds=Bounds(max_x=7, max_y=7, k_set=(1, 3, 5)))
+        unordered = 0
         for index in range(campaign.trials):
             calls.clear()
             harness._trial_t5(campaign, index)
             g = made[-1]
-            distinct = {id(bp.bipartite_power(g, k)) for k in (1, 3, 5, 7)}
-            decided = self.whole_graph_decisions(calls, g)
-            assert len(decided) == len(set(decided)) == len(distinct)
+            levels = [bp.bipartite_power(g, k) for k in (1, 3, 5, 7)]
+            distinct = [t for t in range(4) if t == 0 or levels[t] is not levels[t - 1]]
+            ordered = [t for t in distinct if len(set(levels[t].x_adj) - {0}) >= 3]
+            assert self.whole_graph_decisions(calls, g) == ordered
+            unordered += len(distinct) - len(ordered)
+        assert unordered > 0
 
     def test_kchordal_trial_asks_each_level_once(self, monkeypatch):
         # An 18-vertex path: every level is chordal, so every level's
@@ -419,3 +427,125 @@ class TestEachLevelDecidedOnce:
             assert len(decided) == len(set(decided)) <= len({id(bp.bipartite_power(g, k)) for k in (1, 3, 5, 7)})
             assert len(searched) == len({id(h) for h, _ in searched})
             assert all(min_length == 8 and not h._is_gamma_free for h, min_length in searched)
+
+
+class TestPinnedDigests:
+    """One small campaign per theorem, pinned by the sha256 of its report
+    and of the instances its trials drew.  A change to a generator, to the
+    trial seeds or to a report shows here as a named, intended change."""
+
+    # Each campaign, the sha256 of its report, and that of its trials' instances.
+    PINNED = [
+        (
+            Campaign(Theorem.T3, trials=60, seed=31),
+            "09ca85696f53893d4e2edd7cee78b3ebfae5dc886f3ccec69dcb70ddbc8a2b9c",
+            "deff299952ceb2f110d473b42147da9ec08f99cfc5844930abfbb98832294513",
+        ),
+        (
+            Campaign(Theorem.T4, trials=60, seed=32),
+            "3728e33cd3cf678aa47647864a4f68a2ae03f0333671b5d6e883409e896c0491",
+            "8d80deea9b590aa573a8d555773a2f48d19e94ad3ea1d5f4f4a7aa24a55b67b3",
+        ),
+        (
+            Campaign(Theorem.T5, trials=60, seed=33, bounds=Bounds(max_x=6, max_y=6)),
+            "0a9999340da444494903a1a1333b3fc5595cf3a395aecdb26a2b559a44f8033b",
+            "ab5453faa5d4b42e98f0d295f25aeff1c7c9c39fafe2ba88370fb537284a0263",
+        ),
+        (
+            Campaign(Theorem.KCHORDAL, trials=60, seed=34, bounds=Bounds(k_chordal_k=6)),
+            "083b576dc6b244935a4da87d3d5b5d317cc0aaac5d6b1a539b36ebfbd0f617c4",
+            "a9e97b89aebe49ca3b81396318207ddaf8e1957e92676d695078ba2ed9864a38",
+        ),
+    ]
+
+    def drawn_instances(self, monkeypatch) -> list[str]:
+        """The instance of every trial run, in the form a record embeds."""
+        drawn: list[str] = []
+        make_graph, make_staircase = harness._random_graph_for_trial, harness.gen_staircase_matrix
+
+        def to_graph(rep):
+            g = intervals.intervals_to_graph(rep)
+            drawn.append(intervals.intervals_tsv(rep, g.x_labels, g.y_labels))
+            return g
+
+        def staircase(seed, n, m):
+            mat = make_staircase(seed, n, m)
+            drawn.append(mca.matrix_text(mat))
+            return mat
+
+        def random_graph(campaign, rng):
+            g = make_graph(campaign, rng)
+            drawn.append(bp.graph_to_json(g))
+            return g
+
+        monkeypatch.setattr(harness, "intervals_to_graph", to_graph)
+        monkeypatch.setattr(harness, "gen_staircase_matrix", staircase)
+        monkeypatch.setattr(harness, "_random_graph_for_trial", random_graph)
+        return drawn
+
+    @pytest.mark.parametrize(
+        "campaign, report_digest, instances_digest", PINNED, ids=[c.theorem.value for c, _, _ in PINNED]
+    )
+    def test_report_and_instances(self, monkeypatch, campaign, report_digest, instances_digest):
+        drawn = self.drawn_instances(monkeypatch)
+        report = report_json(harness.run_campaign(campaign), False)
+        assert len(drawn) == campaign.trials
+        assert hashlib.sha256(report.encode()).hexdigest() == report_digest
+        assert hashlib.sha256("".join(drawn).encode()).hexdigest() == instances_digest
+
+
+class TestPlantedStrongClosureRefutation:
+    """A planted fault at the narrowest seam: the 3-power of each trial
+    graph, wherever it differs from the graph, reads "not chordal".  Every
+    trial whose graph is chordal then refutes strong closure at k = 1, and
+    the refutation must reach the report and the fuzz exit code; with the
+    plant removed, each record replays to the clean verdict."""
+
+    CAMPAIGN = Campaign(Theorem.T5, trials=12, seed=5, bounds=Bounds(max_x=5, max_y=5, k_set=(1,)))
+    ARGV = ["fuzz", "--theorem", "t5", "--trials", "12", "--seed", "5", "--max-x", "5", "--max-y", "5", "-k", "1"]
+
+    def plant(self, monkeypatch) -> list[bp.BipartiteGraph]:
+        made: list[bp.BipartiteGraph] = []
+        drawn, decide = harness._random_graph_for_trial, chordal_power.is_chordal_bipartite
+
+        def recorded(campaign, rng):
+            made.append(drawn(campaign, rng))
+            return made[-1]
+
+        def planted(h):
+            if h is bp.bipartite_power(made[-1], 3) and h is not made[-1]:
+                return chordal_power.ChordalityVerdict(False, None)
+            return decide(h)
+
+        monkeypatch.setattr(harness, "_random_graph_for_trial", recorded)
+        monkeypatch.setattr(chordal_power, "is_chordal_bipartite", planted)
+        return made
+
+    def test_refutation_is_reported_and_replays_clean(self, monkeypatch, capsys, tmp_path):
+        made = self.plant(monkeypatch)
+        report = harness.run_campaign(self.CAMPAIGN)
+        refuted = [
+            t for t, g in enumerate(made)
+            if bp.is_chordal_bipartite(g).chordal and bp.bipartite_power(g, 3) is not g
+        ]
+        assert 0 < len(refuted) < self.CAMPAIGN.trials
+        assert report.executed == 12 and report.skipped == 0
+        assert report.counterexamples == tuple(
+            {"trial": t, "kind": "strong-closure", "k": 1, "graph": bp.graph_to_json(made[t])} for t in refuted
+        )
+        assert cli.dispatch(self.ARGV) == cli.EXIT_COUNTEREXAMPLE
+        printed = json.loads(capsys.readouterr().out)
+        assert printed.pop("wall_time") >= 0
+        assert printed == json.loads(report_json(report, False))
+
+        monkeypatch.undo()
+        for record in report.counterexamples:
+            g = bp.graph_from_json(record["graph"])
+            check = bp.strongly_closed_check(g, record["k"])
+            assert check.base_chordal and check.next_chordal and not check.counterexample
+            path = tmp_path / f"power{record['trial']}.json"
+            path.write_text(bp.graph_to_json(bp.bipartite_power(g, record["k"] + 2)))
+            assert cli.dispatch(["check-chordal", str(path)]) == cli.EXIT_OK
+            assert json.loads(capsys.readouterr().out) == {"chordal_bipartite": True}
+        assert cli.dispatch(self.ARGV) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["counterexamples"] == []
