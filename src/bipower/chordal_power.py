@@ -284,6 +284,27 @@ def strongly_closed_check(g: BipartiteGraph, k: int) -> StrongClosureReport:
     )
 
 
+def _check_strong_closure(g: BipartiteGraph, k: int) -> None:
+    """Raise the instance as a TheoremCounterexample if ``g``'s k-power is
+    chordal bipartite and its (k+2)-power is not."""
+    if strongly_closed_check(g, k).counterexample:
+        raise TheoremCounterexample(
+            f"power at k={k} is chordal bipartite although the (k+2)-power is not",
+            {"kind": "strong-closure", "k": k, "graph": graph_to_json(g)},
+        )
+
+
+def _check_k_chordal_closure(g: BipartiteGraph, kc: int, k: int) -> None:
+    """Raise the instance as a TheoremCounterexample if ``g``'s k-power is
+    ``kc``-chordal and its (k+2)-power is not."""
+    # Adjacent k share a level, and a level keeps its answer.
+    if is_k_chordal(bipartite_power(g, k), kc).chordal and not is_k_chordal(bipartite_power(g, k + 2), kc).chordal:
+        raise TheoremCounterexample(
+            f"power at k={k} is {kc}-chordal although the (k+2)-power is not",
+            {"kind": "k-chordal-closure", "k": k, "k_chordal_k": kc, "graph": graph_to_json(g)},
+        )
+
+
 # --- cycle / lift JSON -------------------------------------------------------
 
 

@@ -232,7 +232,7 @@ def _cmd_mca_find(args) -> tuple[int, str]:
     obj = {
         "rows": list(arranged.row_perm),
         "cols": list(arranged.col_perm),
-        "certificate": json.loads(mca.certificate_json(cert)),
+        "certificate": mca.certificate_object(cert),
     }
     return EXIT_OK, json.dumps(obj, indent=2) + "\n"
 

@@ -15,9 +15,9 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import partial
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
-from .chordal_power import is_k_chordal, strongly_closed_check
+from .chordal_power import _check_k_chordal_closure, _check_strong_closure
 from .core import (
     BipartiteGraph,
     CycleCertificate,
@@ -26,7 +26,6 @@ from .core import (
     _graph_from_rows,
     bipartite_power,
     build_graph,
-    graph_to_json,
     is_connected,
 )
 from .errors import CapacityError, InputError, TheoremCounterexample
@@ -198,48 +197,31 @@ class TrialOutcome:
     records: tuple[dict, ...]
 
 
-def _trial_t3(campaign: Campaign, index: int) -> TrialOutcome:
-    rng = random.Random(trial_seed(campaign.seed, index))
+def _draw_t3(campaign: Campaign, rng: random.Random) -> tuple[Callable[[int], object], Sequence[int]] | None:
     b = campaign.bounds
     nx, ny = rng.randint(1, b.max_x), rng.randint(1, b.max_y)
     span = rng.randint(1, b.span)
     rep = random_interval_representation(rng.getrandbits(63), nx, ny, span)
     g = intervals_to_graph(rep)
     if not is_connected(g):
-        return TrialOutcome(True, ())
-    records = []
+        return None
     # The powers stop changing at the largest cross-side distance D, and the
     # diameter is D or D + 1, so odd k <= diameter + 2 is odd k <= D + 2.
-    saturated = 1
-    while bipartite_power(g, saturated) is not bipartite_power(g, saturated + 2):
-        saturated += 2
-    top = saturated + 2
-    ks = campaign.k_set() or tuple(range(1, top + 1, 2))
-    for k in ks:
-        if k > top:
-            continue
-        try:
-            _check_power_representation(g, rep, k)
-        except TheoremCounterexample as exc:
-            records.append({"trial": index, **exc.report})
-    return TrialOutcome(False, tuple(records))
+    top = 3
+    while bipartite_power(g, top - 2) is not bipartite_power(g, top):
+        top += 2
+    ks = [k for k in campaign.k_set() or range(1, top + 1, 2) if k <= top]
+    return partial(_check_power_representation, g, rep), ks
 
 
-def _trial_t4(campaign: Campaign, index: int) -> TrialOutcome:
-    rng = random.Random(trial_seed(campaign.seed, index))
+def _draw_t4(campaign: Campaign, rng: random.Random) -> tuple[Callable[[int], object], Sequence[int]]:
     b = campaign.bounds
     n, m = rng.randint(1, b.max_x), rng.randint(1, b.max_y)
     mat = gen_staircase_matrix(rng.getrandbits(63), n, m)
     g = matrix_to_graph(mat)
     if not _arrangement_holds(g, mat):
         raise AssertionError("a generated staircase matrix is not monotone consecutive")
-    records = []
-    for k in campaign.k_set():
-        try:
-            _check_matrix_power(g, mat, k)
-        except TheoremCounterexample as exc:
-            records.append({"trial": index, **exc.report})
-    return TrialOutcome(False, tuple(records))
+    return partial(_check_matrix_power, g, mat), campaign.k_set()
 
 
 def _random_graph_for_trial(campaign: Campaign, rng: random.Random) -> BipartiteGraph:
@@ -248,47 +230,41 @@ def _random_graph_for_trial(campaign: Campaign, rng: random.Random) -> Bipartite
     return gen_random_bipartite(rng.getrandbits(63), nx, ny, rng.random())
 
 
-def _trial_t5(campaign: Campaign, index: int) -> TrialOutcome:
-    rng = random.Random(trial_seed(campaign.seed, index))
+def _draw_t5(campaign: Campaign, rng: random.Random) -> tuple[Callable[[int], object], Sequence[int]]:
+    return partial(_check_strong_closure, _random_graph_for_trial(campaign, rng)), campaign.k_set()
+
+
+def _draw_kchordal(campaign: Campaign, rng: random.Random) -> tuple[Callable[[int], object], Sequence[int]]:
     g = _random_graph_for_trial(campaign, rng)
-    records = []
-    for k in campaign.k_set():
-        report = strongly_closed_check(g, k)
-        if report.counterexample:
-            records.append(
-                {"trial": index, "kind": "strong-closure", "k": k, "graph": graph_to_json(g)}
-            )
-    return TrialOutcome(False, tuple(records))
+    return partial(_check_k_chordal_closure, g, campaign.bounds.k_chordal_k), campaign.k_set()
 
 
-def _trial_kchordal(campaign: Campaign, index: int) -> TrialOutcome:
-    rng = random.Random(trial_seed(campaign.seed, index))
-    g = _random_graph_for_trial(campaign, rng)
-    kc = campaign.bounds.k_chordal_k
-    records = []
-    for k in campaign.k_set():
-        # Adjacent k share a level, and a level keeps its answer.
-        if (is_k_chordal(bipartite_power(g, k), kc).chordal
-                and not is_k_chordal(bipartite_power(g, k + 2), kc).chordal):
-            records.append(
-                {
-                    "trial": index,
-                    "kind": "k-chordal-closure",
-                    "k": k,
-                    "k_chordal_k": kc,
-                    "graph": graph_to_json(g),
-                }
-            )
-    return TrialOutcome(False, tuple(records))
-
-
-# Each theorem's trial body and the k_set it runs when the bounds give none.
+# Each theorem's draw and the k_set it runs when the bounds give none.  A
+# draw takes a trial's random stream and returns its claim's check bound to
+# the instance drawn, with the ks to run it at, or None to skip the trial.
 _TRIALS = {
-    Theorem.T3: (_trial_t3, ()),  # derived per instance: all odd k up to diameter + 2
-    Theorem.T4: (_trial_t4, (3, 5, 7)),
-    Theorem.T5: (_trial_t5, (1, 3, 5)),
-    Theorem.KCHORDAL: (_trial_kchordal, (1, 3, 5)),
+    Theorem.T3: (_draw_t3, ()),  # derived per instance: all odd k up to diameter + 2
+    Theorem.T4: (_draw_t4, (3, 5, 7)),
+    Theorem.T5: (_draw_t5, (1, 3, 5)),
+    Theorem.KCHORDAL: (_draw_kchordal, (1, 3, 5)),
 }
+
+
+def _trial(campaign: Campaign, index: int) -> TrialOutcome:
+    """Draw trial ``index``'s instance and run its claim's check at each k;
+    a refutation is recorded as the report the check raised, with the trial
+    index in front."""
+    drawn = _TRIALS[campaign.theorem][0](campaign, random.Random(trial_seed(campaign.seed, index)))
+    if drawn is None:
+        return TrialOutcome(True, ())
+    check, ks = drawn
+    records = []
+    for k in ks:
+        try:
+            check(k)
+        except TheoremCounterexample as exc:
+            records.append({"trial": index, **exc.report})
+    return TrialOutcome(False, tuple(records))
 
 
 def run_campaign(campaign: Campaign) -> FuzzReport:
@@ -298,7 +274,7 @@ def run_campaign(campaign: Campaign) -> FuzzReport:
     instance so a single CLI invocation can re-check it.
     """
     start = time.perf_counter()
-    trial = partial(_TRIALS[campaign.theorem][0], campaign)
+    trial = partial(_trial, campaign)
     if campaign.parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel campaigns pay its import
 

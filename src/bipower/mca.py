@@ -450,11 +450,7 @@ def _check_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> None
     if not _arrangement_holds(bipartite_power(g, k), base):
         raise TheoremCounterexample(
             f"power at k={k} broke a monotone consecutive arrangement",
-            {
-                "kind": "matrix-power",
-                "k": k,
-                "matrix": matrix_text(base),
-            },
+            {"kind": "matrix-power", "k": k, "matrix": matrix_text(base)},
         )
 
 
@@ -462,13 +458,14 @@ def _check_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> None
 #
 # First line "n m"; then n lines of m characters from {0,1}; then optional
 # "rows: ..." / "cols: ..." lines giving display -> original permutations,
-# 0-based, space-separated.  Every number, the header's too, is 0 or
-# [1-9][0-9]* in ASCII digits (``core._read_int``).  Identity permutations
-# are omitted when writing, but a matrix with no row always lists its
-# columns.  Blank lines are skipped elsewhere, but with m = 0 the n entry
-# rows are blank lines, and the text must hold them; so the header alone
-# never sets the size of what is built.  Messages cite a line by its number
-# in the text, blank lines counted.
+# 0-based.  In the header and the trailers one ASCII space, and only it,
+# separates two tokens, and every number is 0 or [1-9][0-9]* in ASCII
+# digits (``core._read_int``).  Identity permutations are omitted when
+# writing, but a matrix with no row always lists its columns.  Blank lines
+# are skipped elsewhere, but with m = 0 the n entry rows are blank lines,
+# and the text must hold them; so the header alone never sets the size of
+# what is built.  Messages cite a line by its number in the text, blank
+# lines counted.
 
 
 def matrix_text(mat: ArrangedMatrix) -> str:
@@ -488,7 +485,7 @@ def parse_matrix(text: str) -> ArrangedMatrix:
     if not lines:
         raise InputError("matrix text is empty")
     (head_no, head), *body = lines
-    size = [_read_int(p) for p in head.split()]
+    size = [_read_int(p) for p in head.split(" ")]
     if len(size) != 2 or None in size:
         raise InputError(f"matrix text line {head_no}: expected 'n m', got {head!r}")
     n, m = size
@@ -508,8 +505,9 @@ def parse_matrix(text: str) -> ArrangedMatrix:
     perms = {}
     for no, extra in trailers:
         key, _, rest = extra.partition(":")
-        values = tuple(_read_int(p) for p in rest.split())
-        if None in values:
+        first, *tokens = rest.split(" ")
+        values = tuple(map(_read_int, tokens))
+        if first or None in values:
             raise InputError(f"matrix text: trailer {extra!r} must list integer indices")
         if key not in ("rows", "cols"):
             raise InputError(f"matrix text: unrecognized trailer {extra!r}")
@@ -527,12 +525,15 @@ def parse_matrix(text: str) -> ArrangedMatrix:
     return ArrangedMatrix(tuple(entries), row_perm, col_perm)
 
 
-def certificate_json(cert: McaCertificate) -> str:
-    obj = {
+def certificate_object(cert: McaCertificate) -> dict:
+    return {
         "a": list(cert.a),
         "b": list(cert.b),
         "c": list(cert.c),
         "d": list(cert.d),
         "labels": [[i, j, mark] for i, j, mark in cert.zero_labels],
     }
-    return json.dumps(obj, indent=2) + "\n"
+
+
+def certificate_json(cert: McaCertificate) -> str:
+    return json.dumps(certificate_object(cert), indent=2) + "\n"

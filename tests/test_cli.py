@@ -115,6 +115,29 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err == f"error: matrix text line 1: expected 'n m', got {head!r}\n"
 
+    # One ASCII space is the one separator, as matrix_text writes it: a
+    # header "n m", and a trailer's key and ":" with " i" per index.
+    @pytest.mark.parametrize("text, where", [
+        ("2\u30001\n1\n1\nrows:\t1 0\n", " line 1: expected 'n m'"),
+        ("  2 1\n1\n1\n", " line 1: expected 'n m'"),
+        ("2  1\n1\n1\n", " line 1: expected 'n m'"),
+        ("2\t1\n1\n1\n", " line 1: expected 'n m'"),
+        ("2 1 \n1\n1\n", " line 1: expected 'n m'"),
+        ("2 1\n1\n1\nrows:\t1 0\n", ": trailer"),
+        ("2 1\n1\n1\nrows: 1\u00a00\n", ": trailer"),
+        ("2 1\n1\n1\nrows:  1 0\n", ": trailer"),
+        ("2 1\n1\n1\nrows: 1 0 \n", ": trailer"),
+        ("2 1\n1\n1\nrows:1 0\n", ": trailer"),
+        ("0 0\ncols: \n", ": trailer"),
+    ])
+    def test_other_separator_in_a_matrix_text_is_exit_2(self, files, capsys, text, where):
+        bad = files["tmp"] / "spaced.mat"
+        bad.write_text(text, encoding="utf-8")
+        for verb in (["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]):
+            code, out, err = run(capsys, *verb, str(bad))
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: matrix text{where}")
+
     @pytest.mark.parametrize("token", ["1_0", " 12", "12 ", "+4", "\u0663", "\uff12", "-0", "07", "--1"])
     def test_other_spelling_of_an_interval_endpoint_is_exit_2(self, files, capsys, token):
         lines = files["intervals"].read_text().splitlines()

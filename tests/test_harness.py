@@ -262,7 +262,7 @@ class TestT3KRange:
         campaign = Campaign(Theorem.T3, trials=300, seed=5, bounds=Bounds(max_x=6, max_y=6, k_set=k_set))
         parities, cut = set(), 0
         for index in range(campaign.trials):
-            harness._trial_t3(campaign, index)
+            harness._trial(campaign, index)
             if not bp.is_connected(graphs[-1]):
                 assert asked[-1] == []
                 continue
@@ -301,7 +301,7 @@ class TestInputCheckedOncePerTrial:
         several = 0
         for index in range(campaign.trials):
             calls.clear()
-            outcome = harness._trial_t3(campaign, index)
+            outcome = harness._trial(campaign, index)
             if outcome.skipped:
                 assert calls == ["is_connected"]
                 continue
@@ -322,7 +322,7 @@ class TestInputCheckedOncePerTrial:
         assert ks > 1
         for index in range(campaign.trials):
             calls.clear()
-            harness._trial_t4(campaign, index)
+            harness._trial(campaign, index)
             assert calls == (["_arrangement_holds", "_row_condition"]
                              + ["_check_matrix_power", "_arrangement_holds", "_row_condition"] * ks)
 
@@ -331,7 +331,7 @@ class TestInputCheckedOncePerTrial:
         # failed check is a fault in bipower, not an input error.
         monkeypatch.setattr(harness, "_arrangement_holds", lambda g, mat: False)
         with pytest.raises(AssertionError, match="not monotone consecutive"):
-            harness._trial_t4(Campaign(Theorem.T4, trials=1, seed=7), 0)
+            harness._trial(Campaign(Theorem.T4, trials=1, seed=7), 0)
 
 
 class TestEachLevelDecidedOnce:
@@ -377,7 +377,7 @@ class TestEachLevelDecidedOnce:
         made = self.trial_graphs(monkeypatch, cycle_graph(18))
         calls = self.gamma_calls(monkeypatch)
         campaign = Campaign(Theorem.T5, trials=1, seed=8, bounds=Bounds(max_x=9, max_y=9, k_set=(1, 3, 5)))
-        harness._trial_t5(campaign, 0)
+        harness._trial(campaign, 0)
         assert self.whole_graph_decisions(calls, made[-1]) == [0, 1, 2, 3]
 
     def test_t5_campaign_decides_each_level_once(self, monkeypatch):
@@ -390,7 +390,7 @@ class TestEachLevelDecidedOnce:
         unordered = 0
         for index in range(campaign.trials):
             calls.clear()
-            harness._trial_t5(campaign, index)
+            harness._trial(campaign, index)
             g = made[-1]
             levels = [bp.bipartite_power(g, k) for k in (1, 3, 5, 7)]
             distinct = [t for t in range(4) if t == 0 or levels[t] is not levels[t - 1]]
@@ -411,7 +411,7 @@ class TestEachLevelDecidedOnce:
                 Theorem.KCHORDAL, trials=1, seed=9, bounds=Bounds(max_x=9, max_y=9, k_set=(1, 3, 5), k_chordal_k=kc)
             )
             calls.clear()
-            harness._trial_kchordal(campaign, 0)
+            harness._trial(campaign, 0)
             assert self.whole_graph_decisions(calls, made[-1]) == [0, 1, 2, 3]
             assert searched == []
         # A random campaign: each level is ordered at most once and searched
@@ -421,7 +421,7 @@ class TestEachLevelDecidedOnce:
         for index in range(campaign.trials):
             calls.clear()
             searched.clear()
-            harness._trial_kchordal(campaign, index)
+            harness._trial(campaign, index)
             g = made[-1]
             decided = self.whole_graph_decisions(calls, g)
             assert len(decided) == len(set(decided)) <= len({id(bp.bipartite_power(g, k)) for k in (1, 3, 5, 7)})
@@ -549,3 +549,254 @@ class TestPlantedStrongClosureRefutation:
             assert json.loads(capsys.readouterr().out) == {"chordal_bipartite": True}
         assert cli.dispatch(self.ARGV) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["counterexamples"] == []
+
+
+def call(capsys, *argv: str) -> tuple[int, str]:
+    """Exit code and stdout of one command-line call."""
+    code = cli.dispatch(list(argv))
+    return code, capsys.readouterr().out
+
+
+def in_order(records) -> list[list[tuple]]:
+    """Records as their (key, value) pairs in order, so that a comparison
+    sees the key order a report is written in."""
+    return [list(record.items()) for record in records]
+
+
+def fuzz_argv(campaign: Campaign) -> list[str]:
+    """The ``fuzz`` flags that run ``campaign``."""
+    b = campaign.bounds
+    argv = ["fuzz", "--theorem", campaign.theorem.value, "--trials", str(campaign.trials),
+            "--seed", str(campaign.seed), "--max-x", str(b.max_x), "--max-y", str(b.max_y),
+            "--span", str(b.span), "--kchordal-k", str(b.k_chordal_k)]
+    return argv + [arg for k in b.k_set for arg in ("-k", str(k))]
+
+
+def reported_by_fuzz(capsys, campaign: Campaign) -> tuple[int, dict]:
+    """Exit code and report of ``fuzz`` on ``campaign``, without its wall time."""
+    code, out = call(capsys, *fuzz_argv(campaign))
+    printed = json.loads(out)
+    assert printed.pop("wall_time") >= 0
+    return code, printed
+
+
+class TestPlantedIntervalRefutation:
+    """A planted fault in the interval power: ``_reach_lefts`` lowers x1's
+    new right endpoint to its left endpoint.  That breaks the new intervals
+    exactly where x1's row in the k-power holds a Y vertex whose interval
+    starts to the right of x1's, and the first such Y vertex is the
+    offending pair's.  The campaign and ``power-intervals`` both go through
+    the plant; without it, each record replays clean."""
+
+    CAMPAIGN = Campaign(Theorem.T3, trials=12, seed=3, bounds=Bounds(max_x=4, max_y=4, span=8, k_set=(1, 3)))
+
+    def plant(self, monkeypatch) -> list[tuple[bp.BipartiteGraph, intervals.IntervalRepresentation]]:
+        drawn: list[tuple[bp.BipartiteGraph, intervals.IntervalRepresentation]] = []
+        make, reach = harness.intervals_to_graph, intervals._reach_lefts
+
+        def recorded(rep):
+            drawn.append((make(rep), rep))
+            return drawn[-1][0]
+
+        def planted(power, rep):
+            x_reach, y_reach = reach(power, rep)
+            x_reach[0] = min(x_reach[0], rep.x_intervals[0].left)
+            return x_reach, y_reach
+
+        monkeypatch.setattr(harness, "intervals_to_graph", recorded)
+        monkeypatch.setattr(intervals, "_reach_lefts", planted)
+        return drawn
+
+    @staticmethod
+    def expected(trial: int, g: bp.BipartiteGraph, rep, k: int) -> dict | None:
+        row, left = bp.bipartite_power(g, k).x_adj[0], rep.x_intervals[0].left
+        later = [j for j in range(g.y_count) if row >> j & 1 and rep.y_intervals[j].left > left]
+        if not later:
+            return None
+        return {
+            "trial": trial,
+            "kind": "power-representation",
+            "k": k,
+            "graph": bp.graph_to_json(g),
+            "intervals": intervals.intervals_tsv(rep, g.x_labels, g.y_labels),
+            "offending_pair": [g.x_labels[0], g.y_labels[later[0]]],
+            "edge_in_power": True,
+        }
+
+    def test_refutation_is_reported_and_replays(self, monkeypatch, capsys, tmp_path):
+        drawn = self.plant(monkeypatch)
+        report = harness.run_campaign(self.CAMPAIGN)
+        drawn = drawn[:self.CAMPAIGN.trials]
+        connected = [t for t, (g, _) in enumerate(drawn) if bp.is_connected(g)]
+        expected = [
+            record for t in connected for k in self.CAMPAIGN.k_set()
+            if (record := self.expected(t, *drawn[t], k)) is not None
+        ]
+        refuted = {record["trial"] for record in expected}
+        assert 0 < len(refuted) < len(connected) < self.CAMPAIGN.trials
+        assert report.skipped == self.CAMPAIGN.trials - len(connected)
+        assert in_order(report.counterexamples) == in_order(expected)
+        code, printed = reported_by_fuzz(capsys, self.CAMPAIGN)
+        assert code == cli.EXIT_COUNTEREXAMPLE
+        assert printed == json.loads(report_json(report, False))
+
+        graph, tsv = tmp_path / "g.json", tmp_path / "i.tsv"
+        for record in report.counterexamples:
+            graph.write_text(record["graph"])
+            tsv.write_text(record["intervals"])
+            code, out = call(capsys, "power-intervals", "-k", str(record["k"]), str(graph), str(tsv))
+            assert code == cli.EXIT_COUNTEREXAMPLE
+            assert in_order([json.loads(out)]) == in_order([{k: v for k, v in record.items() if k != "trial"}])
+
+        monkeypatch.undo()
+        for record in report.counterexamples:
+            graph.write_text(record["graph"])
+            tsv.write_text(record["intervals"])
+            code, out = call(capsys, "power-intervals", "-k", str(record["k"]), str(graph), str(tsv))
+            assert code == cli.EXIT_OK
+            g = bp.graph_from_json(record["graph"])
+            rep, _, _ = intervals.parse_intervals_tsv(out)
+            assert intervals.verify_representation(bp.bipartite_power(g, record["k"]), rep)
+        code, printed = reported_by_fuzz(capsys, self.CAMPAIGN)
+        assert code == cli.EXIT_OK and printed["counterexamples"] == []
+
+
+class TestPlantedArrangementRefutation:
+    """A planted fault in the matrix power: at k = 3, ``mca``'s power puts
+    a one two columns past the end of row x1's run, which breaks that run
+    exactly when the column exists.  A trial's staircase is shown in index
+    order, and so is the record's matrix, so the campaign and ``mca-power``
+    both go through the plant; without it, each record replays clean."""
+
+    CAMPAIGN = Campaign(Theorem.T4, trials=12, seed=7, bounds=Bounds(max_x=6, max_y=10))
+
+    def plant(self, monkeypatch) -> list[mca.ArrangedMatrix]:
+        drawn: list[mca.ArrangedMatrix] = []
+        make, power = harness.gen_staircase_matrix, mca.bipartite_power
+
+        def recorded(seed, n, m):
+            drawn.append(make(seed, n, m))
+            return drawn[-1]
+
+        def planted(g, k):
+            p = power(g, k)
+            past = p.x_adj[0].bit_length() + 1
+            if k != 3 or past >= p.y_count:
+                return p
+            rows = [p.x_adj[0] | 1 << past, *p.x_adj[1:]]
+            return core._graph_from_rows(rows, p.y_count, p.x_labels, p.y_labels)
+
+        monkeypatch.setattr(harness, "gen_staircase_matrix", recorded)
+        monkeypatch.setattr(mca, "bipartite_power", planted)
+        return drawn
+
+    def test_refutation_is_reported_and_replays(self, monkeypatch, capsys, tmp_path):
+        drawn = self.plant(monkeypatch)
+        report = harness.run_campaign(self.CAMPAIGN)
+        drawn = drawn[:self.CAMPAIGN.trials]
+        refuted = [
+            t for t, mat in enumerate(drawn)
+            if bp.bipartite_power(mca.matrix_to_graph(mat), 3).x_adj[0].bit_length() + 1 < mat.m
+        ]
+        assert 0 < len(refuted) < self.CAMPAIGN.trials
+        assert report.executed == self.CAMPAIGN.trials and report.skipped == 0
+        assert in_order(report.counterexamples) == in_order(
+            {"trial": t, "kind": "matrix-power", "k": 3, "matrix": mca.matrix_text(drawn[t])} for t in refuted
+        )
+        code, printed = reported_by_fuzz(capsys, self.CAMPAIGN)
+        assert code == cli.EXIT_COUNTEREXAMPLE
+        assert printed == json.loads(report_json(report, False))
+
+        path = tmp_path / "m.mat"
+        for record in report.counterexamples:
+            path.write_text(record["matrix"])
+            code, out = call(capsys, "mca-power", "-k", "3", str(path))
+            assert code == cli.EXIT_COUNTEREXAMPLE
+            assert in_order([json.loads(out)]) == in_order([{k: v for k, v in record.items() if k != "trial"}])
+
+        monkeypatch.undo()
+        powered = tmp_path / "p.mat"
+        for record in report.counterexamples:
+            path.write_text(record["matrix"])
+            code, out = call(capsys, "mca-power", "-k", "3", str(path))
+            assert code == cli.EXIT_OK
+            powered.write_text(out)
+            assert call(capsys, "mca-verify", str(powered))[0] == cli.EXIT_OK
+        code, printed = reported_by_fuzz(capsys, self.CAMPAIGN)
+        assert code == cli.EXIT_OK and printed["counterexamples"] == []
+
+
+class TestPlantedKChordalRefutation:
+    """A planted fault in k-chordality: ``is_k_chordal`` answers "not
+    k-chordal", with an empty witness, on its target, the 3-power of the
+    instance at hand wherever that differs from the instance.  Every trial
+    whose graph is 6-chordal then refutes the implication at k = 1.  The
+    campaign and ``check-kchordal`` on the record's ``power -k 3`` both go
+    through the plant; without it, each record replays clean."""
+
+    CAMPAIGN = Campaign(
+        Theorem.KCHORDAL, trials=12, seed=6, bounds=Bounds(max_x=5, max_y=5, k_set=(1,), k_chordal_k=6)
+    )
+    WITNESS = bp.CycleCertificate((), 3)
+
+    def plant(self, monkeypatch) -> tuple[list[bp.BipartiteGraph], list[str | None]]:
+        made: list[bp.BipartiteGraph] = []
+        target: list[str | None] = [None]
+        draw, decide = harness._random_graph_for_trial, chordal_power.is_k_chordal
+
+        def recorded(campaign, rng):
+            made.append(draw(campaign, rng))
+            target[0] = self.level_above(made[-1])
+            return made[-1]
+
+        def planted(h, kc):
+            if bp.graph_to_json(h) == target[0]:
+                return chordal_power.ChordalityVerdict(False, self.WITNESS)
+            return decide(h, kc)
+
+        monkeypatch.setattr(harness, "_random_graph_for_trial", recorded)
+        monkeypatch.setattr(chordal_power, "is_k_chordal", planted)
+        return made, target
+
+    @staticmethod
+    def level_above(g: bp.BipartiteGraph) -> str | None:
+        """The graph JSON of g's 3-power, if it differs from g."""
+        power = bp.bipartite_power(g, 3)
+        return None if power is g else bp.graph_to_json(power)
+
+    def test_refutation_is_reported_and_replays(self, monkeypatch, capsys, tmp_path):
+        made, target = self.plant(monkeypatch)
+        report = harness.run_campaign(self.CAMPAIGN)
+        made = made[:self.CAMPAIGN.trials]
+        refuted = [t for t, g in enumerate(made) if self.level_above(g) and bp.is_k_chordal(g, 6).chordal]
+        assert 0 < len(refuted) < self.CAMPAIGN.trials
+        assert report.executed == self.CAMPAIGN.trials and report.skipped == 0
+        assert in_order(report.counterexamples) == in_order(
+            {"trial": t, "kind": "k-chordal-closure", "k": 1, "k_chordal_k": 6, "graph": bp.graph_to_json(made[t])}
+            for t in refuted
+        )
+        code, printed = reported_by_fuzz(capsys, self.CAMPAIGN)
+        assert code == cli.EXIT_COUNTEREXAMPLE
+        assert printed == json.loads(report_json(report, False))
+
+        graph, power = tmp_path / "g.json", tmp_path / "p.json"
+        for record in report.counterexamples:
+            target[0] = self.level_above(bp.graph_from_json(record["graph"]))
+            graph.write_text(record["graph"])
+            code, out = call(capsys, "power", "-k", "3", str(graph))
+            assert code == cli.EXIT_OK
+            power.write_text(out)
+            code, out = call(capsys, "check-kchordal", "--kchordal-k", "6", str(power))
+            assert code == cli.EXIT_PROPERTY_FAILS
+            assert json.loads(out) == {"k": 3, "cycle": []}
+
+        monkeypatch.undo()
+        for record in report.counterexamples:
+            graph.write_text(record["graph"])
+            code, out = call(capsys, "power", "-k", "3", str(graph))
+            assert code == cli.EXIT_OK
+            power.write_text(out)
+            code, out = call(capsys, "check-kchordal", "--kchordal-k", "6", str(power))
+            assert code == cli.EXIT_OK and json.loads(out) == {"k_chordal": True, "k": 6}
+        code, printed = reported_by_fuzz(capsys, self.CAMPAIGN)
+        assert code == cli.EXIT_OK and printed["counterexamples"] == []

@@ -602,6 +602,19 @@ class TestMatrixText:
         assert "rows: 5 4 3 2 1 0" in text
         assert matrix_text(parse_matrix(text)) == text
 
+    def test_canonical_texts_round_trip(self):
+        # What matrix_text writes, one ASCII space between tokens, parses
+        # back to the same matrix and the same bytes, rowless and columnless
+        # matrices included.
+        rng = random.Random(23)
+        for _ in range(400):
+            n, m = rng.randint(0, 5), rng.randint(0, 5)
+            entries = tuple(tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(n))
+            mat = bp.ArrangedMatrix(entries, tuple(rng.sample(range(n), n)), tuple(rng.sample(range(m), m)))
+            text = matrix_text(mat)
+            assert parse_matrix(text) == mat
+            assert matrix_text(parse_matrix(text)) == text
+
     def test_bad_char_cites_line(self):
         with pytest.raises(InputError, match="line 2"):
             parse_matrix("1 2\nab\n")

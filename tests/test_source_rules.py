@@ -129,6 +129,65 @@ def test_no_constructor_bypass_in_src():
     assert found == [], f"constructor bypassed in src: {found}"
 
 
+def refutation_sites(source: str) -> tuple[list[str], list[str]]:
+    """Where ``source`` builds a refutation and where it catches one:
+    ``name:line`` of each ``TheoremCounterexample`` call and of each dict
+    with a ``"kind"`` key (a literal, or ``dict(kind=...)``), and
+    ``except:line`` of each handler that names ``TheoremCounterexample``."""
+
+    def name(node: ast.AST) -> str | None:
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    built, caught = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and name(node.func) == "TheoremCounterexample":
+            built.append(f"TheoremCounterexample:{node.lineno}")
+        elif isinstance(node, ast.Call) and name(node.func) == "dict" and any(kw.arg == "kind" for kw in node.keywords):
+            built.append(f"dict:{node.lineno}")
+        elif isinstance(node, ast.Dict) and any(isinstance(k, ast.Constant) and k.value == "kind" for k in node.keys):
+            built.append(f"kind:{node.lineno}")
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(name(t) == "TheoremCounterexample" for t in types):
+                caught.append(f"except:{node.lineno}")
+    by_line = lambda site: int(site.rsplit(":", 1)[1])  # noqa: E731
+    return sorted(built, key=by_line), sorted(caught, key=by_line)
+
+
+def test_refutation_sites_rule_sees_them():
+    source = textwrap.dedent("""
+        from . import errors
+        from .errors import TheoremCounterexample
+        def trial(check, ks):
+            records = []
+            for k in ks:
+                try:
+                    check(k)
+                except TheoremCounterexample as exc:
+                    records.append({"trial": 0, **exc.report})
+                if k > 9:
+                    records.append({"kind": "strong-closure", "k": k})
+                    records.append(dict(kind="k-chordal-closure"))
+                    raise errors.TheoremCounterexample("refuted", {})
+            try:
+                return records
+            except (ValueError, errors.TheoremCounterexample):
+                return []
+    """)
+    assert refutation_sites(source) == (
+        ["kind:12", "dict:13", "TheoremCounterexample:14"], ["except:9", "except:17"]
+    )
+
+
+def test_harness_builds_no_refutation():
+    # Each closure claim's check, in intervals, mca or chordal_power, raises
+    # its own record; the campaign's one trial loop catches it in one place
+    # and adds the trial index, so harness knows no record format.
+    built, caught = refutation_sites((SRC / "harness.py").read_text(encoding="utf-8"))
+    assert built == [], f"refutation built in harness.py: {built}"
+    assert len(caught) == 1, f"TheoremCounterexample caught in harness.py at {caught}"
+
+
 def payload_writes(source: str) -> list[str]:
     """``function:line`` of each place outside ``dispatch`` that refers to
     ``sys.stdout`` or calls ``write_text``, and of each ``print`` anywhere
