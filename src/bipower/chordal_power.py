@@ -17,6 +17,7 @@ from .core import (
     Side,
     VertexId,
     _bfs_layers,
+    _read_json,
     _require_odd_k,
     bipartite_power,
     find_chordless_cycle,
@@ -170,23 +171,29 @@ def lift_chordless_cycle(g: BipartiteGraph, k: int, cert: CycleCertificate) -> L
     n2 = len(cert.vertices)
     if n2 < 6:
         raise InputError(f"lift needs a cycle of length >= 6, got {n2}")
-    return _lift_classified(g, k, cert, classify_cycle_edges(g, k, cert), bipartite_power(g, k))
-
-
-def _lift_classified(
-    g: BipartiteGraph,
-    k: int,
-    cert: CycleCertificate,
-    classification: CycleClassification,
-    power_k: BipartiteGraph,
-) -> LiftResult:
-    """``lift_chordless_cycle`` given the cycle's classification and the
-    k-power, for callers that hold both already."""
-    pure_high = classification.k2 == 0 and classification.k3 == 0
-    if k == 1 and not pure_high:
+    classification = classify_cycle_edges(g, k, cert)
+    if not _lift_applies(classification):
         raise InputError("k = 1 lifts are supported only when every cycle edge has distance k + 2")
+    lift = _lift(k, cert, classification, bipartite_power(g, k))
+    if lift is None:
+        raise TheoremCounterexample(
+            f"power at k={k} is chordal bipartite although the (k+2)-power is not",
+            {"kind": "cycle-lift", "k": k, "graph": graph_to_json(g), "cycle": cycle_json(g, cert)},
+        )
+    return lift
 
-    n2 = len(cert.vertices)
+
+def _lift_applies(classification: CycleClassification) -> bool:
+    """A lift to k = 1 needs every cycle edge at distance 3: the k-power is
+    then the graph itself, and only high edges have a detour in it."""
+    return classification.k >= 3 or (classification.k2 == 0 and classification.k3 == 0)
+
+
+def _lift(
+    k: int, cert: CycleCertificate, classification: CycleClassification, power_k: BipartiteGraph
+) -> LiftResult | None:
+    """The lift of ``cert`` given its classification and the k-power, or
+    None when the k-power has no chordless cycle of length >= 6."""
     anomaly = False
     if classification.k3 == 0:
         walk: list[VertexId] = []
@@ -200,27 +207,16 @@ def _lift_classified(
                 walk.append(witness[-3])
                 walk.append(witness[-2])
         lifted = CycleCertificate(tuple(walk), k)
-        n = n2 // 2
-        predicted = 2 * (3 * n - classification.k2)
+        predicted = 2 * (3 * (len(cert.vertices) // 2) - classification.k2)
         if len(walk) != predicted:
             raise AssertionError(f"lifted walk has {len(walk)} vertices, predicted 2(3n - m) = {predicted}")
         if verify_chordless(power_k, lifted):
-            method = LiftMethod.CASE1 if pure_high else LiftMethod.CASE2
+            method = LiftMethod.CASE1 if classification.k2 == 0 else LiftMethod.CASE2
             return LiftResult(lifted, method, predicted)
         anomaly = True  # constructed walk had a repeat or a chord
 
     found = find_chordless_cycle(power_k, 6)
-    if found is None:
-        raise TheoremCounterexample(
-            f"power at k={k} is chordal bipartite although the (k+2)-power is not",
-            {
-                "kind": "cycle-lift",
-                "k": k,
-                "graph": graph_to_json(g),
-                "cycle": cycle_json(g, cert),
-            },
-        )
-    return LiftResult(found.with_host_power(k), LiftMethod.FALLBACK, None, anomaly)
+    return None if found is None else LiftResult(found.with_host_power(k), LiftMethod.FALLBACK, None, anomaly)
 
 
 @dataclass(frozen=True)
@@ -251,7 +247,6 @@ def strongly_closed_check(g: BipartiteGraph, k: int) -> StrongClosureReport:
     contrapositive; lifting is skipped as inapplicable at k = 1 when the
     cycle mixes edge classes.
     """
-    _require_odd_k(k)
     power_k = bipartite_power(g, k)
     base_chordal, base_raw = is_chordal_bipartite(power_k)
     base_cycle = base_raw.with_host_power(k) if base_raw is not None else None
@@ -263,13 +258,10 @@ def strongly_closed_check(g: BipartiteGraph, k: int) -> StrongClosureReport:
     next_cycle = next_raw.with_host_power(k + 2) if next_raw is not None else None
     if next_cycle is not None:
         classification = classify_cycle_edges(g, k, next_cycle)
-        lift_applicable = k >= 3 or (classification.k2 == 0 and classification.k3 == 0)
+        lift_applicable = _lift_applies(classification)
         if lift_applicable:
-            try:
-                lift = _lift_classified(g, k, next_cycle, classification, power_k)
-            except TheoremCounterexample:
-                # The k-power has no chordless cycle: the refutation above.
-                lift = None
+            # None: the k-power has no chordless cycle, the refutation above.
+            lift = _lift(k, next_cycle, classification, power_k)
             if lift is not None and base_chordal:
                 raise AssertionError("lift produced a cycle in a chordal power")
     return StrongClosureReport(
@@ -314,10 +306,7 @@ def cycle_json(g: BipartiteGraph, cert: CycleCertificate) -> str:
 
 
 def cycle_from_json(g: BipartiteGraph, text: str) -> CycleCertificate:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"cycle JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    obj = _read_json(text, "cycle")
     if not isinstance(obj, dict) or "k" not in obj or "cycle" not in obj:
         raise InputError('cycle JSON must be an object with keys "k" and "cycle"')
     if not isinstance(obj["cycle"], list):

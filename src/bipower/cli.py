@@ -32,7 +32,8 @@ _THEOREMS = ["t3", "t4", "t5", "kchordal"]
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # Decoded as it is: reading as text would turn a lone CR into a line break.
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 

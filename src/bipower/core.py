@@ -225,8 +225,23 @@ def _read_int(token: str, signed: bool = False) -> int | None:
     """The integer that ``token`` spells in the one decimal form the line
     formats write, else None: ASCII digits with no leading zero, after a
     ``-`` only where ``signed`` and never before ``0``.  No sign ``+``, no
-    ``_``, no blank and no digit of another script is read."""
-    return int(token) if re.fullmatch("0|-?[1-9][0-9]*" if signed else "0|[1-9][0-9]*", token) else None
+    ``_``, no blank, no digit of another script and no number longer than
+    ``int`` reads (``sys.get_int_max_str_digits()``) is read."""
+    try:
+        return int(token) if re.fullmatch("0|-?[1-9][0-9]*" if signed else "0|[1-9][0-9]*", token) else None
+    except ValueError:
+        return None
+
+
+def _text_lines(text: str) -> list[tuple[int, str | None]]:
+    """The lines of a text in a line format, numbered from 1, each blank one
+    as None.  A line ends at ``\\n`` alone, or at ``\\r\\n``, and it is blank
+    when it holds nothing but ASCII spaces and tabs; no other character
+    breaks a line or reads as blank."""
+    lines = re.split("\r?\n", text)
+    if lines[-1] == "":
+        lines.pop()
+    return [(no, None if re.fullmatch("[ \t]*", ln) else ln) for no, ln in enumerate(lines, start=1)]
 
 
 def _graph_from_rows(
@@ -636,11 +651,34 @@ def graph_to_json(g: BipartiteGraph) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def graph_from_json(text: str) -> BipartiteGraph:
+def _read_json(text: str, kind: str) -> object:
+    """The value a JSON text holds, for the ``kind`` of file it is.  Every
+    way the text can fail to be read is one InputError line naming the
+    kind: a syntax error, a key repeated in one object (which would
+    otherwise keep its last value silently), an integer longer than
+    ``int`` reads, and nesting deeper than the parser's recursion."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"{kind} JSON repeats the key {json.dumps(key)} in one object")
+            obj[key] = value
+        return obj
+
     try:
-        obj = json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise InputError(f"graph JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise InputError(f"{kind} JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:
+        # json.loads reads every number it meets; int refuses one over its digit limit.
+        raise InputError(f"{kind} JSON holds an integer with more digits than can be read") from None
+    except RecursionError:
+        raise InputError(f"{kind} JSON is nested too deeply to read") from None
+
+
+def graph_from_json(text: str) -> BipartiteGraph:
+    obj = _read_json(text, "graph")
     if not isinstance(obj, dict) or not {"x", "y", "edges"} <= set(obj):
         raise InputError('graph JSON must be an object with keys "x", "y", "edges"')
     x_labels = obj["x"]
@@ -651,8 +689,6 @@ def graph_from_json(text: str) -> BipartiteGraph:
         raise InputError("vertex labels must be strings")
     x_index = {s: i for i, s in enumerate(x_labels)}
     y_index = {s: j for j, s in enumerate(y_labels)}
-    if len(x_index) != len(x_labels) or len(y_index) != len(y_labels):
-        raise InputError("labels must be unique per side")
     edges = []
     for pair in obj["edges"]:
         if not (isinstance(pair, list) and len(pair) == 2):

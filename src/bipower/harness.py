@@ -24,6 +24,7 @@ from .core import (
     Side,
     VertexId,
     _graph_from_rows,
+    _read_json,
     bipartite_power,
     build_graph,
     is_connected,
@@ -334,10 +335,7 @@ def campaign_from_json(text: str) -> Campaign:
     """The campaign a JSON file describes: the fields of ``Campaign``, with
     ``bounds`` holding those of ``Bounds``; a key left out takes the
     field's default."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"campaign JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    obj = _read_json(text, "campaign")
     if not isinstance(obj, dict):
         raise InputError("campaign JSON must be an object")
     _refuse_unknown_keys(obj, Campaign, "campaign JSON")

@@ -32,6 +32,7 @@ from .core import (
     _iter_bits,
     _read_int,
     _require_odd_k,
+    _text_lines,
     _union,
     bipartite_power,
     graph_to_json,
@@ -269,7 +270,8 @@ def random_interval_representation(seed: int, nx: int, ny: int, span: int) -> In
 # One line per vertex: side <TAB> label <TAB> left <TAB> right, side in {X, Y},
 # integers in ASCII decimal, 0 or -?[1-9][0-9]* (``core._read_int``).  Line
 # order defines index order per side.  Lines starting with '#' are comments
-# and, like blank lines, are skipped.
+# and, like blank lines, are skipped.  A line ends at LF or CRLF, and a
+# blank line holds ASCII spaces and tabs alone (``core._text_lines``).
 
 
 def parse_intervals_tsv(text: str) -> tuple[IntervalRepresentation, tuple[str, ...], tuple[str, ...]]:
@@ -278,8 +280,8 @@ def parse_intervals_tsv(text: str) -> tuple[IntervalRepresentation, tuple[str, .
     intervals: dict[str, list[Interval]] = {"X": [], "Y": []}
     labels: dict[str, list[str]] = {"X": [], "Y": []}
     side_of: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#") or not raw.strip():
+    for lineno, raw in _text_lines(text):
+        if raw is None or raw.startswith("#"):
             continue
         parts = raw.split("\t")
         if len(parts) != 4:

@@ -40,7 +40,7 @@ from itertools import chain, compress
 from operator import or_
 from typing import Iterable, Sequence
 
-from .core import BipartiteGraph, _graph_from_rows, _read_int, _union, bipartite_power
+from .core import BipartiteGraph, _graph_from_rows, _read_int, _text_lines, _union, bipartite_power
 from .errors import InputError, TheoremCounterexample
 
 
@@ -464,8 +464,9 @@ def _check_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> None
 # writing, but a matrix with no row always lists its columns.  Blank lines
 # are skipped elsewhere, but with m = 0 the n entry rows are blank lines,
 # and the text must hold them; so the header alone never sets the size of
-# what is built.  Messages cite a line by its number in the text, blank
-# lines counted.
+# what is built.  A line ends at LF or CRLF, and a blank line holds ASCII
+# spaces and tabs alone (``core._text_lines``).  Messages cite a line by its
+# number in the text, blank lines counted.
 
 
 def matrix_text(mat: ArrangedMatrix) -> str:
@@ -480,8 +481,8 @@ def matrix_text(mat: ArrangedMatrix) -> str:
 
 
 def parse_matrix(text: str) -> ArrangedMatrix:
-    raw = text.splitlines()
-    lines = [(no, ln) for no, ln in enumerate(raw, start=1) if ln.strip()]
+    raw = _text_lines(text)
+    lines = [(no, ln) for no, ln in raw if ln is not None]
     if not lines:
         raise InputError("matrix text is empty")
     (head_no, head), *body = lines
@@ -493,8 +494,7 @@ def parse_matrix(text: str) -> ArrangedMatrix:
     if not m:
         # With no column the n entry rows are the blank lines after the
         # header, which the filter above dropped; the text must still hold them.
-        after = enumerate(raw[head_no:], start=head_no + 1)
-        rows, trailers = [(no, "") for no, ln in after if not ln.strip()], body
+        rows, trailers = [(no, "") for no, ln in raw[head_no:] if ln is None], body
     if len(rows) < n:
         raise InputError(f"matrix text: expected {n} entry rows, found {len(rows)}")
     entries = []

@@ -459,6 +459,53 @@ class TestStronglyClosedCheck:
         assert report.lift == bp.lift_chordless_cycle(g, 3, report.next_cycle)
 
 
+class TestPlantedCycleLiftRefutation:
+    """A planted fault at the lift's fallback: the chordless-cycle search
+    answers None on the 3-power of a subdivided cycle whose low edge sends
+    the lift to that search.  ``lift-cycle`` must then print the cycle-lift
+    record with exit 3, the record must replay through the same verb, and
+    ``strongly_closed_check`` must count the refutation without raising;
+    without the plant the lift succeeds."""
+
+    SEGMENTS = [1, 5, 5, 5, 5, 5]
+
+    def plant(self, monkeypatch, g: bp.BipartiteGraph) -> None:
+        power, search = bp.bipartite_power(g, 3), chordal_power.find_chordless_cycle
+        # Equal, not identical: a replay builds the 3-power anew from JSON.
+        monkeypatch.setattr(chordal_power, "find_chordless_cycle", lambda h, n: None if h == power else search(h, n))
+
+    def test_lift_cycle_prints_the_record_and_it_replays(self, monkeypatch, capsys, tmp_path):
+        g, corners = bp.gen_subdivided_cycle(self.SEGMENTS)
+        (tmp_path / "g.json").write_text(bp.graph_to_json(g))
+        (tmp_path / "c.json").write_text(cycle_json(g, corners))
+        argv = ["lift-cycle", "-k", "3", str(tmp_path / "g.json"), str(tmp_path / "c.json")]
+        self.plant(monkeypatch, g)
+        assert cli.dispatch(argv) == cli.EXIT_COUNTEREXAMPLE
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert record == {"kind": "cycle-lift", "k": 3, "graph": bp.graph_to_json(g), "cycle": cycle_json(g, corners)}
+        assert err == "counterexample: power at k=3 is chordal bipartite although the (k+2)-power is not\n"
+
+        (tmp_path / "rg.json").write_text(record["graph"])
+        (tmp_path / "rc.json").write_text(record["cycle"])
+        replay = ["lift-cycle", "-k", str(record["k"]), str(tmp_path / "rg.json"), str(tmp_path / "rc.json")]
+        assert cli.dispatch(replay) == cli.EXIT_COUNTEREXAMPLE
+        assert json.loads(capsys.readouterr().out) == record
+
+        monkeypatch.undo()
+        assert cli.dispatch(replay) == cli.EXIT_OK
+        lifted = json.loads(capsys.readouterr().out)
+        assert lifted["method"] == LiftMethod.FALLBACK.value and lifted["k"] == 3
+        assert bp.verify_chordless(bp.bipartite_power(g, 3), cycle_from_json(g, json.dumps(lifted)))
+
+    def test_strong_closure_check_counts_it_without_raising(self, monkeypatch):
+        g, _ = bp.gen_subdivided_cycle(self.SEGMENTS)
+        self.plant(monkeypatch, g)
+        report = bp.strongly_closed_check(g, 3)
+        assert report.base_chordal and not report.next_chordal
+        assert report.counterexample and report.lift_applicable and report.lift is None
+
+
 class TestCycleJson:
     def test_round_trip(self):
         g, corners = bp.gen_subdivided_cycle([3] * 6)

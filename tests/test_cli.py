@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -279,6 +280,90 @@ class TestExitCodes:
         code, out, err = run(capsys, "fuzz", *argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and word in err
+
+    # What json.loads would keep silently (a repeated key keeps its last
+    # value) or crash on (int's digit limit, the parser's recursion).
+    @pytest.mark.parametrize("fault", ["repeated", "long", "deep"])
+    @pytest.mark.parametrize("kind", ["graph", "cycle", "campaign"])
+    def test_unreadable_json_is_exit_2(self, files, capsys, kind, fault):
+        valid, key, argv = {
+            "graph": ('{"x": ["a"], "y": ["b"], "edges": [["a", "b"]]', "edges", ["power", "-k", "3"]),
+            "cycle": (files["corners"].read_text().rstrip()[:-1], "k", ["lift-cycle", "-k", "1", str(files["c18"])]),
+            "campaign": ('{"theorem": "t5", "trials": 3', "trials", ["fuzz"]),
+        }[kind]
+        value, message = {
+            "repeated": ("[]" if key == "edges" else "2", f'repeats the key "{key}" in one object'),
+            "long": ("1" * (sys.get_int_max_str_digits() + 100), "holds an integer with more digits than can be read"),
+            "deep": ("[" * 100_000 + "]" * 100_000, "is nested too deeply to read"),
+        }[fault]
+        bad = files["tmp"] / f"{fault}-{kind}.json"
+        bad.write_text(f'{valid}, "{key if fault == "repeated" else "extra"}": {value}}}')
+        code, out, err = run(capsys, *argv, str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: {kind} JSON {message}\n"
+
+    def test_repeated_graph_label_is_exit_2(self, files, capsys):
+        graph = files["tmp"] / "repeated-label.json"
+        graph.write_text(json.dumps({"x": ["a", "a"], "y": ["b"], "edges": [["a", "b"]]}))
+        code, out, err = run(capsys, "power", "-k", "3", str(graph))
+        assert code == 2 and out == ""
+        assert err == "error: labels must be unique per side\n"
+
+    def test_integer_token_past_the_digit_limit_is_exit_2(self, files, capsys):
+        # The token is spelt right; int alone refuses it.
+        digits = "1" * (sys.get_int_max_str_digits() + 100)
+        header = files["tmp"] / "long-header.mat"
+        header.write_text(f"{digits} 1\n1\n")
+        trailer = files["tmp"] / "long-trailer.mat"
+        trailer.write_text(f"2 1\n1\n1\nrows: 0 {digits}\n")
+        for path, message in ((header, f" line 1: expected 'n m', got '{digits} 1'"),
+                              (trailer, f": trailer 'rows: 0 {digits}' must list integer indices")):
+            for verb in (["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]):
+                code, out, err = run(capsys, *verb, str(path))
+                assert code == 2 and out == ""
+                assert err == f"error: matrix text{message}\n"
+        tsv = files["tmp"] / "long-endpoint.tsv"
+        lines = files["intervals"].read_text().splitlines()
+        side, label, left, _ = lines[0].split("\t")
+        tsv.write_text("\n".join([f"{side}\t{label}\t{left}\t{digits}", *lines[1:]]) + "\n")
+        for verb in (["verify-intervals"], ["power-intervals", "-k", "3"]):
+            code, out, err = run(capsys, *verb, str(files["graph"]), str(tsv))
+            assert code == 2 and out == ""
+            assert err == "error: interval TSV line 1: endpoints must be integers\n"
+
+    # A line ends at LF or CRLF alone, and a blank line holds ASCII spaces
+    # and tabs alone; no other break or blank is read as one.
+    @pytest.mark.parametrize("text", [
+        "2 1\n\u3000\n1\n1\n",
+        "2 1\f1\n1\n",
+        "2 1\n1\u20281\n",
+        "2 1\r1\r1\r",
+        "2 1\n1\n1\n\u00a0\n",
+    ])
+    def test_other_line_break_or_blank_in_a_matrix_text_is_exit_2(self, files, capsys, text):
+        bad = files["tmp"] / "other-line.mat"
+        bad.write_bytes(text.encode())
+        for verb in (["mca-verify"], ["mca-find"], ["mca-power", "-k", "3"]):
+            code, out, err = run(capsys, *verb, str(bad))
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: matrix text")
+
+    @pytest.mark.parametrize("extra", ["\u00a0", "\u3000", "\x0b", "\u2028"])
+    def test_other_line_break_or_blank_in_an_interval_tsv_is_exit_2(self, files, capsys, extra):
+        lines = files["intervals"].read_text().splitlines()
+        bad = files["tmp"] / "other-line.tsv"
+        bad.write_bytes("\n".join([lines[0], extra, *lines[1:]]).encode() + b"\n")
+        for verb in (["verify-intervals"], ["power-intervals", "-k", "3"]):
+            code, out, err = run(capsys, *verb, str(files["graph"]), str(bad))
+            assert code == 2 and out == ""
+            assert err == "error: interval TSV line 2: expected 4 tab-separated fields, got 1\n"
+
+    def test_crlf_line_ends_read_as_lf(self, files, capsys):
+        for verb, name in ((["mca-verify"], "matrix"), (["verify-intervals", str(files["graph"])], "intervals")):
+            expected = run(capsys, *verb, str(files[name]))
+            crlf = files["tmp"] / f"crlf-{name}"
+            crlf.write_bytes(files[name].read_bytes().replace(b"\n", b"\r\n"))
+            assert run(capsys, *verb, str(crlf)) == expected and expected[0] == 0
 
     def test_internal_defect_is_exit_4(self, files, capsys, monkeypatch):
         # A defect in bipower itself must not read as "property fails" (1).

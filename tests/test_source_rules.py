@@ -188,6 +188,96 @@ def test_harness_builds_no_refutation():
     assert len(caught) == 1, f"TheoremCounterexample caught in harness.py at {caught}"
 
 
+def refutation_handlers(source: str) -> list[str]:
+    """``function:line`` of each handler that names ``TheoremCounterexample``,
+    by the innermost function it sits in (``<module>`` outside any)."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(t, "id", getattr(t, "attr", None)) == "TheoremCounterexample" for t in types):
+                found.append(f"{owner}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_refutation_handlers_rule_sees_them():
+    source = textwrap.dedent("""
+        from . import errors
+        def check(g, k):
+            try:
+                lift = search(g, k)
+            except TheoremCounterexample:
+                lift = None
+            def replay():
+                try:
+                    return lift
+                except (ValueError, errors.TheoremCounterexample):
+                    return None
+            return replay
+        try:
+            check(None, 1)
+        except TheoremCounterexample as exc:
+            pass
+        except ValueError:
+            pass
+    """)
+    assert refutation_handlers(source) == ["check:6", "replay:11", "<module>:16"]
+
+
+def test_refutations_are_caught_by_the_trial_loop_and_dispatch_alone():
+    # A check raises its refutation and nothing on the way catches it: the
+    # campaign's trial loop records it, and dispatch prints it with exit 3.
+    found = [
+        f"{path.stem}.{site.rsplit(':', 1)[0]}"
+        for path in sorted(SRC.glob("*.py"))
+        for site in refutation_handlers(path.read_text(encoding="utf-8"))
+    ]
+    assert found == ["cli.dispatch", "harness._trial"]
+
+
+def json_reads(source: str) -> list[str]:
+    """``json.loads:line`` of each reference to ``json.loads``, and
+    ``import:line`` of each import of ``loads`` from ``json``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "loads"
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append((node.lineno, f"json.loads:{node.lineno}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" and any(a.name == "loads" for a in node.names):
+            found.append((node.lineno, f"import:{node.lineno}"))
+    return [site for _, site in sorted(found)]
+
+
+def test_json_reads_rule_sees_them():
+    source = textwrap.dedent("""
+        import json
+        from json import dumps, loads
+        def read(text):
+            return json.loads(text)
+        def read_again(text):
+            return loads(text) or json.loads(text, object_pairs_hook=dict)
+    """)
+    assert json_reads(source) == ["import:3", "json.loads:5", "json.loads:7"]
+
+
+def test_one_json_reader_in_src():
+    # Graph, cycle and campaign files are read by core._read_json alone, so
+    # each refuses a repeated key, an over-long number and deep nesting alike.
+    found = [
+        f"{path.name}:{site}"
+        for path in sorted(SRC.glob("*.py"))
+        for site in json_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert len(found) == 1 and found[0].startswith("core.py:json.loads:"), found
+
+
 def payload_writes(source: str) -> list[str]:
     """``function:line`` of each place outside ``dispatch`` that refers to
     ``sys.stdout`` or calls ``write_text``, and of each ``print`` anywhere
