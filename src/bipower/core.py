@@ -8,7 +8,10 @@ A graph keeps what it derives: its odd powers, each grown once from the one
 below and returned as the same object on every later request, its Γ
 verdict, and its answer to each chordless-cycle query.  Distances from one
 source come from one breadth-first search over the bitsets; no all-pairs
-table is kept.
+table is kept.  The Γ verdict and the chordless-cycle search read only the
+graph's twin-free core, one vertex per class of twins: the first cycle a
+search of the whole graph finds passes through the lowest member of each
+class it meets, so the core's first cycle, mapped back, is that cycle.
 """
 
 from __future__ import annotations
@@ -126,14 +129,22 @@ class BipartiteGraph:
         return grown[min(k // 2, len(grown) - 1)]
 
     @cached_property
-    def _ordering(self) -> tuple[list[int], list[int], list[int]]:
+    def _ordering(self) -> _Ordering:
         """This graph's doubly lexical ordering on its twin-free core, built
-        once by ``_twin_free_ordering``: the row classes and the column
-        classes in display order, as bitsets of X and of Y indices, and the
-        core's shown rows.  Twins, vertices with equal neighbourhoods, are
-        never the two rows or the two columns of one Γ, so the Γ decision
-        and every block scan of the cycle search read the core alone."""
+        once by ``_twin_free_ordering``.  Twins, vertices with equal
+        neighbourhoods, are never the two rows or the two columns of one Γ,
+        so the Γ decision and every block scan of the cycle search read the
+        core alone."""
         return _twin_free_ordering(self.x_adj, self.y_count)
+
+    @cached_property
+    def _core_adj(self) -> list[int]:
+        """The twin-free core's adjacency over its own global ids: core X
+        vertex a is the a-th row class by lowest member, and core Y vertex b
+        is the number of row classes plus b.  Read from the core's '0'/'1'
+        rows when a search first needs it; both sides must have vertices."""
+        x_strs = self._ordering[5]
+        return [int(s[::-1], 2) << len(x_strs) for s in x_strs] + [int("".join(c)[::-1], 2) for c in zip(*x_strs)]
 
     @cached_property
     def _is_gamma_free(self) -> bool:
@@ -343,7 +354,12 @@ class CycleCertificate:
         return CycleCertificate(self.vertices, k)
 
 
-def _twin_free_ordering(x_rows: Sequence[int], y_count: int) -> tuple[list[int], list[int], list[int]]:
+# Row classes, column classes, shown rows, row and column display orders,
+# core rows as strings: see ``_twin_free_ordering``.
+_Ordering = tuple[list[int], list[int], list[int], list[int], list[int], list[str]]
+
+
+def _twin_free_ordering(x_rows: Sequence[int], y_count: int) -> _Ordering:
     """A doubly lexical ordering of the matrix whose rows are the bitsets
     ``x_rows`` over ``y_count`` columns, built on its twin-free core.
 
@@ -356,9 +372,10 @@ def _twin_free_ordering(x_rows: Sequence[int], y_count: int) -> tuple[list[int],
     sorted).  Each sort can only increase the row-major reading of the
     core, and strictly does so whenever it moves something, so the loop
     ends, and its fixpoint is doubly lexical.  Returns the row classes and
-    the column classes in display order, as bitsets of X and of Y indices,
-    and the core's rows as shown, each a bitset whose high bit is the first
-    shown column class.
+    the column classes in core order, as bitsets of X and of Y indices; the
+    core's rows as shown, each a bitset whose high bit is the first shown
+    column; the display order of each side, as core indices; and the core's
+    rows as '0'/'1' strings over its columns, both in core order.
     """
     row_class: dict[int, int] = {}  # row bitset -> its class, a bitset of X indices
     for i, row in enumerate(x_rows):
@@ -370,11 +387,11 @@ def _twin_free_ordering(x_rows: Sequence[int], y_count: int) -> tuple[list[int],
             key = "".join(col)
             col_class[key] = col_class.get(key, 0) | 1 << j
     row_classes, col_classes = list(row_class.values()), list(col_class.values())
-    if not row_classes or not col_classes:  # no cell to sort by
-        return row_classes, col_classes, [0] * len(row_classes)
     y_strs = list(col_class)
     x_strs = ["".join(row) for row in zip(*y_strs)]
-    rows, cols = list(range(len(x_strs))), list(range(len(y_strs)))
+    rows, cols = list(range(len(row_classes))), list(range(len(col_classes)))
+    if not row_classes or not col_classes:  # no cell to sort by
+        return row_classes, col_classes, [0] * len(rows), rows, cols, x_strs
     cols_sorted = False  # whether cols were sorted under the current row order
     while True:
         pick = itemgetter(*cols)
@@ -392,7 +409,7 @@ def _twin_free_ordering(x_rows: Sequence[int], y_count: int) -> tuple[list[int],
             # The rows were just sorted under these very columns.
             break
         cols, cols_sorted = new_cols, True
-    return [row_classes[i] for i in rows], [col_classes[j] for j in cols], [int(row_key[i], 2) for i in rows]
+    return row_classes, col_classes, [int(row_key[i], 2) for i in rows], rows, cols, x_strs
 
 
 def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], list[int]]:
@@ -409,9 +426,9 @@ def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], li
     is the ordering that the same sorts give on the whole matrix.  Only
     tests call it; each call builds fresh lists.
     """
-    row_classes, col_classes, _ = g._ordering
-    rows = [i for cls in row_classes for i in _iter_bits(cls)]
-    cols = [j for cls in col_classes for j in _iter_bits(cls)]
+    row_classes, col_classes, _, row_order, col_order, _ = g._ordering
+    rows = [i for a in row_order for i in _iter_bits(row_classes[a])]
+    cols = [j for b in col_order for j in _iter_bits(col_classes[b])]
     shown = [sum(1 << (len(cols) - 1 - p) for p, j in enumerate(cols) if g.x_adj[i] >> j & 1) for i in rows]
     return rows, cols, shown
 
@@ -481,24 +498,19 @@ def _biconnected_blocks(adj: Sequence[int]) -> Iterator[int]:
 
 
 def _block_restriction(g: BipartiteGraph, block: int) -> list[int]:
-    """The core rows of ``g``'s doubly lexical ordering whose class meets
-    ``block``, in shown order, masked to the column classes that meet it.
-
-    Members of one class have equal rows, and equal columns, within any
-    block too; so this is the block's restriction of the whole ordering
-    with its twins dropped, and it has a Γ iff that restriction has one.
-    """
-    row_classes, col_classes, shown = g._ordering
-    y_bits = block >> g.x_count
-    top = len(col_classes) - 1
-    mask = sum(1 << (top - p) for p, cls in enumerate(col_classes) if cls & y_bits)
-    return [row & mask for cls, row in zip(row_classes, shown) if cls & block]
+    """The rows of ``g``'s doubly lexical ordering restricted to ``block``,
+    a set of core vertices: the shown core rows in it, masked to the shown
+    core columns in it."""
+    row_classes, _, shown, rows, cols, _ = g._ordering
+    y_block, top = block >> len(row_classes), len(cols) - 1
+    mask = sum(1 << (top - p) for p, b in enumerate(cols) if y_block >> b & 1)
+    return [row & mask for a, row in zip(rows, shown) if block >> a & 1]
 
 
 def _cycle_bearing_vertices(g: BipartiteGraph, min_length: int) -> int:
-    """Union, as a bitset over global ids, of the biconnected blocks that
-    have at least ``min_length`` vertices and whose restriction of ``g``'s
-    ordering has a Γ.
+    """Union, as a bitset over the core's global ids (``_core_adj``), of the
+    core's biconnected blocks that have at least ``min_length`` vertices
+    and whose restriction of ``g``'s ordering has a Γ.
 
     Every chordless cycle lies inside one block, and a chordal bipartite
     block has none of length 6 or more.  A matrix with any Γ-free ordering
@@ -510,10 +522,17 @@ def _cycle_bearing_vertices(g: BipartiteGraph, min_length: int) -> int:
     such a cycle bounds only how much searching is done.
     """
     kept = 0
-    for block in _biconnected_blocks(g.global_adj):
+    for block in _biconnected_blocks(g._core_adj):
         if block.bit_count() >= min_length and not _gamma_free(_block_restriction(g, block)):
             kept |= block
     return kept
+
+
+def _core_vertex(g: BipartiteGraph, u: int) -> VertexId:
+    """The vertex of ``g`` that core vertex ``u`` stands for: its class's lowest member."""
+    row_classes, col_classes = g._ordering[:2]
+    side, cls = (Side.X, row_classes[u]) if u < len(row_classes) else (Side.Y, col_classes[u - len(row_classes)])
+    return VertexId(side, (cls & -cls).bit_length() - 1)
 
 
 def find_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate | None:
@@ -530,6 +549,15 @@ def find_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate
     second vertices, and extensions are all taken in ascending global index
     and only indices above the start are used, which makes the result a
     deterministic function of the graph.
+
+    The search runs on the twin-free core (``_core_adj``), numbered in
+    order of each class's lowest member, and maps its cycle back through
+    those members: that is the cycle a search of the whole graph finds,
+    None included.  Two twins are never both on a chordless cycle of length
+    6 or more, as they would share its two neighbours of each, and swapping
+    two twins maps the graph onto itself; so a cycle through any other
+    member of a class becomes one through its lowest member, which the
+    whole-graph search reaches first.
 
     Two cuts remove only branches that cannot close, so the cycle found is
     the one the uncut search finds.  The search stays inside the biconnected
@@ -558,7 +586,7 @@ def _search_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertific
     """The search of ``find_chordless_cycle``, on a graph with a Γ and
     arguments it has checked: finding no cycle at length 6 is a defect."""
     live = _cycle_bearing_vertices(g, min_length)
-    adj = g.global_adj
+    adj = g._core_adj
 
     for v0 in _iter_bits(live):
         high_mask = live & (-1 << (v0 + 1))
@@ -575,7 +603,7 @@ def _search_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertific
                         # Closing edge exists: either report the cycle or abandon w,
                         # since extending past it would leave a chord back to the start.
                         if len(path) + 1 >= min_length:
-                            return CycleCertificate(tuple(g.vertex_of_global(u) for u in path + [w]), 1)
+                            return CycleCertificate(tuple(_core_vertex(g, u) for u in path + [w]), 1)
                         continue
                     # Enter w only if it can still reach a neighbour of the start.
                     allowed, frontier = high_mask & ~path_mask & ~interior_adj, 1 << w

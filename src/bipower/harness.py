@@ -8,7 +8,6 @@ campaign, whatever the parallelism.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
@@ -16,6 +15,12 @@ from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator, Sequence
+
+try:
+    # hashlib loads OpenSSL at import; the built-in blake2b is the same function.
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .chordal_power import _check_k_chordal_closure, _check_strong_closure
 from .core import (
@@ -188,7 +193,7 @@ class FuzzReport:
 
 
 def trial_seed(seed: int, index: int) -> int:
-    h = hashlib.blake2b(f"{seed}|{index}".encode(), digest_size=8)
+    h = blake2b(f"{seed}|{index}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
 
 

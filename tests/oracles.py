@@ -6,8 +6,9 @@ surface, so the fast implementations are checked against genuinely separate
 code paths.  The searches that fast paths replaced (the unconfined cycle
 search, the row-order backtracker), the all-pairs distance table, and the
 kernels of the chordal-bipartite decision (the integer-keyed ordering, the
-edge-scanning block search, a doubly lexical ordering per block) are kept
-here too, as references that the fast paths must match result for result.
+edge-scanning block search, a doubly lexical ordering per block), and the
+cycle search over the whole graph that the search over the twin-free core
+replaced are kept here too, as references that the fast paths must match result for result.
 So are the tuple-grid forms of the arrangement and interval power checks,
 which the bitset kernels replaced, and the pair-by-pair chordless-cycle
 check that the row-per-vertex one replaced.
@@ -19,7 +20,7 @@ from itertools import permutations
 from typing import Iterator, Sequence
 
 from bipower import BipartiteGraph, CycleCertificate, Side
-from bipower.core import bipartite_power, build_graph, graph_to_json
+from bipower.core import _biconnected_blocks, _gamma_free, _iter_bits, _union, bipartite_power, build_graph, graph_to_json
 from bipower.errors import CapacityError, InputError, TheoremCounterexample
 from bipower.intervals import Interval, IntervalRepresentation, intervals_tsv
 from bipower.mca import ArrangedMatrix, McaCertificate, matrix_text, verify_mca
@@ -301,6 +302,68 @@ def cycle_bearing_per_block(g: BipartiteGraph, min_length: int) -> int:
         if has_gamma(lex_keyed_ordering(rows, g.y_count)[2], g.y_count):
             kept |= block
     return kept
+
+
+def twin_free_core(g: BipartiteGraph) -> BipartiteGraph:
+    """The subgraph of ``g`` induced on the lowest member of each class of
+    twins (X vertices with equal rows, Y vertices with equal columns),
+    each side kept in index order: the graph over which
+    ``BipartiteGraph._core_adj`` holds the adjacency, rebuilt edge by edge."""
+    xs = [i for i in range(g.x_count) if g.x_adj[i] not in g.x_adj[:i]]
+    columns = [[g.has_edge(i, j) for i in range(g.x_count)] for j in range(g.y_count)]
+    ys = [j for j in range(g.y_count) if columns[j] not in columns[:j]]
+    edges = [(a, b) for a, i in enumerate(xs) for b, j in enumerate(ys) if g.has_edge(i, j)]
+    return build_graph(len(xs), len(ys), edges)
+
+
+def full_graph_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate | None:
+    """Reference for ``find_chordless_cycle``, which searches the graph's
+    twin-free core: the same search over every vertex of the graph, twins
+    included.  None for a graph whose whole doubly lexical ordering is
+    Γ-free; otherwise the biconnected blocks of the whole graph with at
+    least ``min_length`` vertices whose restriction of that ordering has a
+    Γ, searched by the same pruned depth-first search.  Both must return
+    the same certificate, None included."""
+    if min_length < 6 or min_length % 2:
+        raise InputError(f"min_length must be even and >= 6, got {min_length}")
+    rows, cols, shown = lex_keyed_ordering(g.x_adj, g.y_count)
+    if _gamma_free(shown):
+        return None
+    adj, nx, top = g.global_adj, g.x_count, len(cols) - 1
+    live = 0
+    for block in _biconnected_blocks(adj):
+        mask = sum(1 << (top - p) for p, j in enumerate(cols) if block >> (nx + j) & 1)
+        restriction = [row & mask for i, row in zip(rows, shown) if block >> i & 1]
+        if block.bit_count() >= min_length and not _gamma_free(restriction):
+            live |= block
+
+    for v0 in _iter_bits(live):
+        high_mask = live & (-1 << (v0 + 1))
+        start_adj = adj[v0]
+        for v1 in _iter_bits(start_adj & high_mask):
+            path, path_mask = [v0, v1], 1 << v0 | 1 << v1
+            frames = [(_iter_bits(adj[v1] & ~path_mask & high_mask), adj[v1])]
+            while frames:
+                cand, interior_adj = frames[-1]
+                for w in cand:
+                    if start_adj >> w & 1:
+                        if len(path) + 1 >= min_length:
+                            return CycleCertificate(tuple(g.vertex_of_global(u) for u in path + [w]), 1)
+                        continue
+                    allowed, frontier = high_mask & ~path_mask & ~interior_adj, 1 << w
+                    while frontier and not frontier & start_adj:
+                        frontier = _union(adj, frontier) & allowed
+                        allowed &= ~frontier
+                    if frontier:
+                        path.append(w)
+                        path_mask |= 1 << w
+                        ahead = adj[w] & ~path_mask & ~interior_adj & high_mask
+                        frames.append((_iter_bits(ahead), interior_adj | adj[w]))
+                        break
+                else:
+                    frames.pop()
+                    path_mask ^= 1 << path.pop()
+    return None
 
 
 def backtrack_mca(

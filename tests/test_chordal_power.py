@@ -148,14 +148,16 @@ class TestDoublyLexicalDecision:
 
     def test_no_builds_one_ordering(self, monkeypatch):
         # A chordal 26+26 band with a 12-cycle bridged on: 32+32.  Every
-        # block, the cycle's included, is scanned on its restriction of the
-        # whole graph's ordering; no block is ordered on its own.
+        # block of the twin-free core, the cycle's included, is scanned on
+        # its restriction of the whole graph's ordering; no block is ordered
+        # on its own.
         rng = random.Random(12)
         g = plant_cycle(band_graph(rng, 26, 6), 12, rng)
         assert g.vertex_count == 64
-        big = [b for b in core._biconnected_blocks(g.global_adj) if b.bit_count() >= 6]
+        big = [b for b in core._biconnected_blocks(g._core_adj) if b.bit_count() >= 6]
         gamma = [b for b in big if not core._gamma_free(core._block_restriction(g, b))]
         assert len(big) >= 2 and [b.bit_count() for b in gamma] == [12]
+        assert len(g._core_adj) < g.vertex_count
         built = []
         original = core._twin_free_ordering
 
@@ -167,6 +169,18 @@ class TestDoublyLexicalDecision:
         verdict = bp.is_chordal_bipartite(fresh_copy(g))
         assert not verdict.chordal and len(verdict.certificate) == 12
         assert built == [g.x_adj]
+
+    def test_no_builds_no_transpose(self):
+        # The decision and the search read the core's rows and columns from
+        # the ordering's strings; the whole graph's transpose is never built.
+        rng = random.Random(12)
+        graphs = [plant_cycle(band_graph(rng, 26, 6), 12, rng), cycle_graph(6)]
+        graphs += [bp.bipartite_power(band_with_extra_edges(random.Random(s), 128, 2), 3) for s in (1, 2)]
+        for g in map(fresh_copy, graphs):
+            verdict = bp.is_chordal_bipartite(g)
+            assert not verdict.chordal
+            assert "y_adj" not in g.__dict__ and "global_adj" not in g.__dict__
+            assert bp.verify_chordless(g, verdict.certificate)
 
     def test_decision_without_witness_is_a_defect(self, monkeypatch):
         # A search that keeps no block of a graph with a Γ finds no cycle.

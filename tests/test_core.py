@@ -24,6 +24,7 @@ from conftest import (
 from oracles import (
     cycle_bearing_per_block,
     distance_table,
+    full_graph_chordless_cycle,
     has_gamma,
     has_induced_cycle,
     induced_cycle_lengths,
@@ -31,6 +32,7 @@ from oracles import (
     pairwise_verify_chordless,
     path_distance,
     tarjan_blocks,
+    twin_free_core,
     unconfined_chordless_cycle,
 )
 
@@ -417,15 +419,16 @@ def disjoint_union(parts: list[bp.BipartiteGraph], glue: bool, rng: random.Rando
 
 
 class TestConfinedSearchMatchesUnconfined:
-    """``find_chordless_cycle`` searches only the blocks that are not chordal
-    bipartite; the certificate must be the unconfined search's, None too."""
+    """``find_chordless_cycle`` searches only the blocks of the twin-free
+    core that are not chordal bipartite; the certificate must be the
+    unconfined search's and the whole-graph search's, None too."""
 
     def test_every_4_plus_4_graph(self):
         found = dict.fromkeys((6, 8), 0)
         for g in bp.enumerate_bipartite(4, 4):
             for min_length in found:
                 cert = bp.find_chordless_cycle(g, min_length)
-                assert cert == unconfined_chordless_cycle(g, min_length)
+                assert cert == unconfined_chordless_cycle(g, min_length) == full_graph_chordless_cycle(g, min_length)
                 found[min_length] += cert is not None
         assert all(found.values())
 
@@ -436,7 +439,7 @@ class TestConfinedSearchMatchesUnconfined:
             g = bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 9), rng.randint(1, 9), rng.random())
             for min_length in found:
                 cert = bp.find_chordless_cycle(g, min_length)
-                assert cert == unconfined_chordless_cycle(g, min_length)
+                assert cert == unconfined_chordless_cycle(g, min_length) == full_graph_chordless_cycle(g, min_length)
                 found[min_length] += cert is not None
         # A chordless 12-cycle takes 6+6 of at most 9+9 vertices and is rare
         # here, so 12 checks the search's "none"; the banded volume finds them.
@@ -446,12 +449,12 @@ class TestConfinedSearchMatchesUnconfined:
         # An edge across a band closes long cycles, which the search must
         # tell from the many long paths that cannot close.
         rng = random.Random(1616)
-        found = dict.fromkeys((8, 10, 12), 0)
+        found = dict.fromkeys((6, 8, 10, 12), 0)
         for _ in range(200):
             g = band_with_extra_edges(rng, rng.randint(6, 16), rng.randint(1, 3))
             for min_length in found:
                 cert = bp.find_chordless_cycle(g, min_length)
-                assert cert == unconfined_chordless_cycle(g, min_length)
+                assert cert == unconfined_chordless_cycle(g, min_length) == full_graph_chordless_cycle(g, min_length)
                 found[min_length] += cert is not None
         assert all(found.values())
 
@@ -470,7 +473,9 @@ class TestConfinedSearchMatchesUnconfined:
             g = plant_cycle(power, length, rng, at)
             cert = bp.find_chordless_cycle(g, 6)
             assert cert is not None and len(cert) == length
-            assert cert == unconfined_chordless_cycle(g, 6)
+            for min_length in (6, 8, 10, 12):
+                cert = bp.find_chordless_cycle(g, min_length)
+                assert cert == unconfined_chordless_cycle(g, min_length) == full_graph_chordless_cycle(g, min_length)
 
     def test_blocks_sharing_a_cut_vertex(self):
         rng = random.Random(2)
@@ -478,8 +483,9 @@ class TestConfinedSearchMatchesUnconfined:
             parts = [cycle_graph(2 * rng.randint(3, 5)) for _ in range(2)]
             parts.insert(rng.randrange(3), bp.gen_random_bipartite(rng.getrandbits(63), 3, 3, rng.random()))
             g = disjoint_union(parts, True, rng)
-            for min_length in (6, 8):
-                assert bp.find_chordless_cycle(g, min_length) == unconfined_chordless_cycle(g, min_length)
+            for min_length in (6, 8, 10, 12):
+                cert = bp.find_chordless_cycle(g, min_length)
+                assert cert == unconfined_chordless_cycle(g, min_length) == full_graph_chordless_cycle(g, min_length)
 
     def test_disconnected_graphs(self):
         rng = random.Random(3)
@@ -490,10 +496,34 @@ class TestConfinedSearchMatchesUnconfined:
                 for _ in range(rng.randint(2, 3))
             ]
             g = disjoint_union(parts, False, rng)
-            cert = bp.find_chordless_cycle(g, 6)
-            assert cert == unconfined_chordless_cycle(g, 6)
-            found += cert is not None
+            for min_length in (6, 8, 10, 12):
+                cert = bp.find_chordless_cycle(g, min_length)
+                assert cert == unconfined_chordless_cycle(g, min_length) == full_graph_chordless_cycle(g, min_length)
+                found += cert is not None
         assert found > 0
+
+    def test_odd_powers_with_twins(self):
+        # Odd powers of bands and of interval bigraphs, each with a cycle
+        # bridged on before the power is taken, have many twins; the search
+        # over the core must find the whole-graph search's cycle, which
+        # passes through the lowest member of each class it meets.
+        rng = random.Random(2424)
+        found, none, twins = dict.fromkeys((6, 8, 10, 12), 0), 0, 0
+        for t in range(50):
+            n = rng.randint(8, 16)
+            if t % 2:
+                base = band_graph(rng, n, 6)
+            else:
+                base = bp.intervals_to_graph(bp.random_interval_representation(rng.getrandbits(32), n, n, 2 * n))
+            k = rng.choice((3, 5))
+            g = bp.bipartite_power(plant_cycle(base, rng.randrange(8, 4 * k + 14, 2), rng, rng.randrange(n + 1)), k)
+            twins += twin_free_core(g).vertex_count < g.vertex_count
+            for min_length in found:
+                cert = bp.find_chordless_cycle(g, min_length)
+                assert cert == full_graph_chordless_cycle(g, min_length)
+                found[min_length] += cert is not None
+                none += cert is None
+        assert all(found.values()) and none and twins == 50
 
     def test_chordal_graph_needs_no_search(self):
         g = bp.bipartite_power(band_graph(random.Random(5), 32, 6), 1)
@@ -546,6 +576,19 @@ class TestSearchIsPolynomial:
         elapsed = time.perf_counter() - start
         assert cert is not None and len(cert) >= min_length and bp.verify_chordless(g, cert)
         assert elapsed < 0.5, f"took {elapsed:.2f}s"
+
+
+    @pytest.mark.parametrize("seed, n, count", [(1024, 40, 2), (1108, 39, 3), (1099, 39, 3)])
+    def test_long_threshold_on_a_band_power_within_budget(self, seed, n, count):
+        # A "no" at length 12 rules out every induced path of up to 11
+        # vertices that could still close; the whole-graph search took 7 to
+        # 28 s on these 3-powers, most of its paths running through twins.
+        g = bp.bipartite_power(band_with_extra_edges(random.Random(seed), n, count), 3)
+        start = time.perf_counter()
+        cert = bp.find_chordless_cycle(g, 12)
+        elapsed = time.perf_counter() - start
+        assert cert is None
+        assert elapsed < 1, f"took {elapsed:.2f}s"
 
 
 def seeded_block_graphs(rng: random.Random, count: int, side: int) -> list[bp.BipartiteGraph]:
@@ -605,7 +648,7 @@ class TestOrderingMatchesIntegerKeys:
             row_kind = [rng.randrange(len(base)) for _ in range(n)]
             col_kind = [rng.randrange(kinds) for _ in range(m)]
             rows = [sum(1 << j for j in range(m) if base[row_kind[i]][col_kind[j]]) for i in range(n)]
-            row_classes, col_classes, _ = core._graph_from_rows(rows, m)._ordering
+            row_classes, col_classes = core._graph_from_rows(rows, m)._ordering[:2]
             twins += len(row_classes) < n and len(col_classes) < m
             assert self.ordering(rows, m) == lex_keyed_ordering(rows, m)
         assert twins > 1000
@@ -651,21 +694,26 @@ class TestBlocksMatchHopcroftTarjan:
 
 
 class TestRestrictionScan:
-    """``_cycle_bearing_vertices`` keeps each block whose restriction of
-    the graph's ordering has a Γ.  That is a superset of the blocks that are
-    not chordal bipartite; these volumes check that it keeps no more than
-    deciding every block on its own ordering keeps."""
+    """``_cycle_bearing_vertices`` keeps each block of the twin-free core
+    whose restriction of the graph's ordering has a Γ.  That is a superset
+    of the blocks that are not chordal bipartite; these volumes check that
+    it keeps no more than deciding every block of the core on its own
+    ordering keeps."""
 
     def test_every_4_plus_4_graph(self):
         for g in bp.enumerate_bipartite(4, 4):
+            core_graph = twin_free_core(g)
+            assert g._core_adj == list(core_graph.global_adj)
             for min_length in (6, 8):
-                assert core._cycle_bearing_vertices(g, min_length) == cycle_bearing_per_block(g, min_length)
+                assert core._cycle_bearing_vertices(g, min_length) == cycle_bearing_per_block(core_graph, min_length)
 
     def test_seeded_volume_up_to_14_plus_14(self):
         kept = 0
         for g in seeded_block_graphs(random.Random(1400), 450, 14):
+            core_graph = twin_free_core(g)
+            assert not (g.x_count and g.y_count) or g._core_adj == list(core_graph.global_adj)
             for min_length in (6, 8):
-                want = cycle_bearing_per_block(g, min_length)
+                want = cycle_bearing_per_block(core_graph, min_length)
                 assert core._cycle_bearing_vertices(g, min_length) == want
                 kept += want != 0
         assert kept > 0
@@ -675,16 +723,17 @@ class TestRestrictionScan:
         graphs = list(bp.enumerate_bipartite(3, 4)) + seeded_block_graphs(rng, 300, 6)
         cleared = kept = 0
         for g in graphs:
-            nx = g.x_count
-            for block in tarjan_blocks(g.global_adj):
+            core_graph = twin_free_core(g)
+            nx = core_graph.x_count
+            for block in tarjan_blocks(core_graph.global_adj):
                 if block.bit_count() < 6:
                     continue
                 if has_gamma(core._block_restriction(g, block), len(g._ordering[1])):
                     kept += 1
                     continue
                 xs = [i for i in range(nx) if block >> i & 1]
-                ys = [j for j in range(g.y_count) if block >> (nx + j) & 1]
-                edges = [(a, b) for a, i in enumerate(xs) for b, j in enumerate(ys) if g.has_edge(i, j)]
+                ys = [j for j in range(core_graph.y_count) if block >> (nx + j) & 1]
+                edges = [(a, b) for a, i in enumerate(xs) for b, j in enumerate(ys) if core_graph.has_edge(i, j)]
                 assert max(induced_cycle_lengths(bp.build_graph(len(xs), len(ys), edges)), default=0) < 6
                 cleared += 1
         assert cleared > 0 and kept > 0

@@ -366,6 +366,16 @@ def test_cli_import_leaves_out_the_process_pool():
     assert proc.stdout.split() == []
 
 
+def test_harness_import_leaves_out_openssl():
+    # Trial seeds hash with blake2b, which the interpreter has built in;
+    # importing hashlib would load OpenSSL into every fuzz and gen call.
+    script = "import sys\nimport bipower.harness\nprint('_hashlib' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def bipower_modules(code: str, *argv: str, cwd: Path | None = None) -> tuple[int, list[str]]:
     """Run ``python -c CODE ARGV`` in a fresh interpreter and return its exit
     code and the ``bipower`` submodules loaded when CODE is done."""
