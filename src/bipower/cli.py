@@ -246,10 +246,23 @@ def _cmd_mca_power(args) -> tuple[int, str]:
     return EXIT_OK, _matrix_payload(powered, args.format)
 
 
+def _load_cycle(args, g: core.BipartiteGraph) -> core.CycleCertificate:
+    """The cycle file's certificate, for a verb that reads it as a cycle of
+    the (-k + 2)-power: a file that names another power is an input error.
+    An even or non-positive -k is left to the verb, whose message names it."""
+    from . import chordal_power
+    cert = chordal_power.cycle_from_json(g, _read(args.cycle))
+    if args.k >= 1 and args.k % 2 and cert.host_power != args.k + 2:
+        raise InputError(
+            f'cycle JSON "k" is {cert.host_power}, but -k {args.k} reads a cycle of the {args.k + 2}-power'
+        )
+    return cert
+
+
 def _cmd_classify_cycle(args) -> tuple[int, str]:
     from . import chordal_power
     g = _load_graph(args.graph)
-    cert = chordal_power.cycle_from_json(g, _read(args.cycle))
+    cert = _load_cycle(args, g)
     cls = chordal_power.classify_cycle_edges(g, args.k, cert)
     verts = cert.vertices
     obj = {
@@ -273,7 +286,7 @@ def _cmd_classify_cycle(args) -> tuple[int, str]:
 def _cmd_lift_cycle(args) -> tuple[int, str]:
     from . import chordal_power
     g = _load_graph(args.graph)
-    cert = chordal_power.cycle_from_json(g, _read(args.cycle))
+    cert = _load_cycle(args, g)
     result = chordal_power.lift_chordless_cycle(g, args.k, cert)
     return EXIT_OK, chordal_power.lift_json(g, result)
 

@@ -22,7 +22,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import InputError
@@ -142,9 +141,13 @@ class BipartiteGraph:
         """The twin-free core's adjacency over its own global ids: core X
         vertex a is the a-th row class by lowest member, and core Y vertex b
         is the number of row classes plus b.  Read from the core's '0'/'1'
-        rows when a search first needs it; both sides must have vertices."""
+        and columns when a search first needs it; empty when a side has no
+        vertex, as the core then has no edge."""
         x_strs = self._ordering[5]
-        return [int(s[::-1], 2) << len(x_strs) for s in x_strs] + [int("".join(c)[::-1], 2) for c in zip(*x_strs)]
+        joined, width = "".join(x_strs), len(x_strs[0]) if x_strs else 0
+        return [int(s[::-1], 2) << len(x_strs) for s in x_strs] + [
+            int(joined[b::width][::-1], 2) for b in range(width)
+        ]
 
     @cached_property
     def _is_gamma_free(self) -> bool:
@@ -369,46 +372,53 @@ def _twin_free_ordering(x_rows: Sequence[int], y_count: int) -> _Ordering:
     columns are held once as '0'/'1' strings and stably sorted in turn,
     each keyed by its string read in the other side's display order, until
     a sort moves nothing (a row sort only once the columns have been
-    sorted).  Each sort can only increase the row-major reading of the
-    core, and strictly does so whenever it moves something, so the loop
-    ends, and its fixpoint is doubly lexical.  Returns the row classes and
-    the column classes in core order, as bitsets of X and of Y indices; the
-    core's rows as shown, each a bitset whose high bit is the first shown
-    column; the display order of each side, as core indices; and the core's
-    rows as '0'/'1' strings over its columns, both in core order.
+    sorted).  A pass joins the other side's strings once, in display order,
+    and takes each key as a slice of that one string, strided by the other
+    side's count; the column classes and the core's rows are read the same
+    way.  Each sort can only increase the row-major reading of the core,
+    and strictly does so whenever it moves something, so the loop ends, and
+    its fixpoint is doubly lexical.  Returns the row classes and the column
+    classes in core order, as bitsets of X and of Y indices; the core's rows
+    as shown, each a bitset whose high bit is the first shown column; the
+    display order of each side, as core indices; and the core's rows as
+    '0'/'1' strings over its columns, both in core order.
     """
     row_class: dict[int, int] = {}  # row bitset -> its class, a bitset of X indices
     for i, row in enumerate(x_rows):
         row_class[row] = row_class.get(row, 0) | 1 << i
     col_class: dict[str, int] = {}  # column over the core's rows -> its class
     if y_count:
-        distinct = [format(row, f"0{y_count}b")[::-1] for row in row_class]
-        for j, col in enumerate(zip(*distinct) if distinct else [()] * y_count):
-            key = "".join(col)
-            col_class[key] = col_class.get(key, 0) | 1 << j
+        spec = f"0{y_count}b"
+        joined = "".join([format(row, spec)[::-1] for row in row_class])
+        for j in range(y_count):
+            col = joined[j::y_count]
+            col_class[col] = col_class.get(col, 0) | 1 << j
     row_classes, col_classes = list(row_class.values()), list(col_class.values())
-    y_strs = list(col_class)
-    x_strs = ["".join(row) for row in zip(*y_strs)]
     rows, cols = list(range(len(row_classes))), list(range(len(col_classes)))
     if not row_classes or not col_classes:  # no cell to sort by
-        return row_classes, col_classes, [0] * len(rows), rows, cols, x_strs
+        return row_classes, col_classes, [0] * len(rows), rows, cols, []
+    y_strs = list(col_class)
+    height, width = len(rows), len(cols)
+    joined = "".join(y_strs)
+    # The core's rows are the row keys under the columns' first order.
+    x_strs = row_key = [joined[a::height] for a in range(height)]
     cols_sorted = False  # whether cols were sorted under the current row order
     while True:
-        pick = itemgetter(*cols)
-        row_key = ["".join(pick(s)) for s in x_strs]
         new_rows = sorted(rows, key=row_key.__getitem__, reverse=True)
         if new_rows == rows and cols_sorted:
             # The columns were sorted under this very row order, so a
             # stable sort of them again would move nothing.
             break
         rows = new_rows
-        pick = itemgetter(*rows)
-        col_key = ["".join(pick(s)) for s in y_strs]
+        joined = "".join(map(x_strs.__getitem__, rows))
+        col_key = [joined[b::width] for b in range(width)]
         new_cols = sorted(cols, key=col_key.__getitem__, reverse=True)
         if new_cols == cols:
             # The rows were just sorted under these very columns.
             break
         cols, cols_sorted = new_cols, True
+        joined = "".join(map(y_strs.__getitem__, cols))
+        row_key = [joined[a::height] for a in range(height)]
     return row_classes, col_classes, [int(row_key[i], 2) for i in rows], rows, cols, x_strs
 
 
@@ -564,13 +574,24 @@ def find_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertificate
     blocks with at least ``min_length`` vertices whose restriction of the
     graph's doubly lexical ordering has a Γ (``_cycle_bearing_vertices``),
     a superset of the blocks that hold such a cycle; with none there is no
-    search.  And it enters an extension only if a bitset breadth-first
-    search finds a way on to a neighbour of the start through kept vertices
-    above the start, off the path and not adjacent to the new interior.
-    Once a path has ``min_length`` - 1 vertices, a shortest such way closes
-    a long enough chordless cycle (Nikolopoulos & Palios, "Detecting holes
-    and antiholes in graphs", Algorithmica 47, 2007), so the search never
-    backtracks there: it is polynomial for every fixed ``min_length``.
+    search.  And it cuts every extension from which no way on to a
+    neighbour of the start runs through kept vertices above the start, off
+    the path and not adjacent to the new interior; a forced chain, below,
+    is cut where it ends.  Once a path has ``min_length`` - 1 vertices, a
+    shortest such way closes a long enough chordless cycle (Nikolopoulos &
+    Palios, "Detecting holes and antiholes in graphs", Algorithmica 47,
+    2007), so past that depth the search backtracks only out of forced
+    chains: it is polynomial for every fixed ``min_length``.
+
+    An extension with no next step is never entered.  One with two or more
+    is entered only if a bitset breadth-first search from them finds that
+    way.  One with exactly one next step is entered without a search: a
+    search from it would take that step and go on over the vertices that
+    the search at the next step may use.  So a forced chain is entered
+    without a search, and at its first step with two or more ways on, the
+    search run there is the rest of the one skipped at its start.  A chain
+    that dead-ends costs one step per vertex, no more than the search it
+    replaces.
     """
     if min_length < 6 or min_length % 2:
         raise InputError(f"min_length must be even and >= 6, got {min_length}")
@@ -605,17 +626,23 @@ def _search_chordless_cycle(g: BipartiteGraph, min_length: int) -> CycleCertific
                         if len(path) + 1 >= min_length:
                             return CycleCertificate(tuple(_core_vertex(g, u) for u in path + [w]), 1)
                         continue
-                    # Enter w only if it can still reach a neighbour of the start.
-                    allowed, frontier = high_mask & ~path_mask & ~interior_adj, 1 << w
-                    while frontier and not frontier & start_adj:
-                        frontier = _union(adj, frontier) & allowed
-                        allowed &= ~frontier
-                    if frontier:
-                        path.append(w)
-                        path_mask |= 1 << w
-                        ahead = adj[w] & ~path_mask & ~interior_adj & high_mask
-                        frames.append((_iter_bits(ahead), interior_adj | adj[w]))
-                        break
+                    allowed = high_mask & ~path_mask & ~interior_adj
+                    ahead = adj[w] & allowed
+                    if not ahead:
+                        continue
+                    if ahead & (ahead - 1):
+                        # Enter w only if a way on still reaches a neighbour of the start.  With
+                        # one way on, the search at the next step is the rest of this one.
+                        frontier, allowed = ahead, allowed & ~ahead
+                        while frontier and not frontier & start_adj:
+                            frontier = _union(adj, frontier) & allowed
+                            allowed &= ~frontier
+                        if not frontier:
+                            continue
+                    path.append(w)
+                    path_mask |= 1 << w
+                    frames.append((_iter_bits(ahead), interior_adj | adj[w]))
+                    break
                 else:
                     frames.pop()
                     path_mask ^= 1 << path.pop()

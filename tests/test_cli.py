@@ -571,6 +571,22 @@ class TestVerbs:
         obj = json.loads(out)
         assert obj["method"] == "Case1Construction" and len(obj["cycle"]) == 18
 
+    @pytest.mark.parametrize("verb", ["classify-cycle", "lift-cycle"])
+    @pytest.mark.parametrize("k", ["3", "5"])
+    def test_cycle_of_another_power_is_exit_2(self, files, capsys, verb, k):
+        # The corners are a chordless cycle of the 3-power, and of the 5- and
+        # 7-powers too, so only the file's "k" tells that -k reads it wrongly.
+        code, out, err = run(capsys, verb, "-k", k, str(files["c18"]), str(files["corners"]))
+        assert code == 2 and out == ""
+        assert err == f'error: cycle JSON "k" is 3, but -k {k} reads a cycle of the {int(k) + 2}-power\n'
+
+    @pytest.mark.parametrize("verb", ["classify-cycle", "lift-cycle"])
+    @pytest.mark.parametrize("k", ["2", "-1"])
+    def test_even_or_negative_k_is_named_before_the_cycle_power(self, files, capsys, verb, k):
+        code, out, err = run(capsys, verb, "-k", k, str(files["c18"]), str(files["corners"]))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bipartite powers are defined only for odd k >= 1") and err.endswith(f"k={k}\n")
+
     def test_fuzz_flags(self, files, capsys):
         code, out, _ = run(capsys, "fuzz", "--theorem", "t4", "--trials", "25", "--seed", "3", "--max-x", "5", "--max-y", "5")
         assert code == 0

@@ -525,6 +525,31 @@ class TestConfinedSearchMatchesUnconfined:
                 none += cert is None
         assert all(found.values()) and none and twins == 50
 
+    def test_chain_heavy_graphs(self):
+        # Subdivided cycles are chains of vertices with one way on, which the
+        # search enters without looking for a way back to the start; a chord
+        # splits the cycle in two, and a bridged band adds branching beside it.
+        rng = random.Random(1919)
+        found, none = dict.fromkeys((6, 8, 10, 12), 0), dict.fromkeys((6, 8, 10, 12), 0)
+        for t in range(150):
+            cycle, _ = bp.gen_subdivided_cycle([rng.randrange(1, 10, 2) for _ in range(2 * rng.randint(2, 4))])
+            if t % 2:
+                edges = set(cycle.edges())
+                while len(edges) == cycle.edge_count():
+                    edges.add((rng.randrange(cycle.x_count), rng.randrange(cycle.y_count)))
+                g = bp.build_graph(cycle.x_count, cycle.y_count, sorted(edges))
+            else:
+                band = band_graph(rng, rng.randint(4, 12), 4)
+                # A path x - y - x glued to both: two bridges.
+                bridge = bp.build_graph(2, 1, [(0, 0), (1, 0)])
+                g = disjoint_union([cycle, bridge, band], True, rng)
+            for min_length in found:
+                cert = bp.find_chordless_cycle(g, min_length)
+                assert cert == full_graph_chordless_cycle(g, min_length)
+                found[min_length] += cert is not None
+                none[min_length] += cert is None
+        assert all(found.values()) and all(none.values())
+
     def test_chordal_graph_needs_no_search(self):
         g = bp.bipartite_power(band_graph(random.Random(5), 32, 6), 1)
         start = time.perf_counter()
@@ -546,10 +571,12 @@ class TestConfinedSearchMatchesUnconfined:
 
 
 class TestSearchIsPolynomial:
-    """Past ``min_length`` - 1 path vertices the pruned search never
-    backtracks, so long thresholds on large graphs stay fast.  The
-    unpruned search took seconds on the first inputs, and the second ones
-    were refused for size."""
+    """Past ``min_length`` - 1 path vertices the pruned search backtracks
+    only out of forced chains, so long thresholds on large graphs stay
+    fast.  The unpruned search took seconds on the first inputs, and the
+    second ones were refused for size.  A long cycle is one forced chain:
+    its ordering takes about n/4 sort passes, and its search no
+    breadth-first search at all."""
 
     @pytest.mark.parametrize("seed, edge, min_length, length", [
         (6, (9, 3), 8, 8),
@@ -589,6 +616,27 @@ class TestSearchIsPolynomial:
         elapsed = time.perf_counter() - start
         assert cert is None
         assert elapsed < 1, f"took {elapsed:.2f}s"
+
+    def test_1100_cycle_within_budget(self):
+        # About n/4 sort passes build the ordering; each pass joins one
+        # side's strings once and slices every key out of that one string.
+        g = bp.gen_subdivided_cycle([1] * 1100)[0]
+        start = time.perf_counter()
+        cert = bp.find_chordless_cycle(g, 6)
+        elapsed = time.perf_counter() - start
+        assert cert.vertices == tuple(cycle_vertex(t) for t in range(1100))
+        assert elapsed < 1.5, f"took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("length", [100, 200])
+    def test_forced_steps_run_no_breadth_first_search(self, monkeypatch, length):
+        # Every step round a cycle has one way on, which needs no search for
+        # a way back to the start; a search at each step would walk the rest
+        # of the cycle, n²/2 layers in all.
+        calls = []
+        union = core._union
+        monkeypatch.setattr(core, "_union", lambda rows, mask: calls.append(mask) or union(rows, mask))
+        assert len(bp.find_chordless_cycle(cycle_graph(length), 6)) == length
+        assert len(calls) <= length
 
 
 def seeded_block_graphs(rng: random.Random, count: int, side: int) -> list[bp.BipartiteGraph]:
@@ -652,6 +700,22 @@ class TestOrderingMatchesIntegerKeys:
             twins += len(row_classes) < n and len(col_classes) < m
             assert self.ordering(rows, m) == lex_keyed_ordering(rows, m)
         assert twins > 1000
+
+    def test_sparse_long_matrices(self):
+        # Cycles, chorded cycles and banded graphs take many sort passes,
+        # about n/4 on an n-cycle, where the volumes above take a few.
+        rng = random.Random(4848)
+        for length in range(6, 201, 2):
+            rows, m = list(cycle_graph(length).x_adj), length // 2
+            assert self.ordering(rows, m) == lex_keyed_ordering(rows, m)
+            chorded = rows[:]
+            for _ in range(rng.randint(1, 3)):
+                chorded[rng.randrange(m)] |= 1 << rng.randrange(m)
+            rng.shuffle(chorded)
+            assert self.ordering(chorded, m) == lex_keyed_ordering(chorded, m)
+        for n in range(6, 49):
+            rows = list(band_with_extra_edges(rng, n, rng.randint(1, 3)).x_adj)
+            assert self.ordering(rows, n) == lex_keyed_ordering(rows, n)
 
 
 class TestFewDistinctRows:
