@@ -18,10 +18,10 @@ _EXPORTS = {
     "core": "BipartiteGraph CycleCertificate DistanceTable Side VertexId bfs_distance bipartite_power build_graph "
             "diameter find_chordless_cycle graph_from_json graph_to_json is_connected verify_chordless x_vertex y_vertex",
     "errors": "BipowerError CapacityError InputError TheoremCounterexample",
-    "intervals": "Interval IntervalRepresentation RawEndpoint canonicalize intervals_to_graph power_representation "
+    "intervals": "Interval IntervalRepresentation RawEndpoint intervals_to_graph power_representation "
                  "random_interval_representation raw_right_endpoint verify_representation",
-    "mca": "ArrangedMatrix BoundaryMaps McaCertificate boundary_maps find_mca graph_to_matrix greedy_distance "
-           "label_zeros matrix_power matrix_to_graph row_intervals verify_mca",
+    "mca": "ArrangedMatrix McaCertificate find_mca graph_to_matrix greedy_distance label_zeros matrix_power "
+           "matrix_to_graph verify_mca",
     "chordal_power": "CycleClassification EdgeClass LiftMethod LiftResult StrongClosureReport classify_cycle_edges "
                      "is_chordal_bipartite is_k_chordal lift_chordless_cycle strongly_closed_check",
     "harness": "Bounds Campaign FuzzReport Theorem enumerate_bipartite gen_random_bipartite gen_staircase_matrix "

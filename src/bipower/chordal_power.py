@@ -233,10 +233,6 @@ class StrongClosureReport:
     lift_applicable: bool
     lift: LiftResult | None
 
-    @property
-    def implication_holds(self) -> bool:
-        return not self.counterexample
-
 
 def strongly_closed_check(g: BipartiteGraph, k: int) -> StrongClosureReport:
     """Evaluate the strong-closure implication on ``g`` at level ``k``.

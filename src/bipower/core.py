@@ -223,7 +223,8 @@ def build_graph(
     """Build a graph from cross edges given as (x index, y index) pairs.
 
     Duplicate edges are allowed in the input and collapse; out-of-range
-    indices are an input error.  Labels default to x1..xn / y1..ym.
+    indices are an input error.  Labels default to x1..xn / y1..ym; given
+    labels must be unique, hold no tab, CR or LF, and differ across sides.
     """
     if x_count < 0 or y_count < 0:
         raise InputError("side sizes must be non-negative")
@@ -258,6 +259,9 @@ def _text_lines(text: str) -> list[tuple[int, str | None]]:
     return [(no, None if re.fullmatch("[ \t]*", ln) else ln) for no, ln in enumerate(lines, start=1)]
 
 
+_SEPARATORS = frozenset("\t\r\n")
+
+
 def _graph_from_rows(
     rows: Sequence[int],
     y_count: int,
@@ -268,6 +272,12 @@ def _graph_from_rows(
     ``y_count`` Y vertices, each bit below ``1 << y_count``.  Labels default
     and are checked as in ``build_graph``."""
     x_count = len(rows)
+    # A label is written as it is, and in the interval TSV a tab ends a
+    # field and CR or LF a line.  Default labels hold none, so go unread.
+    for given in (x_labels, y_labels):
+        label = next((s for s in given or () if not _SEPARATORS.isdisjoint(s)), None)
+        if label is not None:
+            raise InputError(f"label {label!r} holds a tab, CR or LF")
     if x_labels is None:
         x_labels = tuple(f"x{i + 1}" for i in range(x_count))
     if y_labels is None:
@@ -420,27 +430,6 @@ def _twin_free_ordering(x_rows: Sequence[int], y_count: int) -> _Ordering:
         joined = "".join(map(y_strs.__getitem__, cols))
         row_key = [joined[a::height] for a in range(height)]
     return row_classes, col_classes, [int(row_key[i], 2) for i in rows], rows, cols, x_strs
-
-
-def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], list[int]]:
-    """Row and column display orders (display position -> X / Y index) under
-    which the biadjacency matrix is doubly lexical, plus the rows as shown.
-
-    Doubly lexical here means rows and columns both in decreasing
-    lexicographic order, first column / first row most significant; each
-    shown row is a bitset whose high bit is the first shown column.  This
-    is the ordering of the twin-free core that the graph keeps, with each
-    class expanded to its members in index order.  Equal rows, and equal
-    columns, sit together in any doubly lexical order, and two rows first
-    differ at the first shown member of a column class; so the expansion
-    is the ordering that the same sorts give on the whole matrix.  Only
-    tests call it; each call builds fresh lists.
-    """
-    row_classes, col_classes, _, row_order, col_order, _ = g._ordering
-    rows = [i for a in row_order for i in _iter_bits(row_classes[a])]
-    cols = [j for b in col_order for j in _iter_bits(col_classes[b])]
-    shown = [sum(1 << (len(cols) - 1 - p) for p, j in enumerate(cols) if g.x_adj[i] >> j & 1) for i in rows]
-    return rows, cols, shown
 
 
 def _gamma_free(shown: Sequence[int]) -> bool:

@@ -111,32 +111,6 @@ def verify_representation(g: BipartiteGraph, rep: IntervalRepresentation) -> boo
     return _meeting_rows(_spans(rep.x_intervals), _spans(rep.y_intervals)) == list(g.x_adj)
 
 
-def canonicalize(
-    g: BipartiteGraph, rep: IntervalRepresentation
-) -> tuple[BipartiteGraph, IntervalRepresentation, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Reindex each side so left endpoints are non-decreasing.
-
-    Ties break by right endpoint, then by original index (stable).  Returns
-    the relabelled graph, the reordered representation, and the two
-    permutations mapping new index -> original index.
-    """
-    if not verify_representation(g, rep):
-        raise InputError("canonicalize requires a valid representation")
-
-    def order(intervals: tuple[Interval, ...]) -> tuple[int, ...]:
-        return tuple(sorted(range(len(intervals)), key=lambda i: (intervals[i].left, intervals[i].right, i)))
-
-    x_perm = order(rep.x_intervals)
-    y_perm = order(rep.y_intervals)
-    rep2 = IntervalRepresentation(
-        tuple(rep.x_intervals[i] for i in x_perm),
-        tuple(rep.y_intervals[j] for j in y_perm),
-    )
-    # rep realizes g, so rep2 realizes g with both sides reindexed.
-    g2 = intervals_to_graph(rep2, tuple(g.x_labels[i] for i in x_perm), tuple(g.y_labels[j] for j in y_perm))
-    return g2, rep2, (x_perm, y_perm)
-
-
 def _reach_lefts(power: BipartiteGraph, rep: IntervalRepresentation) -> tuple[list[int | None], list[int | None]]:
     """Per X and per Y vertex, the largest left endpoint among opposite-side
     vertices within distance k: its neighbours in ``power``, the k-power;

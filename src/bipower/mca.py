@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, compress
 from operator import or_
 from typing import Iterable, Sequence
@@ -82,12 +82,6 @@ class ArrangedMatrix:
     @property
     def m(self) -> int:
         return len(self.col_perm)
-
-    @cached_property
-    def displayed(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(self.entries[oi][oj] for oj in self.col_perm) for oi in self.row_perm
-        )
 
 
 def identity_arrangement(entries: tuple[tuple[int, ...], ...]) -> ArrangedMatrix:
@@ -136,17 +130,13 @@ def _shown_rows(mat: ArrangedMatrix) -> list[int]:
     return _grid_bits((mat.entries[i] for i in mat.row_perm), mat.col_perm)
 
 
-def _refuse_zero_rows(shown: Sequence[int], m: int) -> None:
+def _refuse_zero_lines(shown: Sequence[int], m: int) -> None:
+    """Input error unless the ``m``-column row bitsets ``shown`` have a row,
+    a column, and a one in every row and every column."""
     if not shown or not m:
         raise InputError("matrix must have at least one row and one column")
     if not all(shown):
         raise InputError(f"row {shown.index(0) + 1} is all zeros; arrangements require non-zero rows")
-
-
-def _refuse_zero_lines(shown: Sequence[int], m: int) -> None:
-    """Input error unless the ``m``-column row bitsets ``shown`` have a row,
-    a column, and a one in every row and every column."""
-    _refuse_zero_rows(shown, m)
     empty = ((1 << m) - 1) ^ reduce(or_, shown)
     if empty:
         column = (empty & -empty).bit_length()
@@ -171,25 +161,6 @@ def _row_condition(shown: Sequence[int]) -> bool:
             return False
         first, last = a, b
     return True
-
-
-def _runs(shown: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First and last one columns (1-based) of the non-zero row bitsets
-    ``shown``, as ``_row_condition`` reads them."""
-    return tuple((r & -r).bit_length() for r in shown), tuple(r.bit_length() for r in shown)
-
-
-def row_intervals(mat: ArrangedMatrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Per-row first/last one columns of the displayed matrix, if every row's
-    ones are consecutive; None otherwise.  A zero row is an input error, not
-    a "not consecutive" verdict (zero columns are policed by verify_mca,
-    whose column runs need every column to hold a one)."""
-    shown = _shown_rows(mat)
-    _refuse_zero_rows(shown, mat.m)
-    # One row alone meets the row condition iff its ones are consecutive.
-    if not all(_row_condition((r,)) for r in shown):
-        return None
-    return _runs(shown)
 
 
 def label_zeros(
@@ -239,7 +210,8 @@ def _certificate_runs(lines: Sequence[int], width: int) -> tuple[tuple[int, ...]
     """
     if not _row_condition(lines):
         return None
-    first, last = _runs(lines)
+    first = tuple((r & -r).bit_length() for r in lines)
+    last = tuple(r.bit_length() for r in lines)
     across = range(1, width + 1)
     # first and last are sorted: count the lines with last < j and those with first <= j.
     first_across = tuple(bisect_left(last, j) + 1 for j in across)
@@ -259,27 +231,6 @@ def verify_mca(mat: ArrangedMatrix) -> McaCertificate | None:
         return None
     a, b, c, d = runs
     return McaCertificate(a, b, c, d, label_zeros(mat, a, b))
-
-
-@dataclass(frozen=True)
-class BoundaryMaps:
-    """The four staircase boundary maps of an arrangement: row -> first/last
-    one column (alpha/beta) and column -> first/last one row (gamma/delta)."""
-
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    gamma: tuple[int, ...]
-    delta: tuple[int, ...]
-
-
-def boundary_maps(cert: McaCertificate) -> BoundaryMaps:
-    maps = BoundaryMaps(cert.a, cert.b, cert.c, cert.d)
-    n, m = len(cert.a), len(cert.c)
-    # Totality of the composites: every image must be a valid index on the
-    # other side, so alpha(gamma(j)) etc. are defined everywhere.
-    if not (all(1 <= v <= m for v in maps.alpha + maps.beta) and all(1 <= v <= n for v in maps.gamma + maps.delta)):
-        raise AssertionError("a boundary map leaves the index range of the other side")
-    return maps
 
 
 def _forced_order(bits: list[int], left: list[int]) -> list[int] | None:

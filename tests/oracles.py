@@ -6,12 +6,13 @@ surface, so the fast implementations are checked against genuinely separate
 code paths.  The searches that fast paths replaced (the unconfined cycle
 search, the row-order backtracker), the all-pairs distance table, and the
 kernels of the chordal-bipartite decision (the integer-keyed ordering, the
+graph's own ordering expanded from its twin-free core to every vertex, the
 edge-scanning block search, a doubly lexical ordering per block), and the
 cycle search over the whole graph that the search over the twin-free core
 replaced are kept here too, as references that the fast paths must match result for result.
 So are the tuple-grid forms of the arrangement and interval power checks,
-which the bitset kernels replaced, and the pair-by-pair chordless-cycle
-check that the row-per-vertex one replaced.
+which the bitset kernels replaced, with the displayed grid they read, and
+the pair-by-pair chordless-cycle check that the row-per-vertex one replaced.
 """
 
 from __future__ import annotations
@@ -203,12 +204,33 @@ def _lex_keys(bits: list[list[int]], order: list[int]) -> list[int]:
     return [sum(map(weight.__getitem__, row)) for row in bits]
 
 
+def doubly_lexical_ordering(g: BipartiteGraph) -> tuple[list[int], list[int], list[int]]:
+    """Row and column display orders (display position -> X / Y index) under
+    which the biadjacency matrix is doubly lexical, plus the rows as shown.
+
+    Doubly lexical here means rows and columns both in decreasing
+    lexicographic order, first column / first row most significant; each
+    shown row is a bitset whose high bit is the first shown column.  This
+    is the ordering of the twin-free core that the graph keeps
+    (``g._ordering``), with each class expanded to its members in index
+    order.  Equal rows, and equal columns, sit together in any doubly
+    lexical order, and two rows first differ at the first shown member of a
+    column class; so the expansion is the ordering that the same sorts give
+    on the whole matrix.
+    """
+    row_classes, col_classes, _, row_order, col_order, _ = g._ordering
+    rows = [i for a in row_order for i in _iter_bits(row_classes[a])]
+    cols = [j for b in col_order for j in _iter_bits(col_classes[b])]
+    shown = [sum(1 << (len(cols) - 1 - p) for p, j in enumerate(cols) if g.x_adj[i] >> j & 1) for i in rows]
+    return rows, cols, shown
+
+
 def lex_keyed_ordering(x_rows: Sequence[int], y_count: int) -> tuple[list[int], list[int], list[int]]:
-    """Reference for ``core.doubly_lexical_ordering``, which sorts the
-    twin-free core by '0'/'1' string keys: the same alternating stable sorts
-    on the whole matrix, on integer keys rebuilt from each row's and
-    column's bit positions.  Both must return the same row order, column
-    order and shown rows."""
+    """Reference for ``doubly_lexical_ordering``, the graph's ordering, which
+    sorts the twin-free core by '0'/'1' string keys: the same alternating
+    stable sorts on the whole matrix, on integer keys rebuilt from each
+    row's and column's bit positions.  Both must return the same row order,
+    column order and shown rows."""
     x_bits = [_bits(row) for row in x_rows]
     y_bits: list[list[int]] = [[] for _ in range(y_count)]
     for i, row in enumerate(x_bits):
@@ -521,6 +543,12 @@ def mca_exists_literal(entries: tuple[tuple[int, ...], ...]) -> bool:
 # checked against a separate formulation.
 
 
+def display(mat: ArrangedMatrix) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 grid of ``mat`` as shown: row p is original row
+    ``row_perm[p]``, column q original column ``col_perm[q]``."""
+    return tuple(tuple(mat.entries[i][j] for j in mat.col_perm) for i in mat.row_perm)
+
+
 def column_runs(grid: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Column condition: first/last one rows (1-based) of every column, when
     each column's ones are consecutive and both sequences are non-decreasing;
@@ -633,8 +661,9 @@ def grid_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> Arrang
     power = bipartite_power(g, k)
     entries = tuple(tuple(int(power.has_edge(i, j)) for j in range(power.y_count)) for i in range(power.x_count))
     out = ArrangedMatrix(entries, base.row_perm, base.col_perm)
-    check_nonzero_grid(out.displayed)
-    if grid_row_condition(out.displayed) is None:
+    grid = display(out)
+    check_nonzero_grid(grid)
+    if grid_row_condition(grid) is None:
         raise TheoremCounterexample(
             f"power at k={k} broke a monotone consecutive arrangement",
             {"kind": "matrix-power", "k": k, "matrix": matrix_text(base)},
@@ -721,8 +750,8 @@ def pairwise_intervals_to_graph(
 
 
 def reindexed_graph(g: BipartiteGraph, x_perm: Sequence[int], y_perm: Sequence[int]) -> BipartiteGraph:
-    """Reference for the graph ``intervals.canonicalize`` returns: ``g``'s
-    edges and labels moved so that new index p holds old index perm[p]."""
+    """``g`` relabelled: its edges and labels moved so that new index p
+    holds old index perm[p] on each side."""
     y_pos = {old: new for new, old in enumerate(y_perm)}
     edges = [(new, y_pos[j]) for new, old in enumerate(x_perm) for j in range(g.y_count) if g.has_edge(old, j)]
     return build_graph(

@@ -358,6 +358,17 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err == "error: interval TSV line 2: expected 4 tab-separated fields, got 1\n"
 
+    # Every format writes a label as it is, so a graph file's label may hold
+    # no tab, CR or LF: the interval TSV could not write it back.
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+    def test_label_holding_a_tab_cr_or_lf_is_exit_2(self, files, capsys, char):
+        bad = files["tmp"] / "bad-label.json"
+        bad.write_text(json.dumps({"x": ["x1", f"x{char}2"], "y": ["y1"], "edges": [["x1", "y1"]]}))
+        for verb in (["power", "-k", "3"], ["check-chordal"]):
+            code, out, err = run(capsys, *verb, str(bad))
+            assert code == 2 and out == ""
+            assert err == f"error: label {f'x{char}2'!r} holds a tab, CR or LF\n"
+
     def test_crlf_line_ends_read_as_lf(self, files, capsys):
         for verb, name in ((["mca-verify"], "matrix"), (["verify-intervals", str(files["graph"])], "intervals")):
             expected = run(capsys, *verb, str(files[name]))

@@ -24,6 +24,7 @@ from conftest import (
 from oracles import (
     cycle_bearing_per_block,
     distance_table,
+    doubly_lexical_ordering,
     full_graph_chordless_cycle,
     has_gamma,
     has_induced_cycle,
@@ -665,7 +666,7 @@ class TestOrderingMatchesIntegerKeys:
 
     @staticmethod
     def ordering(rows: list[int], m: int) -> tuple[list[int], list[int], list[int]]:
-        return core.doubly_lexical_ordering(core._graph_from_rows(rows, m))
+        return doubly_lexical_ordering(core._graph_from_rows(rows, m))
 
     def test_every_matrix_up_to_4x4(self):
         for n in range(5):

@@ -19,7 +19,6 @@ from oracles import (
     pairwise_power_representation,
     pairwise_reach_lefts,
     pairwise_verify_representation,
-    reindexed_graph,
 )
 
 
@@ -55,34 +54,6 @@ class TestVerifyRepresentation:
     def test_size_mismatch(self, sample_graph):
         with pytest.raises(InputError):
             bp.verify_representation(sample_graph, IntervalRepresentation((), ()))
-
-
-class TestCanonicalize:
-    def test_sample_sort_order(self, sample_graph, sample_rep):
-        g2, rep2, (x_perm, y_perm) = bp.canonicalize(sample_graph, sample_rep)
-        assert g2.x_labels == ("x2", "x4", "x1", "x3", "x5", "x6")
-        assert [iv.left for iv in rep2.x_intervals] == [2, 3, 4, 5, 6, 7]
-        assert x_perm == (1, 3, 0, 2, 4, 5)
-        assert bp.verify_representation(g2, rep2)
-
-    def test_sorted_input_keeps_identity(self):
-        g = bp.build_graph(2, 1, [(0, 0), (1, 0)])
-        rep = IntervalRepresentation((Interval(0, 2), Interval(1, 3)), (Interval(1, 2),))
-        _, _, (x_perm, y_perm) = bp.canonicalize(g, rep)
-        assert x_perm == (0, 1) and y_perm == (0,)
-
-    def test_equal_intervals_stable(self):
-        g = bp.build_graph(2, 1, [(0, 0), (1, 0)])
-        rep = IntervalRepresentation((Interval(1, 2), Interval(1, 2)), (Interval(1, 2),))
-        _, _, (x_perm, _) = bp.canonicalize(g, rep)
-        assert x_perm == (0, 1)
-
-    def test_invalid_representation_rejected(self, sample_graph):
-        bad = IntervalRepresentation(
-            tuple(Interval(0, 0) for _ in range(6)), tuple(Interval(5, 6) for _ in range(5))
-        )
-        with pytest.raises(InputError):
-            bp.canonicalize(sample_graph, bad)
 
 
 class TestRawRightEndpoint:
@@ -216,12 +187,65 @@ class TestRandomRepresentation:
             bp.random_interval_representation(0, nx, ny, 5)
 
 
+# Labels under the graph's label rule: any text without a tab, CR or LF.
+tsv_labels = st.text(st.characters(blacklist_characters="\t\r\n"), max_size=4)
+
+
+@st.composite
+def interval_values(draw):
+    """A representation with its X and Y labels, unique across both sides."""
+    labels = draw(st.lists(tsv_labels, unique=True, max_size=10))
+    nx = draw(st.integers(0, len(labels)))
+    ends = st.tuples(st.integers(-10**12, 10**12), st.integers(0, 10**3)).map(lambda p: Interval(p[0], p[0] + p[1]))
+    intervals = draw(st.lists(ends, min_size=len(labels), max_size=len(labels)))
+    rep = IntervalRepresentation(tuple(intervals[:nx]), tuple(intervals[nx:]))
+    return rep, tuple(labels[:nx]), tuple(labels[nx:])
+
+
+@st.composite
+def decorated_texts(draw, value) -> str:
+    """An interval TSV that spells ``value`` otherwise than canonically: the
+    two sides' lines interleaved, with comments and blank lines between them
+    and LF or CRLF line ends, the last perhaps missing."""
+    rep, x_labels, y_labels = value
+    xs = [f"X\t{label}\t{iv.left}\t{iv.right}" for label, iv in zip(x_labels, rep.x_intervals)]
+    ys = [f"Y\t{label}\t{iv.left}\t{iv.right}" for label, iv in zip(y_labels, rep.y_intervals)]
+    lines = []
+    while xs or ys:
+        kind = draw(st.sampled_from(("entry", "entry", "comment", "blank")))
+        if kind == "comment":
+            lines.append("#" + draw(tsv_labels))
+        elif kind == "blank":
+            lines.append(draw(st.text(" \t", max_size=3)))
+        else:
+            side = xs if not ys or xs and draw(st.booleans()) else ys
+            lines.append(side.pop(0))
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n")), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
 class TestIntervalTsv:
     def test_canonical_round_trip(self, sample_graph, sample_rep):
         text = intervals_tsv(sample_rep, sample_graph.x_labels, sample_graph.y_labels)
         rep, x_labels, y_labels = parse_intervals_tsv(text)
         assert rep == sample_rep
         assert x_labels == sample_graph.x_labels
+
+    @settings(max_examples=200, deadline=None)
+    @given(interval_values())
+    def test_canonical_texts_round_trip_byte_for_byte(self, value):
+        text = intervals_tsv(*value)
+        assert parse_intervals_tsv(text) == value
+        assert intervals_tsv(*parse_intervals_tsv(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_accepted_text_serializes_to_the_same_value(self, data):
+        value = data.draw(interval_values())
+        text = data.draw(decorated_texts(value))
+        assert parse_intervals_tsv(text) == value
+        assert parse_intervals_tsv(intervals_tsv(*parse_intervals_tsv(text))) == value
 
     def test_comments_and_blank_lines_skipped(self):
         plain = "X\ta\t0\t1\nY\tb\t1\t2\nX\tc\t3\t4\n"
@@ -365,14 +389,3 @@ class TestMeetingRowsMatchPairwiseOracle:
             ties += any(iv.left in ends or iv.right in ends for iv in rep.x_intervals)
             empty += not nx or not ny
         assert ties > 300 and empty > 10, (ties, empty)
-
-    def test_canonicalize_reindexes_the_graph(self, sample_graph, sample_rep):
-        rng = random.Random(2323)
-        cases = [(sample_graph, sample_rep)]
-        for _ in range(300):
-            rep = bp.random_interval_representation(rng.getrandbits(63), rng.randint(0, 9), rng.randint(0, 9), rng.randint(1, 12))
-            cases.append((bp.intervals_to_graph(rep), rep))
-        for g, rep in cases:
-            g2, rep2, (x_perm, y_perm) = bp.canonicalize(g, rep)
-            assert g2 == reindexed_graph(g, x_perm, y_perm)
-            assert bp.verify_representation(g2, rep2)

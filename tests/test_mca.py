@@ -1,11 +1,7 @@
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -18,6 +14,7 @@ from oracles import (
     backtrack_mca,
     check_nonzero_grid,
     column_runs,
+    display,
     grid_matrix_power,
     grid_row_condition,
     labeling_exists,
@@ -30,6 +27,12 @@ from oracles import (
 # 0/1 matrices with 1 <= n, m <= 4 and no zero row or column: the sum over
 # n, m of sum_k (-1)^k C(n, k) (2^(n-k) - 1)^m.
 NONZERO_MATRICES_UP_TO_4X4 = 46312
+
+
+def certificate_in_range(cert, n: int, m: int) -> bool:
+    """Every row run (a, b) names a column 1..m and every column run (c, d)
+    a row 1..n, so each composite such as a(c(j)) is defined."""
+    return all(1 <= v <= m for v in cert.a + cert.b) and all(1 <= v <= n for v in cert.c + cert.d)
 
 
 def nonzero_matrices_up_to_4x4():
@@ -191,20 +194,24 @@ class TestDerivedMatrix:
 
 class TestRowIntervals:
     def test_staircase_fixture(self, staircase_matrix):
-        a, b = bp.row_intervals(staircase_matrix)
-        assert a == (1, 1, 2, 3, 4, 5)
-        assert b == (2, 3, 5, 5, 6, 7)
+        cert = bp.verify_mca(staircase_matrix)
+        assert grid_row_condition(display(staircase_matrix)) == (cert.a, cert.b)
+        assert cert.a == (1, 1, 2, 3, 4, 5)
+        assert cert.b == (2, 3, 5, 5, 6, 7)
 
     def test_gap_gives_none(self):
-        assert bp.row_intervals(identity_arrangement(((1, 0, 1),))) is None
+        # The gap's column holds a one in the second row, which verify_mca needs.
+        gapped = ((1, 0, 1), (0, 1, 0))
+        assert grid_row_condition(gapped) is None
+        assert bp.verify_mca(identity_arrangement(gapped)) is None
 
     def test_all_ones(self):
-        a, b = bp.row_intervals(identity_arrangement(((1, 1), (1, 1))))
-        assert a == (1, 1) and b == (2, 2)
+        cert = bp.verify_mca(identity_arrangement(((1, 1), (1, 1))))
+        assert grid_row_condition(((1, 1), (1, 1))) == (cert.a, cert.b) == ((1, 1), (2, 2))
 
     def test_zero_row_is_an_error_not_a_verdict(self):
         with pytest.raises(InputError, match="row 2"):
-            bp.row_intervals(identity_arrangement(((1, 1), (0, 0))))
+            bp.verify_mca(identity_arrangement(((1, 1), (0, 0))))
         with pytest.raises(InputError, match="column 2"):
             bp.verify_mca(identity_arrangement(((1, 0), (1, 0))))
 
@@ -363,9 +370,10 @@ class TestFindMca:
                 assert added, entries
                 continue
             arranged, cert = result
-            grid = arranged.displayed
+            grid = display(arranged)
             assert arranged.entries is entries
             assert bp.verify_mca(arranged) == cert, entries
+            assert certificate_in_range(cert, arranged.n, arranged.m), entries
             assert (cert.a, cert.b) == grid_row_condition(grid), entries
             assert (cert.c, cert.d) == column_runs(grid), entries
             assert cert.zero_labels == quadrant_labels(grid), entries
@@ -467,35 +475,6 @@ class TestFindMcaMatchesBacktracker:
                 rows.append(rng.choice(rows))
             found += self._same(shuffled(rng, rows[:12]))
         assert 500 < found < 1500
-
-
-class TestBoundaryMaps:
-    def test_staircase_values(self, staircase_matrix):
-        maps = bp.boundary_maps(bp.verify_mca(staircase_matrix))
-        assert maps.alpha[2] == 2 and maps.beta[2] == 5
-        assert maps.gamma[4] == 3 and maps.delta[4] == 6
-
-    def test_all_ones(self):
-        cert = bp.verify_mca(identity_arrangement(((1, 1), (1, 1))))
-        maps = bp.boundary_maps(cert)
-        assert maps.alpha == (1, 1) and maps.beta == (2, 2)
-
-    def test_single_cell(self):
-        maps = bp.boundary_maps(bp.verify_mca(identity_arrangement(((1,),))))
-        assert maps.alpha == maps.beta == maps.gamma == maps.delta == (1,)
-
-    def test_range_guard_survives_optimized_mode(self):
-        script = (
-            "from bipower import mca\n"
-            "cert = mca.McaCertificate((1,), (2,), (1,), (1,), ())\n"
-            "try:\n"
-            "    mca.boundary_maps(cert)\n"
-            "except AssertionError:\n"
-            "    raise SystemExit(7)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(bp.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60)
-        assert proc.returncode == 7, proc.stderr
 
 
 class TestGreedyDistance:
@@ -659,12 +638,13 @@ class TestFormulationEquivalence:
 
     @staticmethod
     def _agree(mat):
-        grid = mat.displayed
+        grid = display(mat)
         cert = bp.verify_mca(mat)
         runs = grid_row_condition(grid)
         cols = column_runs(grid)
         assert (cert is not None) == (runs is not None) == (cols is not None) == labeling_exists(grid), grid
         if cert is not None:
+            assert certificate_in_range(cert, mat.n, mat.m), grid
             assert (cert.a, cert.b) == runs, grid
             assert (cert.c, cert.d) == cols, grid
             assert cert.zero_labels == quadrant_labels(grid), grid
@@ -726,7 +706,7 @@ class TestFormulationEquivalence:
             rng.shuffle(cols)
             mat = bp.ArrangedMatrix(entries, tuple(rows), tuple(cols))
             try:
-                check_nonzero_grid(mat.displayed)
+                check_nonzero_grid(display(mat))
                 continue
             except InputError as exc:
                 want = str(exc)
@@ -746,14 +726,11 @@ class TestFormulationEquivalence:
         for _ in range(300):
             entries = random_nonzero_matrix(rng, 5, 5)
             mat = identity_arrangement(entries)
-            runs = bp.row_intervals(mat)
-            if runs is None:
-                continue
-            a, b = runs
-            row_ok = all(x <= y for x, y in zip(a, a[1:])) and all(x <= y for x, y in zip(b, b[1:]))
-            if row_ok:
+            grid = display(mat)
+            if grid_row_condition(grid) is not None:
                 hits += 1
-                assert bp.verify_mca(mat) is not None
+                cert = bp.verify_mca(mat)
+                assert cert is not None and column_runs(grid) == (cert.c, cert.d)
         assert hits > 0
 
 

@@ -337,6 +337,84 @@ def test_only_dispatch_writes_the_cli_payload():
     assert found == [], f"payload written outside dispatch in cli.py: {found}"
 
 
+def unreferenced_names(defining: dict[str, str], using: dict[str, str], exported: set[str]) -> list[str]:
+    """The public names that nothing in ``using`` refers to, sorted.
+
+    The public names are ``exported`` and the top-level functions and
+    classes of the ``defining`` sources whose names have no leading
+    underscore.  A reference is an identifier, an attribute, an imported
+    name or a string equal to the name (as ``getattr`` takes it), anywhere
+    in a ``using`` source except inside the definition of the name itself.
+    """
+    public = set(exported)
+    for source in defining.values():
+        public.update(
+            node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        )
+    seen = set()
+    for source in using.values():
+        for statement in ast.parse(source).body:
+            here = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    here.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    here.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    here.add(node.name)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    here.add(node.value)
+            here.discard(getattr(statement, "name", None))
+            seen |= here
+    return sorted(public - seen)
+
+
+def test_unreferenced_names_rule_sees_them():
+    module = textwrap.dedent("""
+        class Used:
+            def copy(self) -> Used:
+                return Used()
+
+        class OnlyItself:
+            def copy(self) -> OnlyItself:
+                return OnlyItself()
+
+        def by_getattr():
+            pass
+
+        def unused():
+            pass
+
+        def _private():
+            pass
+    """)
+    caller = textwrap.dedent("""
+        from .module import Used
+        import module
+        module.Used()
+        getattr(module, "by_getattr")
+        # unused
+        \"\"\"unused, in a docstring\"\"\"
+    """)
+    found = unreferenced_names({"module": module}, {"module": module, "caller": caller}, {"Used", "exported_only"})
+    assert found == ["OnlyItself", "exported_only", "unused"]
+
+
+def test_every_public_name_is_used_by_the_program_or_the_gate():
+    # A public name earns its place when a verb, a campaign, the acceptance
+    # gate or the benchmark reaches it.  The export list itself does not
+    # count, and a name only the other tests call belongs in tests/oracles.py.
+    modules = sorted(SRC.glob("*.py"))
+    defining = {path.name: path.read_text(encoding="utf-8") for path in modules}
+    users = [path for path in modules if path.name != "__init__.py"]
+    users.append(Path(__file__).with_name("test_acceptance.py"))
+    users.extend(sorted((SRC.parents[1] / "bench").glob("*.py")))
+    using = {str(path): path.read_text(encoding="utf-8") for path in users}
+    exported = {name for names in bipower._EXPORTS.values() for name in names.split()}
+    assert unreferenced_names(defining, using, exported) == []
+
+
 def test_core_does_not_import_chordal_power():
     # core holds the graph, the search and the Γ test the search uses;
     # chordal_power builds on it, never the other way round.
