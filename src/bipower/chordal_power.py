@@ -274,7 +274,15 @@ def strongly_closed_check(g: BipartiteGraph, k: int) -> StrongClosureReport:
 
 def _check_strong_closure(g: BipartiteGraph, k: int) -> None:
     """Raise the instance as a TheoremCounterexample if ``g``'s k-power is
-    chordal bipartite and its (k+2)-power is not."""
+    chordal bipartite and its (k+2)-power is not.
+
+    The two levels are decided in ``strongly_closed_check``'s order.  A
+    chordal (k+2)-power refutes nothing and has no cycle to lift, so only
+    a (k+2)-power that fails pays for the full report and its lift.
+    """
+    is_chordal_bipartite(bipartite_power(g, k))
+    if is_chordal_bipartite(bipartite_power(g, k + 2)).chordal:
+        return
     if strongly_closed_check(g, k).counterexample:
         raise TheoremCounterexample(
             f"power at k={k} is chordal bipartite although the (k+2)-power is not",

@@ -21,8 +21,8 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -53,6 +53,20 @@ def _iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _randint(getrandbits: Callable[[int], int], low: int, high: int) -> int:
+    """What ``random.Random.randint(low, high)`` returns, drawn the same
+    way: the first ``getrandbits(k)`` below the range's size, k being the
+    size's bit length, so the stream moves on exactly as it would there."""
+    size = high - low + 1
+    if size < 1:
+        raise ValueError(f"empty range for randint({low}, {high})")
+    k = size.bit_length()
+    r = getrandbits(k)
+    while r >= size:
+        r = getrandbits(k)
+    return low + r
 
 
 def _union(rows: Sequence[int], mask: int) -> int:
@@ -262,6 +276,12 @@ def _text_lines(text: str) -> list[tuple[int, str | None]]:
 _SEPARATORS = frozenset("\t\r\n")
 
 
+@lru_cache(maxsize=128)
+def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
+    """The default labels of a side: ``prefix`` followed by 1..count."""
+    return tuple(f"{prefix}{i + 1}" for i in range(count))
+
+
 def _graph_from_rows(
     rows: Sequence[int],
     y_count: int,
@@ -270,8 +290,13 @@ def _graph_from_rows(
 ) -> BipartiteGraph:
     """Graph whose X vertex i has the row bitset ``rows[i]`` over
     ``y_count`` Y vertices, each bit below ``1 << y_count``.  Labels default
-    and are checked as in ``build_graph``."""
+    to x1..xn / y1..ym as in ``build_graph``, one shared tuple per side
+    size; given labels are checked as there."""
     x_count = len(rows)
+    if x_labels is None and y_labels is None:
+        # x1..xn and y1..ym hold no separator, are unique, and differ across sides.
+        x_labels, y_labels = _default_labels("x", x_count), _default_labels("y", y_count)
+        return BipartiteGraph(x_count, y_count, tuple(rows), x_labels, y_labels)
     # A label is written as it is, and in the interval TSV a tab ends a
     # field and CR or LF a line.  Default labels hold none, so go unread.
     for given in (x_labels, y_labels):
@@ -279,9 +304,9 @@ def _graph_from_rows(
         if label is not None:
             raise InputError(f"label {label!r} holds a tab, CR or LF")
     if x_labels is None:
-        x_labels = tuple(f"x{i + 1}" for i in range(x_count))
+        x_labels = _default_labels("x", x_count)
     if y_labels is None:
-        y_labels = tuple(f"y{j + 1}" for j in range(y_count))
+        y_labels = _default_labels("y", y_count)
     if len(x_labels) != x_count or len(y_labels) != y_count:
         raise InputError("label count does not match side size")
     if len(set(x_labels)) != x_count or len(set(y_labels)) != y_count:

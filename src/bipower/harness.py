@@ -29,6 +29,7 @@ from .core import (
     Side,
     VertexId,
     _graph_from_rows,
+    _randint,
     _read_json,
     bipartite_power,
     build_graph,
@@ -43,12 +44,21 @@ MAX_PARALLELISM = 256  # most worker processes one campaign may ask for
 
 
 def gen_random_bipartite(seed: int, nx: int, ny: int, edge_probability: float) -> BipartiteGraph:
-    """Independent per-pair coin flips, deterministic for a fixed seed."""
+    """Independent per-pair coin flips, deterministic for a fixed seed:
+    pair (i, j) is flipped i-major, j-minor, and row i's flips make its bitset."""
     if not 0.0 <= edge_probability <= 1.0:
         raise InputError(f"edge probability must lie in [0, 1], got {edge_probability}")
-    rng = random.Random(seed)
-    edges = [(i, j) for i in range(nx) for j in range(ny) if rng.random() < edge_probability]
-    return build_graph(nx, ny, edges)
+    if nx < 0 or ny < 0:
+        raise InputError("side sizes must be non-negative")
+    flip = random.Random(seed).random
+    rows = []
+    for _ in range(nx):
+        row = 0
+        for j in range(ny):
+            if flip() < edge_probability:
+                row |= 1 << j
+        rows.append(row)
+    return _graph_from_rows(rows, ny)
 
 
 def gen_staircase_matrix(seed: int, n: int, m: int) -> ArrangedMatrix:
@@ -59,19 +69,18 @@ def gen_staircase_matrix(seed: int, n: int, m: int) -> ArrangedMatrix:
     """
     if n < 1 or m < 1:
         raise InputError("staircase matrices need n, m >= 1")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     a = [1]
-    b = [rng.randint(1, m)]
+    b = [_randint(bits, 1, m)]
     for _ in range(1, n):
-        ai = rng.randint(a[-1], min(b[-1] + 1, m))
-        bi = rng.randint(max(ai, b[-1]), m)
+        ai = _randint(bits, a[-1], min(b[-1] + 1, m))
+        bi = _randint(bits, max(ai, b[-1]), m)
         a.append(ai)
         b.append(bi)
     b[-1] = m
-    entries = tuple(
-        tuple(1 if a[i] <= j + 1 <= b[i] else 0 for j in range(m)) for i in range(n)
+    return identity_arrangement(
+        tuple((0,) * (ai - 1) + (1,) * (bi - ai + 1) + (0,) * (m - bi) for ai, bi in zip(a, b))
     )
-    return identity_arrangement(entries)
 
 
 def gen_subdivided_cycle(segment_lengths: list[int] | tuple[int, ...]) -> tuple[BipartiteGraph, CycleCertificate]:
@@ -204,9 +213,9 @@ class TrialOutcome:
 
 
 def _draw_t3(campaign: Campaign, rng: random.Random) -> tuple[Callable[[int], object], Sequence[int]] | None:
-    b = campaign.bounds
-    nx, ny = rng.randint(1, b.max_x), rng.randint(1, b.max_y)
-    span = rng.randint(1, b.span)
+    b, bits = campaign.bounds, rng.getrandbits
+    nx, ny = _randint(bits, 1, b.max_x), _randint(bits, 1, b.max_y)
+    span = _randint(bits, 1, b.span)
     rep = random_interval_representation(rng.getrandbits(63), nx, ny, span)
     g = intervals_to_graph(rep)
     if not is_connected(g):
@@ -221,8 +230,8 @@ def _draw_t3(campaign: Campaign, rng: random.Random) -> tuple[Callable[[int], ob
 
 
 def _draw_t4(campaign: Campaign, rng: random.Random) -> tuple[Callable[[int], object], Sequence[int]]:
-    b = campaign.bounds
-    n, m = rng.randint(1, b.max_x), rng.randint(1, b.max_y)
+    b, bits = campaign.bounds, rng.getrandbits
+    n, m = _randint(bits, 1, b.max_x), _randint(bits, 1, b.max_y)
     mat = gen_staircase_matrix(rng.getrandbits(63), n, m)
     g = matrix_to_graph(mat)
     if not _arrangement_holds(g, mat):
@@ -231,8 +240,8 @@ def _draw_t4(campaign: Campaign, rng: random.Random) -> tuple[Callable[[int], ob
 
 
 def _random_graph_for_trial(campaign: Campaign, rng: random.Random) -> BipartiteGraph:
-    b = campaign.bounds
-    nx, ny = rng.randint(1, b.max_x), rng.randint(1, b.max_y)
+    b, bits = campaign.bounds, rng.getrandbits
+    nx, ny = _randint(bits, 1, b.max_x), _randint(bits, 1, b.max_y)
     return gen_random_bipartite(rng.getrandbits(63), nx, ny, rng.random())
 
 

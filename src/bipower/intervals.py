@@ -25,11 +25,13 @@ from operator import xor
 from typing import Iterable
 
 from .core import (
+    _SEPARATORS,
     BipartiteGraph,
     Side,
     VertexId,
     _graph_from_rows,
     _iter_bits,
+    _randint,
     _read_int,
     _require_odd_k,
     _text_lines,
@@ -226,13 +228,13 @@ def random_interval_representation(seed: int, nx: int, ny: int, span: int) -> In
         raise InputError("side sizes must be non-negative")
     if span < 1:
         raise InputError(f"span must be >= 1, got {span}")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
 
     def draw(count: int) -> tuple[Interval, ...]:
         out = []
         for _ in range(count):
-            a = rng.randint(0, span)
-            b = rng.randint(0, span)
+            a = _randint(bits, 0, span)
+            b = _randint(bits, 0, span)
             out.append(Interval(min(a, b), max(a, b)))
         return tuple(out)
 
@@ -263,6 +265,9 @@ def parse_intervals_tsv(text: str) -> tuple[IntervalRepresentation, tuple[str, .
         side, label, left, right = parts
         if side not in ("X", "Y"):
             raise InputError(f"interval TSV line {lineno}: side must be X or Y, got {side!r}")
+        # The graph label rule: only a lone CR gets this far, as a tab splits and LF ends the line.
+        if not _SEPARATORS.isdisjoint(label):
+            raise InputError(f"interval TSV line {lineno}: label {label!r} holds a tab, CR or LF")
         if side_of.get(label) == side:
             raise InputError(f"interval TSV line {lineno}: duplicate {side} label {label!r}")
         if label in side_of:

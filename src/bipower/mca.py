@@ -387,9 +387,13 @@ def matrix_power(
 def _arrangement_holds(g: BipartiteGraph, base: ArrangedMatrix) -> bool:
     """``verify_mca``'s verdict on ``g``'s matrix shown under ``base``'s
     permutations, read off ``g``'s row bitsets; a zero row or column is an
-    input error, as there."""
-    shift = _column_shifts(base.col_perm)
-    shown = [_union(shift, g.x_adj[i]) for i in base.row_perm]
+    input error, as there.  Under the identity column order a row bitset
+    is its displayed row, so only another order goes through the shifts."""
+    rows, col_perm = g.x_adj, base.col_perm
+    if col_perm != (*range(len(col_perm)),):
+        shift = _column_shifts(col_perm)
+        rows = [_union(shift, row) for row in rows]
+    shown = [rows[i] for i in base.row_perm]
     _refuse_zero_lines(shown, base.m)
     return _row_condition(shown)
 

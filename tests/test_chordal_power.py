@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -20,7 +21,7 @@ from bipower.chordal_power import (
     cycle_json,
     lift_json,
 )
-from bipower.errors import InputError
+from bipower.errors import InputError, TheoremCounterexample
 from bipower.intervals import intervals_to_graph, random_interval_representation
 from bipower.mca import matrix_to_graph
 from conftest import (
@@ -516,6 +517,68 @@ class TestPlantedCycleLiftRefutation:
         report = bp.strongly_closed_check(g, 3)
         assert report.base_chordal and not report.next_chordal
         assert report.counterexample and report.lift_applicable and report.lift is None
+
+
+class TestStrongClosureCheckMatchesReport:
+    """The campaign's ``_check_strong_closure`` builds no report when the
+    (k+2)-power is chordal.  It must still raise exactly when
+    ``strongly_closed_check`` counts a refutation, and lift every cycle of a
+    (k+2)-power that fails, as the report does."""
+
+    @staticmethod
+    def volume():
+        """Subdivided cycles of 4 or 6 odd segments and total length up to
+        14, each alone and with one seeded extra edge, then seeded random
+        graphs up to 9+9."""
+        rng = random.Random(1414)
+        for count in (4, 6):
+            for segments in itertools.product(range(1, 12, 2), repeat=count):
+                if sum(segments) <= 14:
+                    g, _ = bp.gen_subdivided_cycle(segments)
+                    yield g
+                    absent = [(i, j) for i in range(g.x_count) for j in range(g.y_count) if not g.has_edge(i, j)]
+                    if absent:
+                        yield bp.build_graph(g.x_count, g.y_count, [*g.edges(), rng.choice(absent)])
+        for _ in range(300):
+            yield bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 9), rng.randint(1, 9), rng.random())
+
+    @staticmethod
+    def raises(g: bp.BipartiteGraph, k: int) -> bool:
+        try:
+            chordal_power._check_strong_closure(g, k)
+        except TheoremCounterexample as exc:
+            assert exc.report == {"kind": "strong-closure", "k": k, "graph": bp.graph_to_json(g)}
+            return True
+        return False
+
+    def test_raises_iff_the_report_refutes(self, monkeypatch):
+        lifts: list[int] = []
+        original = chordal_power._lift
+
+        def counted(k, cert, classification, power_k):
+            lifts.append(k)
+            return original(k, cert, classification, power_k)
+
+        monkeypatch.setattr(chordal_power, "_lift", counted)
+        failing = lifted = 0
+        for g in self.volume():
+            for k in (1, 3, 5):
+                before = len(lifts)
+                raised = self.raises(fresh_copy(g), k)
+                by_check, before = len(lifts) - before, len(lifts)
+                report = bp.strongly_closed_check(fresh_copy(g), k)
+                assert raised == report.counterexample, (bp.graph_to_json(g), k)
+                assert by_check == len(lifts) - before == report.lift_applicable, (bp.graph_to_json(g), k)
+                failing += not report.next_chordal
+                lifted += report.lift is not None
+        assert failing > 300 and lifted > 150, (failing, lifted)
+
+    def test_planted_refutation_raises(self, monkeypatch):
+        # TestPlantedCycleLiftRefutation's plant: the 3-power's search answers None.
+        g, _ = bp.gen_subdivided_cycle(TestPlantedCycleLiftRefutation.SEGMENTS)
+        TestPlantedCycleLiftRefutation().plant(monkeypatch, g)
+        assert bp.strongly_closed_check(g, 3).counterexample
+        assert self.raises(g, 3)
 
 
 class TestCycleJson:

@@ -358,6 +358,19 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err == "error: interval TSV line 2: expected 4 tab-separated fields, got 1\n"
 
+    def test_interval_label_holding_a_lone_cr_is_exit_2(self, files, capsys):
+        # The TSV applies the graph label rule itself, so the message names
+        # the line and the rule rather than a label missing from the graph.
+        lines = files["intervals"].read_text().splitlines()
+        side, label, left, right = lines[1].split("\t")
+        label += "\r" + label
+        bad = files["tmp"] / "cr-label.tsv"
+        bad.write_bytes("\n".join([lines[0], f"{side}\t{label}\t{left}\t{right}", *lines[2:]]).encode() + b"\n")
+        for verb in (["verify-intervals"], ["power-intervals", "-k", "3"]):
+            code, out, err = run(capsys, *verb, str(files["graph"]), str(bad))
+            assert code == 2 and out == ""
+            assert err == f"error: interval TSV line 2: label {label!r} holds a tab, CR or LF\n"
+
     # Every format writes a label as it is, so a graph file's label may hold
     # no tab, CR or LF: the interval TSV could not write it back.
     @pytest.mark.parametrize("char", ["\t", "\r", "\n"])

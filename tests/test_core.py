@@ -73,6 +73,53 @@ class TestBuildGraph:
             bp.build_graph(1, 1, [], y_labels=("x1",))
 
 
+class TestDefaultLabels:
+    def test_default_labelled_graph_equals_labels_written_out(self):
+        # Default labels skip the label checks; the graph is the one that
+        # build_graph makes when given x1..xn and y1..ym.
+        rng = random.Random(4242)
+        for _ in range(300):
+            nx, ny = rng.randint(0, 9), rng.randint(0, 9)
+            edges = [(i, j) for i in range(nx) for j in range(ny) if rng.random() < 0.4]
+            written = tuple(f"x{i + 1}" for i in range(nx)), tuple(f"y{j + 1}" for j in range(ny))
+            want = bp.build_graph(nx, ny, edges, *written)
+            assert bp.build_graph(nx, ny, edges) == want
+            assert core._graph_from_rows(list(want.x_adj), ny) == want
+
+    def test_one_given_side_is_still_checked(self):
+        # Only both sides defaulted skip the checks.
+        with pytest.raises(InputError, match="'y1' is used on both sides"):
+            core._graph_from_rows([0], 1, x_labels=("y1",))
+        with pytest.raises(InputError, match="label count"):
+            core._graph_from_rows([0, 0], 1, y_labels=("a", "b"))
+        with pytest.raises(InputError, match="holds a tab"):
+            core._graph_from_rows([0], 1, y_labels=("a\rb",))
+
+
+class TestRandint:
+    """``core._randint`` is ``random.Random.randint`` drawn through
+    ``getrandbits``: the same value, and the stream left where it would be."""
+
+    # Sizes 1, 2^j and 2^j + 1, where the bit length and the rejection
+    # rate change, at several offsets.
+    SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1023, 1024, 1025, 2**31, 2**31 + 1, 2**64 + 1)
+
+    def test_matches_randint_over_a_seeded_volume(self):
+        ranges = [(low, low + size - 1) for size in self.SIZES for low in (-7, 0, 1, 12)]
+        pick = random.Random(2024)
+        ranges += [(low, low + pick.randint(0, 200)) for low in (pick.randint(-50, 50) for _ in range(200))]
+        for seed, (low, high) in enumerate(ranges):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            draws = [core._randint(ours.getrandbits, low, high) for _ in range(40)]
+            assert draws == [theirs.randint(low, high) for _ in range(40)], (low, high)
+            assert ours.getstate() == theirs.getstate(), (low, high)
+
+    def test_empty_range_is_refused(self):
+        rng = random.Random(1)
+        with pytest.raises(ValueError, match="empty range"):
+            core._randint(rng.getrandbits, 3, 2)
+
+
 def power_rows(g: bp.BipartiteGraph, table: list[list[int | None]], k: int) -> tuple[int, ...]:
     """The k-power's X rows read off an all-pairs distance table."""
     nx = g.x_count

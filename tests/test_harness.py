@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -37,6 +38,52 @@ class TestGenRandomBipartite:
     def test_probability_validated(self):
         with pytest.raises(InputError):
             bp.gen_random_bipartite(0, 2, 2, 1.5)
+
+    @pytest.mark.parametrize("nx, ny", [(-1, 3), (3, -1), (-2, -2)])
+    def test_negative_sizes_refused_with_build_graphs_message(self, nx, ny):
+        with pytest.raises(InputError) as refused:
+            bp.gen_random_bipartite(0, nx, ny, 0.5)
+        assert str(refused.value) == "side sizes must be non-negative"
+        # The probability is checked first, as before.
+        with pytest.raises(InputError, match="edge probability"):
+            bp.gen_random_bipartite(0, nx, ny, 1.5)
+
+
+def randint_staircase(seed: int, n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """gen_staircase_matrix's entries drawn with randint and built cell by cell."""
+    rng = random.Random(seed)
+    a, b = [1], [rng.randint(1, m)]
+    for _ in range(1, n):
+        a.append(rng.randint(a[-1], min(b[-1] + 1, m)))
+        b.append(rng.randint(max(a[-1], b[-1]), m))
+    b[-1] = m
+    return tuple(tuple(1 if a[i] <= j + 1 <= b[i] else 0 for j in range(m)) for i in range(n))
+
+
+class TestGeneratorsMatchTheirPlainForms:
+    """The generators draw integers through core._randint and build rows
+    directly; each must give what randint and an edge list or a cell grid
+    give from the same seed."""
+
+    def test_random_bipartite_is_its_edge_list(self):
+        for seed in range(400):
+            nx, ny, p = seed % 10, seed // 10 % 10, seed % 7 / 6
+            rng = random.Random(seed)
+            edges = [(i, j) for i in range(nx) for j in range(ny) if rng.random() < p]
+            assert bp.gen_random_bipartite(seed, nx, ny, p) == bp.build_graph(nx, ny, edges)
+
+    def test_staircase_is_its_randint_grid(self):
+        for seed in range(400):
+            n, m = 1 + seed % 9, 1 + seed // 9 % 9
+            assert bp.gen_staircase_matrix(seed, n, m).entries == randint_staircase(seed, n, m)
+
+    def test_interval_endpoints_are_randint_draws(self):
+        for seed in range(400):
+            nx, ny, span = seed % 7, seed // 7 % 7, 1 + seed % 13
+            rng = random.Random(seed)
+            spans = [sorted((rng.randint(0, span), rng.randint(0, span))) for _ in range(nx + ny)]
+            rep = intervals.random_interval_representation(seed, nx, ny, span)
+            assert [[iv.left, iv.right] for iv in rep.x_intervals + rep.y_intervals] == spans
 
 
 class TestGenStaircase:

@@ -270,6 +270,14 @@ class TestIntervalTsv:
         with pytest.raises(InputError, match="line 3: label 'a' is used on both sides"):
             parse_intervals_tsv("X\ta\t0\t1\nY\tb\t0\t1\nY\ta\t2\t3\n")
 
+    def test_label_holding_a_lone_cr_rejected(self):
+        # The graph label rule: a tab splits a field and LF ends a line, so
+        # only a lone CR can reach a label, and the line is refused for it.
+        with pytest.raises(InputError, match=r"^interval TSV line 1: label 'a\\rb' holds a tab, CR or LF$"):
+            parse_intervals_tsv("X\ta\rb\t0\t1\nY\ty1\t0\t1\n")
+        with pytest.raises(InputError, match="^interval TSV line 3: label"):
+            parse_intervals_tsv("X\ta\t0\t1\r\n# note\nY\t\rb\t0\t1\n")
+
     def test_graph_with_label_on_both_sides_rejected(self, sample_rep):
         with pytest.raises(InputError, match="both sides"):
             bp.intervals_to_graph(sample_rep, ("a", "b", "c", "d", "e", "f"), ("f", "g", "h", "i", "j"))

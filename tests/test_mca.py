@@ -784,3 +784,131 @@ class TestPowerCheckMatchesGridOracle:
                     with pytest.raises(InputError):
                         bp.matrix_power(g, (rows, cols), k)
         assert held > 3000 and broke > 400 and refused > 1000, (held, broke, refused)
+
+
+def staircases(n: int, m: int):
+    """Every n x m display whose rows are runs [a_i, b_i] with a_1 = 1,
+    b_n = m, a and b non-decreasing and a_{i+1} <= b_i + 1: every monotone
+    consecutive display with no zero row or column."""
+    runs = [[(1, b)] for b in range(1, m + 1)]
+    for _ in range(n - 1):
+        runs = [
+            [*r, (a, b)]
+            for r in runs
+            for a in range(r[-1][0], min(r[-1][1] + 1, m) + 1)
+            for b in range(max(a, r[-1][1]), m + 1)
+        ]
+    for r in runs:
+        if r[-1][1] == m:
+            yield tuple((0,) * (a - 1) + (1,) * (b - a + 1) + (0,) * (m - b) for a, b in r)
+
+
+def stored_under(display: tuple[tuple[int, ...], ...], rng: random.Random) -> bp.ArrangedMatrix:
+    """A matrix that shows ``display`` under a random row order and a column
+    order other than the identity (there is none with one column)."""
+    n, m = len(display), len(display[0])
+    rows, cols = list(range(n)), list(range(m))
+    rng.shuffle(rows)
+    while m > 1 and cols == sorted(cols):
+        rng.shuffle(cols)
+    entries = [[0] * m for _ in range(n)]
+    for p, i in enumerate(rows):
+        for q, j in enumerate(cols):
+            entries[i][j] = display[p][q]
+    return bp.ArrangedMatrix(tuple(map(tuple, entries)), tuple(rows), tuple(cols))
+
+
+class TestIdentityOrderPath:
+    """``_arrangement_holds`` reads a row bitset as its displayed row when
+    the column order is the identity, as in every t4 trial, and shifts each
+    column into place under any other order.  Both paths must give the
+    verdict of the same display."""
+
+    @staticmethod
+    def verdicts(display, rng, shifted: list[int]) -> tuple[bool, bool]:
+        """The identity path's and the shift-table path's verdicts on
+        ``display``; ``shifted`` counts the shift tables built."""
+        plain, stored = identity_arrangement(display), stored_under(display, rng)
+        plain_graph, stored_graph = bp.matrix_to_graph(plain), bp.matrix_to_graph(stored)
+        before = len(shifted)
+        on_identity = mca._arrangement_holds(plain_graph, plain)
+        assert len(shifted) == before
+        on_shifts = mca._arrangement_holds(stored_graph, stored)
+        assert len(shifted) == before + (len(display[0]) > 1)
+        return on_identity, on_shifts
+
+    @pytest.fixture
+    def shifted(self, monkeypatch) -> list[int]:
+        tables: list[int] = []
+        original = mca._column_shifts
+
+        def counted(col_perm):
+            tables.append(len(col_perm))
+            return original(col_perm)
+
+        monkeypatch.setattr(mca, "_column_shifts", counted)
+        return tables
+
+    def test_every_staircase_up_to_5x5(self, shifted):
+        rng = random.Random(5150)
+        count = 0
+        for n in range(1, 6):
+            for m in range(1, 6):
+                for display in staircases(n, m):
+                    assert self.verdicts(display, rng, shifted) == (True, True), display
+                    assert grid_row_condition(display) is not None
+                    count += 1
+        assert count > 5000
+
+    def test_seeded_volume_of_shuffled_staircases(self, shifted):
+        rng = random.Random(6060)
+        seen = {True: 0, False: 0}
+        for _ in range(1500):
+            display = shuffled_staircase(rng, rng.randint(2, 8), rng.randint(1, 8), rng.randint(1, 2))
+            on_identity, on_shifts = self.verdicts(display, rng, shifted)
+            assert on_identity == on_shifts == (grid_row_condition(display) is not None), display
+            assert on_identity == (bp.verify_mca(identity_arrangement(display)) is not None)
+            seen[on_identity] += 1
+        assert seen[True] > 100 and seen[False] > 500, seen
+
+
+class TestArrangementInvariances:
+    @staticmethod
+    def volume(seed: int, count: int):
+        """Shuffled staircases, which have an MCA, and random matrices with
+        no zero line, most of which have none."""
+        rng = random.Random(seed)
+        for t in range(count):
+            if t % 2:
+                yield rng, shuffled_staircase(rng, rng.randint(2, 7), rng.randint(1, 7), rng.randint(1, 2))
+            else:
+                yield rng, random_nonzero_matrix(rng, 6, 6)
+
+    def test_reversing_both_orders_keeps_an_mca(self):
+        for n in range(1, 6):
+            for m in range(1, 6):
+                for display in staircases(n, m):
+                    upside_down = bp.ArrangedMatrix(display, tuple(range(n))[::-1], tuple(range(m))[::-1])
+                    assert bp.verify_mca(upside_down) is not None, display
+        found = 0
+        for _, entries in self.volume(7007, 600):
+            result = bp.find_mca(identity_arrangement(entries))
+            if result is not None:
+                arranged, _ = result
+                reversed_ = bp.ArrangedMatrix(entries, arranged.row_perm[::-1], arranged.col_perm[::-1])
+                assert bp.verify_mca(reversed_) is not None, entries
+                found += 1
+        assert found > 300
+
+    def test_existence_ignores_labels_and_transposition(self):
+        seen = {True: 0, False: 0}
+        for rng, entries in self.volume(8008, 1200):
+            has = bp.find_mca(identity_arrangement(entries)) is not None
+            rows = list(entries)
+            rng.shuffle(rows)
+            cols = list(range(len(entries[0])))
+            rng.shuffle(cols)
+            for other in (tuple(rows), tuple(tuple(row[j] for j in cols) for row in entries), tuple(zip(*entries))):
+                assert (bp.find_mca(identity_arrangement(other)) is not None) == has, entries
+            seen[has] += 1
+        assert seen[True] > 400 and seen[False] > 200, seen

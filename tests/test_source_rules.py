@@ -129,6 +129,41 @@ def test_no_constructor_bypass_in_src():
     assert found == [], f"constructor bypassed in src: {found}"
 
 
+def integer_draws(source: str) -> list[str]:
+    """``name:line`` of each call of a method named ``randint`` or
+    ``randrange``, in line order."""
+    calls = [
+        (node.lineno, f"{node.func.attr}:{node.lineno}")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("randint", "randrange")
+    ]
+    return [site for _, site in sorted(calls)]
+
+
+def test_integer_draws_rule_sees_them():
+    source = textwrap.dedent("""
+        import random
+        def draw(seed, rng=random):
+            bits = random.Random(seed).getrandbits
+            n = random.Random(seed).randint(1, 6)
+            return rng.randrange(n), _randint(bits, 1, n), rng.random()
+    """)
+    assert integer_draws(source) == ["randint:5", "randrange:6"]
+
+
+def test_every_integer_draw_goes_through_one_helper():
+    # Campaign draws are pinned by digest, so each integer is drawn by
+    # core._randint, which is pinned to random.Random.randint; a second
+    # way of drawing one could drift from it unseen.
+    found = [
+        f"{path.name}:{site}"
+        for path in sorted(SRC.glob("*.py"))
+        for site in integer_draws(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [], f"integer drawn outside core._randint: {found}"
+
+
 def refutation_sites(source: str) -> tuple[list[str], list[str]]:
     """Where ``source`` builds a refutation and where it catches one:
     ``name:line`` of each ``TheoremCounterexample`` call and of each dict
