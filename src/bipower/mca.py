@@ -8,13 +8,16 @@ row condition is equivalent to the transposed column condition on c_j / d_j
 and to an R/C labelling of zeros in which everything above-and-right of an
 R is an R and everything below-and-left of a C is a C.  Only the row
 condition is evaluated, by one kernel on the displayed rows held as integer
-bitsets (``_row_condition``), and one certificate kernel on a display's
-lines held as bitsets (``_certificate_runs``) adds the runs across them:
-``verify_mca`` runs it on the displayed rows, ``find_mca`` on the displayed
-columns it already holds, and the power check of ``matrix_power`` and of
-the t4 campaign reads a power's row bitsets directly.  The row condition
-on a 0/1 grid and the other two formulations are kept as independent
-oracles in the test suite.
+bitsets (``_row_condition``), which records each row's run in the same
+pass, and one certificate kernel on a display's lines held as bitsets
+(``_certificate_runs``) adds the runs across them: ``verify_mca`` runs it
+on the displayed rows, ``find_mca`` on the displayed columns it already
+holds, and the power check of ``matrix_power`` and of the t4 campaign
+reads a power's row bitsets directly.  A certificate holds the four runs
+alone; its R/C labels follow from the row runs and the column count, and
+are worked out when they are read.  The row condition on a 0/1 grid and
+the other two formulations are kept as independent oracles in the test
+suite.
 
 ``find_mca`` builds each component's forced row order instead of searching:
 the matrices with an MCA are those of proper interval bigraphs (Hell &
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import BipartiteGraph, _graph_from_rows, _read_int, _text_lines, _union, bipartite_power
 from .errors import InputError, TheoremCounterexample
@@ -143,38 +146,36 @@ def _refuse_zero_lines(shown: Sequence[int], m: int) -> None:
         raise InputError(f"column {column} is all zeros; arrangements require non-zero columns")
 
 
-def _row_condition(shown: Sequence[int]) -> bool:
-    """True iff the non-zero row bitsets ``shown`` (bit p = display column
-    p + 1) each hold consecutive ones, and the first one columns a_i and
-    the last one columns b_i are both non-decreasing down the rows.
+def _row_condition(shown: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """The first one columns a_i and the last one columns b_i of the
+    non-zero row bitsets ``shown`` (bit p = display column p + 1), if each
+    row holds consecutive ones and a and b are both non-decreasing down the
+    rows; None if not.  One pass checks the rows and records the runs.
 
     Adding a row's lowest one to the row carries through its lowest run of
     ones, so the sum shares a bit with the row iff another run lies above:
     the ones of r are consecutive iff ``r & (r + (r & -r)) == 0``.  The run
     is then a = the lowest one's position + 1 and b = ``r.bit_length()``.
     """
-    first = last = 0
+    first: list[int] = []
+    last: list[int] = []
+    prev_a = prev_b = 0
     for r in shown:
         low = r & -r
         a, b = low.bit_length(), r.bit_length()
-        if r & (r + low) or a < first or b < last:
-            return False
-        first, last = a, b
-    return True
+        if r & (r + low) or a < prev_a or b < prev_b:
+            return None
+        first.append(a)
+        last.append(b)
+        prev_a, prev_b = a, b
+    return first, last
 
 
-def label_zeros(
-    mat: ArrangedMatrix, a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[tuple[int, int, str], ...]:
-    """Label each displayed zero R (right of its row's ones) or C (left of them).
-
-    ``a`` and ``b`` are the first/last one columns of the displayed rows, as
-    in a certificate, so the zeros of row i are the columns before a_i and
-    after b_i.  Labels come out row-major.  On a monotone consecutive display
-    everything above-and-right of an R is an R and everything below-and-left
-    of a C is a C.
-    """
-    after = mat.m + 1
+def _zero_labels(a: Sequence[int], b: Sequence[int], m: int) -> tuple[tuple[int, int, str], ...]:
+    """The R/C labels of the zeros of an ``m``-column display whose rows
+    run from a_i to b_i: the columns before a_i are C and those after b_i
+    are R, row-major."""
+    after = m + 1
     labels: list[tuple[int, int, str]] = []
     add = labels.append
     for i, (first, last) in enumerate(zip(a, b), start=1):
@@ -185,15 +186,38 @@ def label_zeros(
     return tuple(labels)
 
 
-@dataclass(frozen=True)
-class McaCertificate:
-    """Witness that a displayed arrangement is monotone consecutive."""
+def label_zeros(
+    mat: ArrangedMatrix, a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, int, str], ...]:
+    """Label each displayed zero R (right of its row's ones) or C (left of them).
+
+    ``a`` and ``b`` are the first/last one columns of the displayed rows, as
+    in a certificate, so the zeros of row i are the columns before a_i and
+    after b_i; of ``mat`` only the column count is read.  Labels come out
+    row-major.  On a monotone consecutive display everything above-and-right
+    of an R is an R and everything below-and-left of a C is a C.  A
+    certificate's ``zero_labels`` are worked out by the same kernel.
+    """
+    return _zero_labels(a, b, mat.m)
+
+
+class McaCertificate(NamedTuple):
+    """Witness that a displayed arrangement is monotone consecutive: the
+    runs of its rows, a_i to b_i, and of its columns, c_j to d_j, 1-based.
+
+    The R/C labels of the zeros follow from a, b and the column count, and
+    are worked out when ``zero_labels`` is read.
+    """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
     c: tuple[int, ...]
     d: tuple[int, ...]
-    zero_labels: tuple[tuple[int, int, str], ...]
+
+    @property
+    def zero_labels(self) -> tuple[tuple[int, int, str], ...]:
+        """The R/C label of each displayed zero, row-major, as ``label_zeros`` gives them."""
+        return _zero_labels(self.a, self.b, len(self.c))
 
 
 def _certificate_runs(lines: Sequence[int], width: int) -> tuple[tuple[int, ...], ...] | None:
@@ -208,29 +232,30 @@ def _certificate_runs(lines: Sequence[int], width: int) -> tuple[tuple[int, ...]
     row with a_i <= j.  The column condition is the row condition of the
     transpose, so the displayed columns give (c, d, a, b).
     """
-    if not _row_condition(lines):
+    runs = _row_condition(lines)
+    if runs is None:
         return None
-    first = tuple((r & -r).bit_length() for r in lines)
-    last = tuple(r.bit_length() for r in lines)
+    first, last = runs
     across = range(1, width + 1)
     # first and last are sorted: count the lines with last < j and those with first <= j.
-    first_across = tuple(bisect_left(last, j) + 1 for j in across)
-    return first, last, first_across, tuple(bisect_right(first, j) for j in across)
+    first_across = [bisect_left(last, j) + 1 for j in across]
+    last_across = [bisect_right(first, j) for j in across]
+    return (*first,), (*last,), (*first_across,), (*last_across,)
 
 
 def verify_mca(mat: ArrangedMatrix) -> McaCertificate | None:
     """Certificate if the displayed arrangement is monotone consecutive, else None.
 
     Only the row condition is evaluated, on the displayed rows as bitsets;
-    the column runs and the R/C labels follow from the row runs.
+    the column runs follow from the row runs, and so do the R/C labels,
+    which the certificate works out only when they are read.
     """
     shown = _shown_rows(mat)
     _refuse_zero_lines(shown, mat.m)
     runs = _certificate_runs(shown, mat.m)
     if runs is None:
         return None
-    a, b, c, d = runs
-    return McaCertificate(a, b, c, d, label_zeros(mat, a, b))
+    return McaCertificate(*runs)
 
 
 def _forced_order(bits: list[int], left: list[int]) -> list[int] | None:
@@ -301,7 +326,8 @@ def find_mca(mat: ArrangedMatrix) -> tuple[ArrangedMatrix, McaCertificate] | Non
     ``bit_length`` is its last.  Those ints, in display order, are the
     display's columns as bitsets, and the certificate kernel checks them
     before the arrangement, built by the constructor on ``mat.entries``, is
-    returned.
+    returned.  The certificate holds the runs alone; no zero label is
+    worked out until one is read.
     """
     n, m = mat.n, mat.m
     bits = _grid_bits(mat.entries, range(m))
@@ -326,8 +352,7 @@ def find_mca(mat: ArrangedMatrix) -> tuple[ArrangedMatrix, McaCertificate] | Non
     if runs is None:
         raise AssertionError("the forced row order does not verify as monotone consecutive")
     c, d, a, b = runs
-    arranged = ArrangedMatrix(mat.entries, tuple(row_perm), tuple(col_perm))
-    return arranged, McaCertificate(a, b, c, d, label_zeros(arranged, a, b))
+    return ArrangedMatrix(mat.entries, tuple(row_perm), tuple(col_perm)), McaCertificate(a, b, c, d)
 
 
 def greedy_distance(mat: ArrangedMatrix, cert: McaCertificate, row: int, col: int) -> int:
@@ -395,7 +420,7 @@ def _arrangement_holds(g: BipartiteGraph, base: ArrangedMatrix) -> bool:
         rows = [_union(shift, row) for row in rows]
     shown = [rows[i] for i in base.row_perm]
     _refuse_zero_lines(shown, base.m)
-    return _row_condition(shown)
+    return _row_condition(shown) is not None
 
 
 def _check_matrix_power(g: BipartiteGraph, base: ArrangedMatrix, k: int) -> None:

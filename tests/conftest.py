@@ -205,3 +205,18 @@ def block_diagonal(blocks) -> tuple[tuple[int, ...], ...]:
         rows += [(0,) * left + tuple(row) + (0,) * (width - left - m) for row in block]
         left += m
     return tuple(rows)
+
+
+def stored_under(display: tuple[tuple[int, ...], ...], rng: random.Random) -> bp.ArrangedMatrix:
+    """A matrix that shows ``display`` under a random row order and a column
+    order other than the identity (there is none with one column)."""
+    n, m = len(display), len(display[0])
+    rows, cols = list(range(n)), list(range(m))
+    rng.shuffle(rows)
+    while m > 1 and cols == sorted(cols):
+        rng.shuffle(cols)
+    entries = [[0] * m for _ in range(n)]
+    for p, i in enumerate(rows):
+        for q, j in enumerate(cols):
+            entries[i][j] = display[p][q]
+    return bp.ArrangedMatrix(tuple(map(tuple, entries)), tuple(rows), tuple(cols))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -16,8 +18,17 @@ from bipower.chordal_power import cycle_json
 from bipower.cli import dispatch
 from bipower.harness import MAX_PARALLELISM
 from bipower.intervals import intervals_tsv, parse_intervals_tsv
-from bipower.mca import matrix_text, parse_matrix
-from conftest import cycle_graph, frames_to_spare
+from bipower.mca import identity_arrangement, matrix_text, parse_matrix
+from conftest import (
+    band_with_extra_edges,
+    cycle_graph,
+    frames_to_spare,
+    plant_cycle,
+    random_nonzero_matrix,
+    random_tree,
+    shuffled_staircase,
+    stored_under,
+)
 
 
 @pytest.fixture
@@ -768,6 +779,121 @@ class TestCounterexampleRecheck:
         ip.write_text(record["intervals"])
         code, _, _ = run(capsys, "power-intervals", "-k", str(record["k"]), str(gp), str(ip))
         assert code == 0
+
+
+def seeded_matrix_texts(seed: int, count: int) -> list[str]:
+    """Matrix texts of four kinds in turn: random matrices with no zero line
+    under random permutations, shuffled staircases shown as stored (some
+    with a row repeated), staircase displays stored under random
+    permutations, and sparse random matrices that may hold a zero line."""
+    rng = random.Random(seed)
+    texts = []
+    for t in range(count):
+        kind = t % 4
+        if kind == 0:
+            entries = random_nonzero_matrix(rng, 6, 6)
+            n, m = len(entries), len(entries[0])
+            mat = bp.ArrangedMatrix(entries, tuple(rng.sample(range(n), n)), tuple(rng.sample(range(m), m)))
+        elif kind == 1:
+            n = rng.randint(1, 8)
+            mat = identity_arrangement(shuffled_staircase(rng, n, rng.randint(1, 8), rng.randint(1, min(3, n))))
+        elif kind == 2:
+            shown = bp.gen_staircase_matrix(rng.getrandbits(63), rng.randint(1, 8), rng.randint(1, 8)).entries
+            mat = stored_under(shown, rng)
+        else:
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            mat = identity_arrangement(tuple(tuple(int(rng.random() < 0.3) for _ in range(m)) for _ in range(n)))
+        texts.append(matrix_text(mat))
+    return texts
+
+
+class TestPinnedMcaVerbOutputs:
+    """The exit code and stdout of mca-verify and mca-find, in each payload
+    form, over 80 seeded matrix files, pinned by one sha256, so that a
+    change to any printed run, zero label, verdict or exit code shows."""
+
+    DIGEST = "7743db5cd2e83e8fc3dae93cc3ce64af343e6da87caf58b2cc3564c23f18da94"
+
+    def test_outputs_are_pinned(self, tmp_path, capsys):
+        digest = hashlib.sha256()
+        codes = {"mca-verify": [], "mca-find": []}
+        for t, text in enumerate(seeded_matrix_texts(2828, 80)):
+            path = tmp_path / f"m{t}.mat"
+            path.write_text(text)
+            for verb in codes:
+                for form in ([], ["--format", "text"]):
+                    code, out, _ = run(capsys, verb, str(path), *form)
+                    codes[verb].append(code)
+                    digest.update(f"{t} {verb} {form} {code}\n{out}".encode())
+        for verb, seen in codes.items():
+            assert all(seen.count(code) > 4 for code in (0, 1, 2)), (verb, seen)
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestLabelOrderInvariance:
+    """A graph file whose "x" and "y" label arrays are permuted names the
+    same labelled graph in another index order: check-chordal and
+    check-kchordal give the same verdict and exit code on it, a cycle
+    printed for either file is a chordless cycle of the graph, and power
+    gives the same labelled edge set."""
+
+    # Each verdict verb and the fewest vertices a cycle it prints may have.
+    VERBS = [
+        (["check-chordal"], 6),
+        (["check-chordal", "--min-length", "8"], 8),
+        (["check-kchordal", "--kchordal-k", "4"], 5),
+        (["check-kchordal", "--kchordal-k", "6"], 7),
+    ]
+
+    @staticmethod
+    def _graphs(rng: random.Random):
+        yield cycle_graph(6)
+        yield bp.gen_subdivided_cycle([3] * 6)[0]
+        for t in range(45):
+            if t % 3 == 0:
+                yield bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(2, 8), rng.randint(2, 8), rng.random())
+            elif t % 3 == 1:
+                yield plant_cycle(random_tree(rng, rng.randint(4, 12)), rng.choice((6, 8, 10)), rng)
+            else:
+                yield band_with_extra_edges(rng, rng.randint(4, 9), rng.randint(0, 2))
+
+    @staticmethod
+    def _relabelled(rng: random.Random, g: bp.BipartiteGraph) -> str:
+        obj = json.loads(bp.graph_to_json(g))
+        rng.shuffle(obj["x"])
+        rng.shuffle(obj["y"])
+        return json.dumps(obj, indent=2) + "\n"
+
+    def test_verdicts_and_powers_ignore_label_order(self, tmp_path, capsys):
+        rng = random.Random(1010)
+        codes = []
+        for t, g in enumerate(self._graphs(rng)):
+            paths = [tmp_path / f"g{t}.json", tmp_path / f"g{t}p.json"]
+            paths[0].write_text(bp.graph_to_json(g))
+            paths[1].write_text(self._relabelled(rng, g))
+            for argv, shortest in self.VERBS:
+                outs = [run(capsys, *argv, str(path)) for path in paths]
+                (code, out, _), (permuted_code, permuted_out, _) = outs
+                assert code == permuted_code, (argv, bp.graph_to_json(g))
+                codes.append(code)
+                if code == 0:
+                    assert out == permuted_out
+                    continue
+                assert code == 1, outs
+                for printed in (out, permuted_out):
+                    cert = chordal_power.cycle_from_json(g, printed)
+                    assert core.verify_chordless(g, cert) and len(cert.vertices) >= shortest, printed
+            for k in ("1", "3", "5"):
+                (code, out, _), (permuted_code, permuted_out, _) = (
+                    run(capsys, "power", "-k", k, str(path)) for path in paths)
+                assert code == permuted_code == 0
+                assert self._labelled(out) == self._labelled(permuted_out)
+        assert codes.count(0) > 100 and codes.count(1) > 50, (codes.count(0), codes.count(1))
+
+    @staticmethod
+    def _labelled(out: str) -> tuple[set, set, set]:
+        obj = json.loads(out)
+        return set(obj["x"]), set(obj["y"]), {tuple(edge) for edge in obj["edges"]}
 
 
 MATRIX_SIDE_MAX = 14  # largest side of a drawn matrix file

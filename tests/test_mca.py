@@ -4,12 +4,13 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bipower as bp
 from bipower import mca
 from bipower.errors import InputError, TheoremCounterexample
 from bipower.mca import certificate_json, identity_arrangement, matrix_text, parse_matrix
-from conftest import block_diagonal, random_nonzero_matrix, shuffled, shuffled_staircase
+from conftest import block_diagonal, random_nonzero_matrix, shuffled, shuffled_staircase, stored_under
 from oracles import (
     backtrack_mca,
     check_nonzero_grid,
@@ -33,6 +34,12 @@ def certificate_in_range(cert, n: int, m: int) -> bool:
     """Every row run (a, b) names a column 1..m and every column run (c, d)
     a row 1..n, so each composite such as a(c(j)) is defined."""
     return all(1 <= v <= m for v in cert.a + cert.b) and all(1 <= v <= n for v in cert.c + cert.d)
+
+
+def labels_agree(mat, cert) -> bool:
+    """The certificate's zero labels, worked out when read, are those
+    label_zeros gives for its row runs and those read off ``mat``'s display."""
+    return cert.zero_labels == bp.label_zeros(mat, cert.a, cert.b) == quadrant_labels(display(mat))
 
 
 def nonzero_matrices_up_to_4x4():
@@ -251,6 +258,47 @@ class TestLabelZeros:
         assert bp.label_zeros(mat, (1, 2), (1, 2)) == ((1, 2, "R"), (2, 1, "C"))
 
 
+class TestCertificateValue:
+    """A certificate is its four run tuples, as a named tuple; its zero
+    labels are a property worked out from a, b and the column count."""
+
+    def test_repr_names_the_four_runs(self, staircase_matrix):
+        cert = bp.verify_mca(staircase_matrix)
+        assert repr(cert) == (
+            "McaCertificate(a=(1, 1, 2, 3, 4, 5), b=(2, 3, 5, 5, 6, 7), "
+            "c=(1, 1, 2, 3, 3, 5, 6), d=(2, 3, 4, 5, 6, 6, 6))"
+        )
+
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d", "zero_labels", "extra"])
+    def test_attributes_cannot_be_set(self, staircase_matrix, name):
+        cert = bp.verify_mca(staircase_matrix)
+        with pytest.raises(AttributeError):
+            setattr(cert, name, ())
+        assert cert == bp.verify_mca(staircase_matrix)
+
+    def test_equal_runs_are_equal_certificates(self, staircase_matrix):
+        rng = random.Random(72)
+        for _ in range(200):
+            entries = shuffled_staircase(rng, rng.randint(1, 8), rng.randint(1, 8))
+            arranged, cert = bp.find_mca(identity_arrangement(entries))
+            again = bp.verify_mca(arranged)
+            assert again == cert and hash(again) == hash(cert)
+            assert bp.McaCertificate(cert.a, cert.b, cert.c, cert.d) == cert
+            assert hash(bp.McaCertificate(*cert)) == hash(cert)
+        cert = bp.verify_mca(staircase_matrix)
+        assert bp.McaCertificate(cert.a, cert.b, cert.c, cert.d[:-1] + (5,)) != cert
+
+    def test_labels_are_not_worked_out_by_the_search_or_the_check(self, staircase_matrix, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("zero labels worked out")
+
+        monkeypatch.setattr(mca, "_zero_labels", refuse)
+        arranged, cert = bp.find_mca(staircase_matrix)
+        assert bp.verify_mca(arranged) == cert
+        with pytest.raises(AssertionError, match="zero labels worked out"):
+            cert.zero_labels
+
+
 class TestFindMca:
     def test_trivial_cell(self):
         arranged, cert = bp.find_mca(identity_arrangement(((1,),)))
@@ -376,7 +424,7 @@ class TestFindMca:
             assert certificate_in_range(cert, arranged.n, arranged.m), entries
             assert (cert.a, cert.b) == grid_row_condition(grid), entries
             assert (cert.c, cert.d) == column_runs(grid), entries
-            assert cert.zero_labels == quadrant_labels(grid), entries
+            assert labels_agree(arranged, cert), entries
             found += 1
         assert 200 < found < 300, found
 
@@ -416,6 +464,7 @@ class TestFindMcaMatchesBacktracker:
         mat = identity_arrangement(entries)
         found = bp.find_mca(mat)
         assert found == backtrack_mca(mat), entries
+        assert found is None or labels_agree(*found), entries
         return found is not None
 
     def test_every_small_matrix(self):
@@ -429,6 +478,7 @@ class TestFindMcaMatchesBacktracker:
             found = bp.find_mca(mat)
             elapsed += time.perf_counter() - start
             assert found == backtrack_mca(mat), entries
+            assert found is None or labels_agree(*found), entries
             results.append(found is not None)
         assert len(results) == NONZERO_MATRICES_UP_TO_4X4
         assert 0 < sum(results) < len(results)
@@ -570,7 +620,26 @@ class TestArrangementSurvivesPowerWithoutFixingIt:
         assert checked > 50
 
 
+@st.composite
+def arranged_matrices(draw) -> bp.ArrangedMatrix:
+    """Any 0/1 matrix up to 6x6, rowless and column-less shapes included,
+    under any row and column permutations."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    entries = tuple(tuple(draw(cells)) for _ in range(n))
+    return bp.ArrangedMatrix(entries, tuple(draw(st.permutations(range(n)))), tuple(draw(st.permutations(range(m)))))
+
+
 class TestMatrixText:
+    @settings(max_examples=300, deadline=None)
+    @given(arranged_matrices())
+    def test_any_matrix_round_trips(self, mat):
+        # What matrix_text writes parses back to an equal matrix and is
+        # written again as the same bytes.
+        text = matrix_text(mat)
+        assert parse_matrix(text) == mat
+        assert matrix_text(parse_matrix(text)) == text
+
     def test_round_trip_bytes(self, staircase_matrix):
         text = matrix_text(staircase_matrix)
         assert matrix_text(parse_matrix(text)) == text
@@ -647,7 +716,7 @@ class TestFormulationEquivalence:
             assert certificate_in_range(cert, mat.n, mat.m), grid
             assert (cert.a, cert.b) == runs, grid
             assert (cert.c, cert.d) == cols, grid
-            assert cert.zero_labels == quadrant_labels(grid), grid
+            assert labels_agree(mat, cert), grid
             assert labels_closed(grid, cert.zero_labels), grid
         return cert
 
@@ -735,11 +804,12 @@ class TestFormulationEquivalence:
 
 
 class TestPowerCheckMatchesGridOracle:
-    """The t4 power check reads the power's row bitsets through one column
-    shift table (mca._check_matrix_power); oracles.grid_matrix_power builds
-    the power's 0/1 grid and checks its display.  Both must give the same
-    verdict and the same counterexample record, and matrix_power must return
-    the grid the oracle builds."""
+    """The t4 power check reads the power's row bitsets in display row
+    order (mca._check_matrix_power): as they are under the identity column
+    order, and through one column shift table under any other;
+    oracles.grid_matrix_power builds the power's 0/1 grid and checks its
+    display.  Both must give the same verdict and the same counterexample
+    record, and matrix_power must return the grid the oracle builds."""
 
     @staticmethod
     def _outcome(check, *args):
@@ -801,21 +871,6 @@ def staircases(n: int, m: int):
     for r in runs:
         if r[-1][1] == m:
             yield tuple((0,) * (a - 1) + (1,) * (b - a + 1) + (0,) * (m - b) for a, b in r)
-
-
-def stored_under(display: tuple[tuple[int, ...], ...], rng: random.Random) -> bp.ArrangedMatrix:
-    """A matrix that shows ``display`` under a random row order and a column
-    order other than the identity (there is none with one column)."""
-    n, m = len(display), len(display[0])
-    rows, cols = list(range(n)), list(range(m))
-    rng.shuffle(rows)
-    while m > 1 and cols == sorted(cols):
-        rng.shuffle(cols)
-    entries = [[0] * m for _ in range(n)]
-    for p, i in enumerate(rows):
-        for q, j in enumerate(cols):
-            entries[i][j] = display[p][q]
-    return bp.ArrangedMatrix(tuple(map(tuple, entries)), tuple(rows), tuple(cols))
 
 
 class TestIdentityOrderPath:

@@ -129,6 +129,71 @@ def test_no_constructor_bypass_in_src():
     assert found == [], f"constructor bypassed in src: {found}"
 
 
+def uses_of(source: str, names: set[str]) -> list[str]:
+    """``scope:name`` of each use of one of ``names`` in ``source``, in
+    source order: a read of the plain name (a call or an alias) or of an
+    attribute of that name.  ``scope`` is the enclosing definition, as
+    ``Class.function``, or ``<module>``."""
+    found: list[str] = []
+    scope: list[str] = []
+
+    def visit(node: ast.AST) -> None:
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if named:
+            scope.append(node.name)
+        used = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if used in names:
+            found.append(f"{'.'.join(scope) or '<module>'}:{used}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+        if named:
+            scope.pop()
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_uses_of_rule_sees_them():
+    source = textwrap.dedent("""
+        def _kernel(a):
+            return a
+
+        def public(a):
+            return _kernel(a)
+
+        class Value:
+            @property
+            def labels(self):
+                return _kernel(self.a)
+
+        def search(cert):
+            alias = _kernel
+            return alias(1), cert.labels
+
+        LABELS = _kernel(())
+    """)
+    assert uses_of(source, {"_kernel", "labels"}) == [
+        "public:_kernel", "Value.labels:_kernel", "search:_kernel", "search:labels", "<module>:_kernel",
+    ]
+
+
+def test_zero_labels_are_worked_out_only_when_read():
+    # A certificate holds its four runs alone.  Its R/C zero labels are
+    # worked out by one kernel, reached through label_zeros and the
+    # certificate's zero_labels property, and only the certificate's JSON
+    # reads them: neither find_mca nor verify_mca builds them up front.
+    found = [
+        f"{path.name}:{use}"
+        for path in sorted(SRC.glob("*.py"))
+        for use in uses_of(path.read_text(encoding="utf-8"), {"_zero_labels", "label_zeros", "zero_labels"})
+    ]
+    assert found == [
+        "mca.py:label_zeros:_zero_labels",
+        "mca.py:McaCertificate.zero_labels:_zero_labels",
+        "mca.py:certificate_object:zero_labels",
+    ]
+
+
 def integer_draws(source: str) -> list[str]:
     """``name:line`` of each call of a method named ``randint`` or
     ``randrange``, in line order."""
