@@ -276,11 +276,12 @@ def _check_strong_closure(g: BipartiteGraph, k: int) -> None:
     """Raise the instance as a TheoremCounterexample if ``g``'s k-power is
     chordal bipartite and its (k+2)-power is not.
 
-    The two levels are decided in ``strongly_closed_check``'s order.  A
-    chordal (k+2)-power refutes nothing and has no cycle to lift, so only
-    a (k+2)-power that fails pays for the full report and its lift.
+    The claim is an implication, so only a (k+2)-power that fails can
+    refute it: that level is decided first.  A chordal (k+2)-power refutes
+    nothing and has no cycle to lift, and the k-power is then not decided
+    at all; only a (k+2)-power that fails pays for the full report, which
+    decides the k-power, and its lift.
     """
-    is_chordal_bipartite(bipartite_power(g, k))
     if is_chordal_bipartite(bipartite_power(g, k + 2)).chordal:
         return
     if strongly_closed_check(g, k).counterexample:
@@ -292,9 +293,13 @@ def _check_strong_closure(g: BipartiteGraph, k: int) -> None:
 
 def _check_k_chordal_closure(g: BipartiteGraph, kc: int, k: int) -> None:
     """Raise the instance as a TheoremCounterexample if ``g``'s k-power is
-    ``kc``-chordal and its (k+2)-power is not."""
+    ``kc``-chordal and its (k+2)-power is not.
+
+    The (k+2)-power is decided first, and the k-power only when that level
+    fails, the one case in which the implication can be refuted.
+    """
     # Adjacent k share a level, and a level keeps its answer.
-    if is_k_chordal(bipartite_power(g, k), kc).chordal and not is_k_chordal(bipartite_power(g, k + 2), kc).chordal:
+    if not is_k_chordal(bipartite_power(g, k + 2), kc).chordal and is_k_chordal(bipartite_power(g, k), kc).chordal:
         raise TheoremCounterexample(
             f"power at k={k} is {kc}-chordal although the (k+2)-power is not",
             {"kind": "k-chordal-closure", "k": k, "k_chordal_k": kc, "graph": graph_to_json(g)},

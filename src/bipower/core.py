@@ -113,8 +113,18 @@ class BipartiteGraph:
 
     @cached_property
     def _two_hop(self) -> tuple[int, ...]:
-        """Bit j' of ``_two_hop[j]`` iff y_j and y_j' have a common neighbour."""
-        return tuple(_union(self.x_adj, col) for col in self.y_adj)
+        """Bit j' of ``_two_hop[j]`` iff y_j and y_j' have a common neighbour.
+
+        One pass over the rows' bits: each X row is ORed into the entry of
+        every Y vertex it holds, so the ladder builds no Y-side view."""
+        two_hop = [0] * self.y_count
+        for row in self.x_adj:
+            mask = row
+            while mask:
+                low = mask & -mask
+                two_hop[low.bit_length() - 1] |= row
+                mask ^= low
+        return tuple(two_hop)
 
     def _level(self, k: int) -> BipartiteGraph:
         """The k-power for odd ``k``; see ``bipartite_power``.

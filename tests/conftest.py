@@ -9,6 +9,7 @@ from itertools import islice
 from typing import Iterator
 
 import pytest
+from hypothesis import strategies as st
 
 import bipower as bp
 from bipower import core
@@ -89,6 +90,20 @@ def counted_searches(monkeypatch) -> list[tuple[bp.BipartiteGraph, int]]:
 
     monkeypatch.setattr(core, "_search_chordless_cycle", counted)
     return searched
+
+
+@st.composite
+def labelled_graphs(draw, side_max: int = 8) -> bp.BipartiteGraph:
+    """Any graph with up to ``side_max`` vertices a side, empty sides
+    included, under any valid labels: unique strings, none on both sides,
+    holding no tab, CR or LF; or the default labels."""
+    n, m = draw(st.integers(0, side_max)), draw(st.integers(0, side_max))
+    edges = [(i, j) for i in range(n) for j in range(m) if draw(st.booleans())]
+    if draw(st.booleans()):
+        return bp.build_graph(n, m, edges)
+    label = st.text(st.characters(exclude_characters="\t\r\n"), max_size=4)
+    labels = draw(st.lists(label, min_size=n + m, max_size=n + m, unique=True))
+    return bp.build_graph(n, m, edges, tuple(labels[:n]), tuple(labels[n:]))
 
 
 def cycle_vertex(position: int) -> bp.VertexId:

@@ -31,6 +31,7 @@ from conftest import (
     cycle_graph,
     cycle_vertex,
     fresh_copy,
+    labelled_graphs,
     plant_cycle,
     random_tree,
 )
@@ -587,6 +588,19 @@ class TestCycleJson:
         text = cycle_json(g, corners)
         assert cycle_from_json(g, text) == corners
         assert cycle_json(g, cycle_from_json(g, text)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_cycle_round_trips(self, data):
+        # The file names vertices by label, so any vertex list of any
+        # labelled graph, and any k, read back as they were written.
+        g = data.draw(labelled_graphs())
+        vertices = data.draw(st.lists(st.sampled_from(list(g.vertices())), max_size=12)) if g.vertex_count else []
+        cert = bp.CycleCertificate(tuple(vertices), data.draw(st.integers()))
+        text = cycle_json(g, cert)
+        again = cycle_from_json(g, text)
+        assert again.vertices == cert.vertices and again.host_power == cert.host_power
+        assert cycle_json(g, again) == text
 
     def test_lift_json_fields(self):
         import json

@@ -18,6 +18,7 @@ from conftest import (
     cycle_graph,
     cycle_vertex,
     fresh_copy,
+    labelled_graphs,
     plant_cycle,
     random_tree,
 )
@@ -281,6 +282,25 @@ class TestPowerLadder:
         assert bp.bipartite_power(g, 10**9 + 1) is p9 and bp.bipartite_power(g, 11) is p9
         edgeless = bp.build_graph(3, 3, [])
         assert bp.bipartite_power(edgeless, 10**9 + 1) is edgeless
+
+    def test_two_hop_table_is_the_union_of_each_columns_rows(self):
+        # The table is built in one pass over the rows' bits; entry j must
+        # be the union of the rows of y_j's neighbours.
+        rng = random.Random(29)
+        graphs = [bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 40), rng.randint(1, 40), rng.random())
+                  for _ in range(300)]
+        graphs += [bp.build_graph(0, 3, []), bp.build_graph(3, 0, []), bp.build_graph(0, 0, [])]
+        graphs += [band_graph(random.Random(s), 128, 6) for s in (1, 2)]
+        for g in map(fresh_copy, graphs):
+            two_hop = g._two_hop
+            assert two_hop == tuple(core._union(g.x_adj, col) for col in g.y_adj)
+
+    def test_ladder_builds_no_transpose(self):
+        rng = random.Random(30)
+        graphs = [cycle_graph(18), band_graph(rng, 40, 6), bp.gen_random_bipartite(rng.getrandbits(63), 9, 9, 0.2)]
+        for g in map(fresh_copy, graphs):
+            bp.bipartite_power(g, 7)
+            assert "y_adj" not in g.__dict__ and "global_adj" not in g.__dict__
 
     def test_one_shot_power_of_a_long_path_within_budget(self):
         # x_i is path vertex 2i and y_j is 2j + 1, so x_i y_j is an edge of
@@ -959,6 +979,15 @@ class TestGraphJson:
 
     def test_round_trip_bytes(self, sample_graph):
         text = bp.graph_to_json(sample_graph)
+        assert bp.graph_to_json(bp.graph_from_json(text)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_graphs())
+    def test_any_graph_round_trips(self, g):
+        # What graph_to_json writes parses back to an equal graph and is
+        # written again as the same bytes.
+        text = bp.graph_to_json(g)
+        assert bp.graph_from_json(text) == g
         assert bp.graph_to_json(bp.graph_from_json(text)) == text
 
     def test_parse_errors_cite_position(self):

@@ -283,6 +283,16 @@ class TestCampaigns:
         report = bp.run_campaign(campaign)
         assert report.executed == 40
 
+    def test_kchordal_volume_has_no_record(self):
+        # The k-chordal claim at k_chordal_k 6 goes beyond the paper; this is
+        # its one volume run, at c6's sizes and ks.
+        campaign = Campaign(
+            Theorem.KCHORDAL, trials=10_000, seed=29, bounds=Bounds(max_x=7, max_y=7, k_set=(1, 3, 5), k_chordal_k=6)
+        )
+        report = bp.run_campaign(campaign)
+        assert report.executed == 10_000 and report.skipped == 0
+        assert report.counterexamples == ()
+
 
 class TestT3KRange:
     """A t3 trial checks the odd k up to diameter + 2, read off the power
@@ -383,10 +393,12 @@ class TestInputCheckedOncePerTrial:
 
 class TestEachLevelDecidedOnce:
     """Adjacent levels share a power: t5 and kchordal at k_set (1, 3, 5)
-    need levels 1, 3, 5 and 7 only, and ask each one once.  On the 18-cycle
-    (diameter 9) those are four different graphs; a random graph's levels
-    often stop changing sooner, and a level equal to the one below is then
-    the same object."""
+    need levels 1, 3, 5 and 7 only, and ask each one at most once.  The
+    claims are implications, so each check decides the (k+2)-power first
+    and the k-power only where the (k+2)-power fails.  On the 18-cycle
+    (diameter 9) levels 1 to 7 are four different graphs, none of them
+    chordal; a random graph's levels often stop changing sooner, and a
+    level equal to the one below is then the same object."""
 
     def trial_graphs(self, monkeypatch, graph: bp.BipartiteGraph | None = None) -> list[bp.BipartiteGraph]:
         made: list[bp.BipartiteGraph] = []
@@ -428,27 +440,39 @@ class TestEachLevelDecidedOnce:
         assert self.whole_graph_decisions(calls, made[-1]) == [0, 1, 2, 3]
 
     def test_t5_campaign_decides_each_level_once(self, monkeypatch):
-        # A level with fewer than three distinct non-empty rows has no
-        # chordless cycle of length 6 or more and is answered unordered;
-        # every other level is ordered exactly once.
+        # Ordered are the (k+2)-power at each k, and the k-power wherever
+        # the (k+2)-power is not chordal, each level once.  A level with
+        # fewer than three distinct non-empty rows has no chordless cycle of
+        # length 6 or more and is answered unordered.  No (k+2)-power fails
+        # in the 7+7 campaign; two do in the 12+12 one.
         made = self.trial_graphs(monkeypatch)
         calls = self.gamma_calls(monkeypatch)
-        campaign = Campaign(Theorem.T5, trials=80, seed=8, bounds=Bounds(max_x=7, max_y=7, k_set=(1, 3, 5)))
-        unordered = 0
-        for index in range(campaign.trials):
-            calls.clear()
-            harness._trial(campaign, index)
-            g = made[-1]
-            levels = [bp.bipartite_power(g, k) for k in (1, 3, 5, 7)]
-            distinct = [t for t in range(4) if t == 0 or levels[t] is not levels[t - 1]]
-            ordered = [t for t in distinct if len(set(levels[t].x_adj) - {0}) >= 3]
-            assert self.whole_graph_decisions(calls, g) == ordered
-            unordered += len(distinct) - len(ordered)
-        assert unordered > 0
+        for campaign, failing in [
+            (Campaign(Theorem.T5, trials=80, seed=8, bounds=Bounds(max_x=7, max_y=7, k_set=(1, 3, 5))), 0),
+            (Campaign(Theorem.T5, trials=100, seed=12, bounds=Bounds(max_x=12, max_y=12, k_set=(1, 3, 5))), 2),
+        ]:
+            unordered = undecided = base_read = 0
+            for index in range(campaign.trials):
+                calls.clear()
+                harness._trial(campaign, index)
+                g = made[-1]
+                decided = self.whole_graph_decisions(calls, g)
+                levels = [bp.bipartite_power(g, k) for k in (1, 3, 5, 7)]
+                first = {id(level): levels.index(level) for level in levels}
+                asked = {first[id(levels[t + 1])] for t in range(3)}
+                failed = {first[id(levels[t])] for t in range(3) if not bp.is_chordal_bipartite(levels[t + 1]).chordal}
+                ordered = sorted(t for t in asked | failed if len(set(levels[t].x_adj) - {0}) >= 3)
+                assert decided == ordered
+                unordered += len(asked | failed) - len(ordered)
+                undecided += len(first) - len(asked | failed)
+                base_read += len(failed - asked)
+            assert unordered > 0 and undecided > 0
+            assert base_read == failing
 
     def test_kchordal_trial_asks_each_level_once(self, monkeypatch):
-        # An 18-vertex path: every level is chordal, so every level's
-        # ordering is built and none is searched, at either k_chordal_k.
+        # An 18-vertex path: every level is chordal, so levels 3, 5 and 7
+        # are ordered, level 1 is never asked, and none is searched, at
+        # either k_chordal_k.
         path = bp.build_graph(9, 9, [(i, i) for i in range(9)] + [(i + 1, i) for i in range(8)])
         made = self.trial_graphs(monkeypatch, path)
         calls = self.gamma_calls(monkeypatch)
@@ -459,7 +483,7 @@ class TestEachLevelDecidedOnce:
             )
             calls.clear()
             harness._trial(campaign, 0)
-            assert self.whole_graph_decisions(calls, made[-1]) == [0, 1, 2, 3]
+            assert self.whole_graph_decisions(calls, made[-1]) == [1, 2, 3]
             assert searched == []
         # A random campaign: each level is ordered at most once and searched
         # at most once.

@@ -144,6 +144,43 @@ class TestPowerRepresentation:
             bp.power_representation(sample_graph, bad, 1)
 
 
+class TestMirroredRepresentation:
+    """Mirroring a representation, [l, r] to [-r, -l], keeps every meeting
+    pair, so it realises the same graph and is a second valid input to the
+    construction, which keeps left endpoints and reaches rightwards: the
+    mirror meets it from the other end of the line."""
+
+    @staticmethod
+    def mirror(rep: IntervalRepresentation) -> IntervalRepresentation:
+        def flip(side: tuple[Interval, ...]) -> tuple[Interval, ...]:
+            return tuple(Interval(-iv.right, -iv.left) for iv in side)
+
+        return IntervalRepresentation(flip(rep.x_intervals), flip(rep.y_intervals))
+
+    def test_seeded_representations_and_their_mirrors(self):
+        rng = random.Random(1010)
+        checks = 0
+        for _ in range(400):
+            rep = bp.random_interval_representation(
+                rng.getrandbits(63), rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 12))
+            mirrored = self.mirror(rep)
+            g = bp.intervals_to_graph(rep)
+            assert bp.intervals_to_graph(mirrored) == g
+            if not bp.is_connected(g):
+                continue
+            # Every odd k up to the ladder's top, as a t3 trial checks.
+            top = 3
+            while bp.bipartite_power(g, top - 2) is not bp.bipartite_power(g, top):
+                top += 2
+            for k in range(1, top + 1, 2):
+                power = bp.bipartite_power(g, k)
+                for each in (rep, mirrored):
+                    intervals._check_power_representation(g, each, k)
+                    assert bp.verify_representation(power, bp.power_representation(g, each, k))
+                    checks += 1
+        assert checks > 1000
+
+
 class TestIntervalsToGraph:
     def test_sample_round_trip(self, sample_graph, sample_rep):
         assert bp.intervals_to_graph(sample_rep) == sample_graph
