@@ -702,8 +702,27 @@ def verify_chordless(g: BipartiteGraph, cert: CycleCertificate) -> bool:
 
 
 def is_connected(g: BipartiteGraph) -> bool:
-    """True iff every vertex is reachable from every other (or <= 1 vertex)."""
-    return g.vertex_count <= 1 or sum(_bfs_layers(g, 0)) == (1 << g.vertex_count) - 1
+    """True iff every vertex is reachable from every other (or <= 1 vertex).
+
+    Reads only the X rows.  The part reached from x_0 grows in alternating
+    steps: the X vertices whose rows meet the Y vertices reached, then the
+    union of the rows reached, until no X vertex is added."""
+    if g.vertex_count <= 1:
+        return True
+    rows = g.x_adj
+    if not rows or not g.y_count:
+        return False  # two or more vertices, all on one side
+    x_seen, y_seen = 1, rows[0]
+    while True:
+        x_next, bit = x_seen, 1
+        for row in rows:
+            if row & y_seen:
+                x_next |= bit
+            bit <<= 1
+        if x_next == x_seen:
+            return x_seen == (1 << len(rows)) - 1 and y_seen == (1 << g.y_count) - 1
+        y_seen |= _union(rows, x_next ^ x_seen)
+        x_seen = x_next
 
 
 def diameter(g: BipartiteGraph) -> int:

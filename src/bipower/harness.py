@@ -14,6 +14,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 try:
@@ -282,23 +283,76 @@ def _trial(campaign: Campaign, index: int) -> TrialOutcome:
     return TrialOutcome(False, tuple(records))
 
 
+def _run_share(campaign: Campaign, first: int, step: int) -> tuple[int, list[dict]]:
+    """Run trials ``first``, ``first + step``, ... of the campaign: how many
+    were skipped, and the records of the rest in trial order."""
+    skipped, records = 0, []
+    for index in range(first, campaign.trials, step):
+        outcome = _trial(campaign, index)
+        skipped += outcome.skipped
+        records += outcome.records
+    return skipped, records
+
+
+def _share_worker(campaign: Campaign, first: int, step: int, sender) -> None:
+    """A worker process's whole job: run one share and send back, as one
+    message, its result or the exception that stopped it."""
+    try:
+        result = _run_share(campaign, first, step)
+    except Exception as exc:
+        result = exc
+    sender.send(result)
+
+
 def run_campaign(campaign: Campaign) -> FuzzReport:
     """Execute every trial and merge outcomes by trial index.
+
+    ``parallelism`` is the number of processes that run trials, the caller
+    included.  With w = min(parallelism, trials), share s is trials s,
+    s + w, s + 2w, ...; the caller runs share 0, and one worker process
+    runs each other share and sends its result back once.  Each trial draws from
+    its own seed, so the report is the same at any w.  An exception in a
+    worker's share is raised here, a worker that dies is a RuntimeError, and
+    no worker outlives the call.
 
     Counterexamples are data, not errors: each record embeds the serialized
     instance so a single CLI invocation can re-check it.
     """
     start = time.perf_counter()
-    trial = partial(_trial, campaign)
-    if campaign.parallelism > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only parallel campaigns pay its import
+    width = min(campaign.parallelism, campaign.trials)
+    workers = []
+    try:
+        if width > 1:
+            import multiprocessing  # only parallel campaigns pay its import
 
-        with ProcessPoolExecutor(max_workers=campaign.parallelism) as pool:
-            outcomes = list(pool.map(trial, range(campaign.trials), chunksize=64))
-    else:
-        outcomes = list(map(trial, range(campaign.trials)))
-    skipped = sum(1 for o in outcomes if o.skipped)
-    counterexamples = tuple(rec for o in outcomes for rec in o.records)
+            for first in range(1, width):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                worker = multiprocessing.Process(target=_share_worker, args=(campaign, first, width, sender))
+                worker.start()
+                sender.close()
+                workers.append((worker, receiver))
+        shares = [_run_share(campaign, 0, width)]
+        for first, (worker, receiver) in enumerate(workers, 1):
+            try:
+                result = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"campaign worker {first} of {width - 1} died with exit code {worker.exitcode}"
+                    " before sending its share"
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            shares.append(result)
+            worker.join()
+    finally:
+        for worker, receiver in workers:
+            if worker.exitcode is None:
+                worker.terminate()
+            worker.join()
+            receiver.close()
+    skipped = sum(share[0] for share in shares)
+    counterexamples = tuple(sorted((rec for share in shares for rec in share[1]), key=itemgetter("trial")))
     return FuzzReport(
         campaign,
         executed=campaign.trials - skipped,

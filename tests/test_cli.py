@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import random
 import sys
 import tempfile
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bipower as bp
-from bipower import chordal_power, cli, core
+from bipower import chordal_power, cli, core, harness
 from bipower.chordal_power import cycle_json
 from bipower.cli import dispatch
 from bipower.harness import MAX_PARALLELISM
@@ -648,6 +649,33 @@ class TestVerbs:
             reports.append(report)
         assert reports[0] == reports[1]
 
+    def test_fuzz_in_parallel_prints_the_serial_report(self, capsys, tmp_path):
+        outs = []
+        for parallelism in (1, 2):
+            campaign = tmp_path / f"campaign-{parallelism}.json"
+            campaign.write_text(json.dumps({"theorem": "t5", "trials": 25, "seed": 6, "parallelism": parallelism}))
+            code, out, err = run(capsys, "fuzz", str(campaign))
+            assert code == 0 and err == ""
+            outs.append([line for line in out.splitlines(True) if not line.startswith('  "wall_time": ')])
+        assert outs[0] == outs[1] and len(outs[0]) > 10
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers see a patched trial only when forked")
+    def test_defect_in_a_workers_trial_is_exit_4(self, capsys, tmp_path, monkeypatch):
+        trial = harness._trial
+
+        def broken(campaign, index):
+            if index == 3:  # in the worker's share at parallelism 2
+                raise RuntimeError("defect under test")
+            return trial(campaign, index)
+
+        monkeypatch.setattr(harness, "_trial", broken)
+        campaign = tmp_path / "campaign.json"
+        campaign.write_text(json.dumps({"theorem": "t5", "trials": 8, "seed": 6, "parallelism": 2}))
+        code, out, err = run(capsys, "fuzz", str(campaign))
+        assert code == cli.EXIT_INTERNAL == 4 and out == ""
+        assert err.startswith("Traceback") and err.rstrip().endswith("RuntimeError: defect under test")
+        assert multiprocessing.active_children() == []
+
     def test_gen_each_kind(self, files, capsys, tmp_path):
         code, out, _ = run(capsys, "gen", "--theorem", "t3", "--seed", "4", "--max-x", "3", "--max-y", "3")
         assert code == 0 and out.count("X\t") == 3
@@ -1089,8 +1117,8 @@ def with_unknown_key(draw, objects: st.SearchStrategy):
 
 def campaign_files() -> st.SearchStrategy:
     """Campaign JSON with small bounds, any field wrong or missing, and now
-    and then an unknown key.  A valid parallelism above 1 would start a
-    process pool, so none is drawn."""
+    and then an unknown key.  A valid parallelism above 1 would start
+    worker processes, so none is drawn."""
     bounds = with_unknown_key(json_objects({
         "max_x": st.integers(-1, 5),
         "max_y": st.integers(-1, 5),

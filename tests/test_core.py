@@ -250,6 +250,39 @@ class TestDistancesMatchTable:
                     seen["classified"] += 1
         assert all(seen.values()), seen
 
+    def test_connectivity_on_a_seeded_volume_up_to_40_plus_40(self):
+        # is_connected grows the part reached from x_0 over the X rows
+        # alone; the table decides connectivity from every vertex.  The
+        # volume holds one-sided graphs, isolated vertices, several
+        # components and long paths, whose growth takes many steps.
+        rng = random.Random(3030)
+        seen = dict.fromkeys(("connected", "disconnected", "isolated", "one-sided"), 0)
+        for t in range(120):
+            if t % 6 == 0:  # one side empty
+                nx, ny = (0, rng.randint(1, 40)) if t % 12 else (rng.randint(1, 40), 0)
+                g = bp.build_graph(nx, ny, [])
+            elif t % 6 == 1:
+                parts = [
+                    bp.gen_random_bipartite(rng.getrandbits(63), rng.randint(1, 20), rng.randint(1, 20), rng.uniform(0.2, 0.6))
+                    for _ in range(2)
+                ]
+                g = disjoint_union(parts, False, rng)
+            elif t % 6 == 2:  # a long cycle cut once (a path) or twice
+                g = cycle_graph(2 * rng.randint(10, 40))
+                edges = list(g.edges())
+                for _ in range(rng.randint(1, 2)):
+                    edges.pop(rng.randrange(len(edges)))
+                g = bp.build_graph(g.x_count, g.y_count, edges)
+            else:
+                nx, ny = rng.randint(1, 40), rng.randint(1, 40)
+                g = bp.gen_random_bipartite(rng.getrandbits(63), nx, ny, rng.uniform(0.02, 0.25))
+            table = distance_table(g)
+            assert_distances_match(g, table)
+            seen["connected" if bp.is_connected(g) else "disconnected"] += 1
+            seen["isolated"] += any(row.count(None) == len(row) - 1 for row in table) and len(table) > 1
+            seen["one-sided"] += (g.x_count == 0) != (g.y_count == 0)
+        assert min(seen.values()) >= 10, seen
+
     def test_subdivided_cycle_classes(self):
         rng = random.Random(77)
         classified = 0
@@ -300,6 +333,14 @@ class TestPowerLadder:
         graphs = [cycle_graph(18), band_graph(rng, 40, 6), bp.gen_random_bipartite(rng.getrandbits(63), 9, 9, 0.2)]
         for g in map(fresh_copy, graphs):
             bp.bipartite_power(g, 7)
+            assert "y_adj" not in g.__dict__ and "global_adj" not in g.__dict__
+
+    def test_connectivity_builds_no_transpose(self):
+        rng = random.Random(31)
+        graphs = [cycle_graph(18), band_graph(rng, 40, 6), bp.gen_random_bipartite(rng.getrandbits(63), 9, 9, 0.2),
+                  bp.build_graph(3, 3, [(0, 0), (2, 2)]), bp.build_graph(0, 3, [])]
+        for g in map(fresh_copy, graphs):
+            bp.is_connected(g)
             assert "y_adj" not in g.__dict__ and "global_adj" not in g.__dict__
 
     def test_one_shot_power_of_a_long_path_within_budget(self):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import random
+import time
 
 import pytest
 
@@ -14,6 +18,7 @@ from bipower.harness import (
     Bounds,
     Campaign,
     Theorem,
+    TrialOutcome,
     campaign_from_json,
     report_json,
     trial_seed,
@@ -213,7 +218,7 @@ class TestCampaigns:
     )
     def test_campaign_fields_validated(self, field, value):
         # Construction only: a bad parallelism must be refused before any
-        # process pool could start.
+        # worker process could start.
         with pytest.raises(InputError, match=field):
             Campaign(Theorem.T4, **{"trials": 1, "seed": 0, field: value})
 
@@ -292,6 +297,136 @@ class TestCampaigns:
         report = bp.run_campaign(campaign)
         assert report.executed == 10_000 and report.skipped == 0
         assert report.counterexamples == ()
+
+
+# A worker runs the trial function it inherits: a patched one only when forked.
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers see a patched trial only when forked"
+)
+
+
+class PlantedFault(Exception):
+    """Raised by a patched trial."""
+
+
+class Unreadable(Exception):
+    """Pickles as ``Unreadable(message)``, which cannot be called, so the
+    caller's receive fails."""
+
+    def __init__(self, message: str, detail: str):
+        super().__init__(message)
+
+
+def patch_trial(monkeypatch, fault) -> None:
+    """Run ``fault(index)`` before each trial."""
+    trial = harness._trial
+
+    def patched(campaign: Campaign, index: int) -> TrialOutcome:
+        fault(index)
+        return trial(campaign, index)
+
+    monkeypatch.setattr(harness, "_trial", patched)
+
+
+class TestCampaignShares:
+    """With w = min(parallelism, trials), share s is trials s, s + w, ...;
+    the caller runs share 0 and one forked worker each other share.  The
+    report must not depend on the split, an exception in any share must
+    reach the caller, and no path may leave a worker running."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    @pytest.mark.parametrize("parallelism, trials", [(2, 31), (3, 47), (8, 5)])
+    def test_report_is_the_serial_report(self, monkeypatch, theorem, parallelism, trials):
+        started = []
+        start = multiprocessing.Process.start
+
+        def counted(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", counted)
+        serial = Campaign(theorem, trials=trials, seed=13, bounds=Bounds(max_x=6, max_y=6, span=10))
+        parallel = dataclasses.replace(serial, parallelism=parallelism)
+        assert report_json(bp.run_campaign(parallel), False) == report_json(bp.run_campaign(serial), False)
+        assert len(started) == min(parallelism, trials) - 1
+
+    @fork_only
+    @pytest.mark.parametrize("parallelism", [2, 3, 8])
+    def test_records_merge_in_trial_order(self, monkeypatch, parallelism):
+        # Up to three records a trial, in the order its ks ran; every fourth
+        # trial is skipped.
+        def planted(campaign: Campaign, index: int) -> TrialOutcome:
+            if index % 4 == 1:
+                return TrialOutcome(True, ())
+            return TrialOutcome(False, tuple({"trial": index, "k": k} for k in (5, 1, 3)[: index % 3 + 1]))
+
+        monkeypatch.setattr(harness, "_trial", planted)
+        campaign = Campaign(Theorem.T5, trials=23, seed=4, parallelism=parallelism)
+        report = bp.run_campaign(campaign)
+        expected = [rec for index in range(23) for rec in planted(campaign, index).records]
+        assert list(report.counterexamples) == expected
+        assert (report.executed, report.skipped) == (17, 6)
+        serial = bp.run_campaign(dataclasses.replace(campaign, parallelism=1))
+        assert report_json(report, False) == report_json(serial, False)
+
+    @fork_only
+    @pytest.mark.parametrize("index", [7, 8, 6], ids=["worker-1", "worker-2", "caller"])
+    def test_fault_in_any_share_is_raised(self, monkeypatch, index):
+        def fault(at: int) -> None:
+            if at == index:
+                raise PlantedFault(f"trial {at}")
+
+        patch_trial(monkeypatch, fault)
+        with pytest.raises(PlantedFault, match=f"^trial {index}$"):
+            bp.run_campaign(Campaign(Theorem.T5, trials=20, seed=3, parallelism=3))
+
+    @fork_only
+    def test_fault_in_the_callers_share_stops_running_workers(self, monkeypatch):
+        # The workers' first trials would take 30 s; they are terminated.
+        def fault(at: int) -> None:
+            if at == 0:
+                raise PlantedFault("trial 0")
+            if at < 3:
+                time.sleep(30)
+
+        patch_trial(monkeypatch, fault)
+        begun = time.perf_counter()
+        with pytest.raises(PlantedFault):
+            bp.run_campaign(Campaign(Theorem.T5, trials=20, seed=3, parallelism=3))
+        assert time.perf_counter() - begun < 10
+
+    @fork_only
+    def test_dead_worker_is_one_line_naming_its_exit_code(self, monkeypatch):
+        def fault(at: int) -> None:
+            if at == 5:
+                os._exit(3)
+
+        patch_trial(monkeypatch, fault)
+        with pytest.raises(RuntimeError) as raised:
+            bp.run_campaign(Campaign(Theorem.T5, trials=20, seed=3, parallelism=3))
+        message = str(raised.value)
+        assert "\n" not in message and "exit code 3" in message and "worker 2 of 2" in message
+
+    @fork_only
+    def test_failed_receive_stops_the_other_workers(self, monkeypatch):
+        # Worker 1 sends an exception that cannot be unpickled; worker 2's
+        # share would take 30 s.
+        def fault(at: int) -> None:
+            if at == 1:
+                raise Unreadable("trial 1", "detail")
+            if at == 2:
+                time.sleep(30)
+
+        patch_trial(monkeypatch, fault)
+        begun = time.perf_counter()
+        with pytest.raises(TypeError):
+            bp.run_campaign(Campaign(Theorem.T5, trials=20, seed=3, parallelism=3))
+        assert time.perf_counter() - begun < 10
 
 
 class TestT3KRange:

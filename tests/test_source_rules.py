@@ -531,17 +531,27 @@ def test_core_does_not_import_chordal_power():
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # Only parallel campaigns start a pool; every other command would pay
-    # for importing it at start-up.
+    # Only parallel campaigns start worker processes; every other command,
+    # serial fuzz and gen included, would pay for importing them at start-up.
     script = (
         "import sys\n"
+        "def loaded():\n"
+        "    return [name for name in ('concurrent.futures', 'multiprocessing') if name in sys.modules]\n"
+        "import bipower.harness\n"
+        "print(*loaded())\n"
         "import bipower.cli\n"
-        "print(*sorted(name for name in ('concurrent.futures.process', 'multiprocessing') if name in sys.modules))\n"
+        "print(*loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stdout == "\n\n"
+
+
+def test_no_process_pool_in_src():
+    # A campaign forks its workers itself; no executor is kept beside them.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, text in sources.items() if "ProcessPoolExecutor" in text] == []
 
 
 def test_harness_import_leaves_out_openssl():
