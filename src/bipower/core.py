@@ -116,7 +116,8 @@ class BipartiteGraph:
         """Bit j' of ``_two_hop[j]`` iff y_j and y_j' have a common neighbour.
 
         One pass over the rows' bits: each X row is ORed into the entry of
-        every Y vertex it holds, so the ladder builds no Y-side view."""
+        every Y vertex it holds, so neither the ladder nor ``is_connected``,
+        which both read it, builds a Y-side view."""
         two_hop = [0] * self.y_count
         for row in self.x_adj:
             mask = row
@@ -704,25 +705,21 @@ def verify_chordless(g: BipartiteGraph, cert: CycleCertificate) -> bool:
 def is_connected(g: BipartiteGraph) -> bool:
     """True iff every vertex is reachable from every other (or <= 1 vertex).
 
-    Reads only the X rows.  The part reached from x_0 grows in alternating
-    steps: the X vertices whose rows meet the Y vertices reached, then the
-    union of the rows reached, until no X vertex is added."""
+    Reads only the X rows and the two-hop table the power ladder grows
+    from: the Y vertices reached from x_0's row grow by the two-hop reach
+    of the newest ones until none is new.  The graph is connected iff every
+    Y vertex is reached and no X row is empty."""
     if g.vertex_count <= 1:
         return True
     rows = g.x_adj
     if not rows or not g.y_count:
         return False  # two or more vertices, all on one side
-    x_seen, y_seen = 1, rows[0]
-    while True:
-        x_next, bit = x_seen, 1
-        for row in rows:
-            if row & y_seen:
-                x_next |= bit
-            bit <<= 1
-        if x_next == x_seen:
-            return x_seen == (1 << len(rows)) - 1 and y_seen == (1 << g.y_count) - 1
-        y_seen |= _union(rows, x_next ^ x_seen)
-        x_seen = x_next
+    two_hop = g._two_hop
+    seen = frontier = rows[0]
+    while frontier:
+        frontier = _union(two_hop, frontier) & ~seen
+        seen |= frontier
+    return seen == (1 << g.y_count) - 1 and all(rows)
 
 
 def diameter(g: BipartiteGraph) -> int:

@@ -31,3 +31,8 @@ class TheoremCounterexample(BipowerError):
     def __init__(self, message: str, report: dict[str, Any]):
         super().__init__(message)
         self.report = report
+
+    def __reduce__(self):
+        # An exception pickles as its class called with ``args`` alone, which
+        # would drop the report; a worker process sends one back pickled.
+        return type(self), (self.args[0], self.report)

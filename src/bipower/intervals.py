@@ -54,9 +54,6 @@ class Interval:
         if self.left > self.right:
             raise InputError(f"interval [{self.left}, {self.right}] has left > right")
 
-    def intersects(self, other: Interval) -> bool:
-        return self.left <= other.right and other.left <= self.right
-
 
 @dataclass(frozen=True)
 class IntervalRepresentation:
@@ -212,14 +209,10 @@ def _check_power_representation(
     return x_spans, y_spans
 
 
-def intervals_to_graph(
-    rep: IntervalRepresentation,
-    x_labels: tuple[str, ...] | None = None,
-    y_labels: tuple[str, ...] | None = None,
-) -> BipartiteGraph:
+def intervals_to_graph(rep: IntervalRepresentation) -> BipartiteGraph:
     """Graph realized by the representation: edge iff closed intervals intersect."""
     rows = _meeting_rows(_spans(rep.x_intervals), _spans(rep.y_intervals))
-    return _graph_from_rows(rows, len(rep.y_intervals), x_labels, y_labels)
+    return _graph_from_rows(rows, len(rep.y_intervals))
 
 
 def random_interval_representation(seed: int, nx: int, ny: int, span: int) -> IntervalRepresentation:

@@ -104,13 +104,9 @@ def graph_to_matrix(g: BipartiteGraph) -> ArrangedMatrix:
     return ArrangedMatrix(_biadjacency(g), tuple(range(g.x_count)), tuple(range(g.y_count)))
 
 
-def matrix_to_graph(
-    mat: ArrangedMatrix,
-    x_labels: tuple[str, ...] | None = None,
-    y_labels: tuple[str, ...] | None = None,
-) -> BipartiteGraph:
+def matrix_to_graph(mat: ArrangedMatrix) -> BipartiteGraph:
     """Graph whose biadjacency matrix (in original orientation) is ``mat``."""
-    return _graph_from_rows(_grid_bits(mat.entries, range(mat.m)), mat.m, x_labels, y_labels)
+    return _graph_from_rows(_grid_bits(mat.entries, range(mat.m)), mat.m)
 
 
 def _column_shifts(col_perm: Sequence[int]) -> list[int]:

@@ -687,12 +687,18 @@ def pairwise_reach_lefts(
     )
 
 
+def intersects(a: Interval, b: Interval) -> bool:
+    """Whether two closed intervals meet: the pairwise form of the row-bitset
+    kernel ``intervals._meeting_rows``."""
+    return a.left <= b.right and b.left <= a.right
+
+
 def pairwise_power_representation(
     g: BipartiteGraph, rep: IntervalRepresentation, k: int
 ) -> IntervalRepresentation:
     """Reference for ``intervals._check_power_representation``: the right
     endpoints of ``pairwise_reach_lefts`` clamped to the left endpoints, then
-    every cross pair tested with ``Interval.intersects`` in row-major order,
+    every cross pair tested with ``intersects`` in row-major order,
     and the first mismatch raised with the same record."""
     power = bipartite_power(g, k)
 
@@ -708,7 +714,7 @@ def pairwise_power_representation(
     result = IntervalRepresentation(clamped(rep.x_intervals, x_reach, "X"), clamped(rep.y_intervals, y_reach, "Y"))
     for i, ix in enumerate(result.x_intervals):
         for j, iy in enumerate(result.y_intervals):
-            if ix.intersects(iy) != power.has_edge(i, j):
+            if intersects(ix, iy) != power.has_edge(i, j):
                 raise TheoremCounterexample(
                     f"power representation fails for pair ({g.x_labels[i]}, {g.y_labels[j]}) at k={k}",
                     {
@@ -725,28 +731,24 @@ def pairwise_power_representation(
 
 def pairwise_verify_representation(g: BipartiteGraph, rep: IntervalRepresentation) -> bool:
     """Reference for ``intervals.verify_representation`` on matching sizes:
-    every cross pair tested with ``Interval.intersects`` against the edge."""
+    every cross pair tested with ``intersects`` against the edge."""
     return all(
-        ix.intersects(iy) == g.has_edge(i, j)
+        intersects(ix, iy) == g.has_edge(i, j)
         for i, ix in enumerate(rep.x_intervals)
         for j, iy in enumerate(rep.y_intervals)
     )
 
 
-def pairwise_intervals_to_graph(
-    rep: IntervalRepresentation,
-    x_labels: tuple[str, ...] | None = None,
-    y_labels: tuple[str, ...] | None = None,
-) -> BipartiteGraph:
+def pairwise_intervals_to_graph(rep: IntervalRepresentation) -> BipartiteGraph:
     """Reference for ``intervals.intervals_to_graph``: the edge list of every
     intersecting cross pair, through ``build_graph``."""
     edges = [
         (i, j)
         for i, ix in enumerate(rep.x_intervals)
         for j, iy in enumerate(rep.y_intervals)
-        if ix.intersects(iy)
+        if intersects(ix, iy)
     ]
-    return build_graph(len(rep.x_intervals), len(rep.y_intervals), edges, x_labels, y_labels)
+    return build_graph(len(rep.x_intervals), len(rep.y_intervals), edges)
 
 
 def reindexed_graph(g: BipartiteGraph, x_perm: Sequence[int], y_perm: Sequence[int]) -> BipartiteGraph:

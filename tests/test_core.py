@@ -1005,6 +1005,28 @@ class TestConnectivity:
     def test_empty_graph_connected(self):
         assert bp.is_connected(bp.build_graph(0, 0, []))
 
+    # A 2,400-vertex cycle, cut once (a path) or twice (two paths), each
+    # plain, with an isolated X vertex and with an isolated Y vertex.
+    @pytest.mark.parametrize("extra", ["none", "isolated-x", "isolated-y"])
+    @pytest.mark.parametrize("cuts", [0, 1, 2])
+    def test_long_cycle_against_bfs_within_budget(self, cuts, extra):
+        cycle = cycle_graph(2400)
+        edges = [e for t, e in enumerate(cycle.edges()) if t not in (0, 1200)[:cuts]]
+        g = bp.build_graph(cycle.x_count + (extra == "isolated-x"), cycle.y_count + (extra == "isolated-y"), edges)
+        dist = bp.bfs_distance(g, g.vertex_of_global(0))
+        reached = all(d is not None for d in dist.x_dist + dist.y_dist)
+        assert reached == (cuts < 2 and extra == "none")
+        # Growth over the two-hop table takes a few milliseconds on a fresh
+        # copy, on a 2-core host; rescanning every X row at each of the
+        # ~1,200 steps took 75-290 ms there.
+        best = float("inf")
+        for _ in range(3):
+            copy = fresh_copy(g)
+            start = time.perf_counter()
+            assert bp.is_connected(copy) == reached
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.025, f"took {best * 1e3:.1f} ms"
+
     def test_diameter_of_cycle(self):
         assert bp.diameter(cycle_graph(18)) == 9
 

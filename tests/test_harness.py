@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import random
 import time
 
@@ -12,7 +13,7 @@ import pytest
 
 import bipower as bp
 from bipower import chordal_power, cli, core, harness, intervals, mca
-from bipower.errors import CapacityError, InputError
+from bipower.errors import CapacityError, InputError, TheoremCounterexample
 from bipower.harness import (
     MAX_PARALLELISM,
     Bounds,
@@ -299,6 +300,14 @@ class TestCampaigns:
         assert report.counterexamples == ()
 
 
+def test_counterexample_survives_pickling():
+    # A worker process sends a refutation back pickled.
+    exc = TheoremCounterexample("fails at k=3", {"kind": "power-representation", "k": 3})
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is TheoremCounterexample
+    assert str(back) == str(exc) and back.report == exc.report
+
+
 # A worker runs the trial function it inherits: a patched one only when forked.
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="workers see a patched trial only when forked"
@@ -411,6 +420,23 @@ class TestCampaignShares:
             bp.run_campaign(Campaign(Theorem.T5, trials=20, seed=3, parallelism=3))
         message = str(raised.value)
         assert "\n" not in message and "exit code 3" in message and "worker 2 of 2" in message
+
+    @fork_only
+    def test_refutation_in_a_workers_share_is_raised_as_itself(self, monkeypatch):
+        # Raised outside the trial's own handler, so it crosses the pipe as
+        # an exception; it must arrive with its report, not as a TypeError.
+        report = {"kind": "planted", "trial": 1}
+        run_share = harness._run_share
+
+        def planted(campaign: Campaign, first: int, step: int):
+            if first == 1:
+                raise TheoremCounterexample("planted refutation", report)
+            return run_share(campaign, first, step)
+
+        monkeypatch.setattr(harness, "_run_share", planted)
+        with pytest.raises(TheoremCounterexample, match="^planted refutation$") as raised:
+            bp.run_campaign(Campaign(Theorem.T5, trials=20, seed=3, parallelism=2))
+        assert raised.value.report == report
 
     @fork_only
     def test_failed_receive_stops_the_other_workers(self, monkeypatch):

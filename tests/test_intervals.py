@@ -15,6 +15,7 @@ from bipower.intervals import (
     parse_intervals_tsv,
 )
 from oracles import (
+    intersects,
     pairwise_intervals_to_graph,
     pairwise_power_representation,
     pairwise_reach_lefts,
@@ -24,10 +25,10 @@ from oracles import (
 
 class TestInterval:
     def test_touching_endpoints_intersect(self):
-        assert Interval(4, 8).intersects(Interval(8, 9))
+        assert intersects(Interval(4, 8), Interval(8, 9))
 
     def test_disjoint(self):
-        assert not Interval(0, 1).intersects(Interval(2, 3))
+        assert not intersects(Interval(0, 1), Interval(2, 3))
 
     def test_inverted_rejected(self):
         with pytest.raises(InputError):
@@ -315,17 +316,13 @@ class TestIntervalTsv:
         with pytest.raises(InputError, match="^interval TSV line 3: label"):
             parse_intervals_tsv("X\ta\t0\t1\r\n# note\nY\t\rb\t0\t1\n")
 
-    def test_graph_with_label_on_both_sides_rejected(self, sample_rep):
-        with pytest.raises(InputError, match="both sides"):
-            bp.intervals_to_graph(sample_rep, ("a", "b", "c", "d", "e", "f"), ("f", "g", "h", "i", "j"))
-
 
 class TestPowerCheckMatchesPairwiseOracle:
     """The t3 power check reads the power's X rows only: right endpoints
     from groups of left endpoints, and each X vertex's intersecting
     intervals as one bitset (intervals._check_power_representation).  The
     oracles loop over every opposite vertex and every cross pair with
-    Interval.intersects.  Endpoints, verdicts and records must be equal."""
+    oracles.intersects.  Endpoints, verdicts and records must be equal."""
 
     @staticmethod
     def _outcome(check, g, rep, k):
@@ -389,13 +386,13 @@ class TestPowerCheckMatchesPairwiseOracle:
 class TestMeetingRowsMatchPairwiseOracle:
     """Verification, building and the power check share one kernel
     (intervals._meeting_rows).  The oracles test every cross pair with
-    Interval.intersects and build graphs from edge lists: the graphs, labels
+    oracles.intersects and build graphs from edge lists: the graphs, labels
     included, and the verdicts must be equal."""
 
     @staticmethod
-    def _same(rep, labels=(None, None)):
-        g = bp.intervals_to_graph(rep, *labels)
-        assert g == pairwise_intervals_to_graph(rep, *labels), rep
+    def _same(rep):
+        g = bp.intervals_to_graph(rep)
+        assert g == pairwise_intervals_to_graph(rep), rep
         assert bp.verify_representation(g, rep)
         return g
 
@@ -426,8 +423,7 @@ class TestMeetingRowsMatchPairwiseOracle:
             nx, ny = rng.randint(0, 16), rng.randint(0, 16)
             # A small span forces equal and touching endpoints.
             rep = bp.random_interval_representation(rng.getrandbits(63), nx, ny, rng.choice((1, 2, 4, 8, 40)))
-            labels = (tuple(f"a{i}" for i in range(nx)), tuple(f"b{j}" for j in range(ny))) if rng.random() < 0.5 else (None, None)
-            g = self._same(rep, labels)
+            g = self._same(rep)
             cells = [(i, j) for i in range(nx) for j in range(ny)]
             self._flips_rejected(g, rep, rng.sample(cells, min(len(cells), 12)))
             ends = {iv.left for iv in rep.y_intervals} | {iv.right for iv in rep.y_intervals}

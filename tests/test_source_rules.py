@@ -81,14 +81,16 @@ def test_no_recursion_in_src():
 
 def test_no_pairwise_interval_tests_in_src():
     # Intersection is answered by one row-bitset kernel in intervals; the
-    # pairwise form, Interval.intersects, serves the test oracles only.
+    # pairwise form, oracles.intersects, serves the test oracles only, so
+    # src neither defines nor calls anything named intersects.
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "intersects"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "intersects")
+        or (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "intersects")
     ]
-    assert found == [], f"Interval.intersects called in src: {found}"
+    assert found == [], f"intersects defined or called in src: {found}"
 
 
 def constructor_bypasses(source: str) -> list[str]:
